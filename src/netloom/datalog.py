@@ -8,15 +8,20 @@ integers; variables start with an uppercase letter or ``_``. There is
 no arithmetic in heads and no aggregation.
 
 ``evaluate`` runs a semi-naive fixpoint per stratum over compiled join
-plans with hash indexes. ``evaluate_naive`` is an intentionally simple
-full-rederivation evaluator kept as an independent cross-check.
+plans with hash indexes. A binary predicate whose rules include both
+``p(B, A) :- p(A, B).`` and ``p(A, C) :- p(A, B), p(B, C).`` (up to
+variable names) is evaluated as disjoint classes instead: those two
+rules get no join plans, and its cost is linear in the pairs it holds
+rather than cubic in a class's size. ``evaluate_naive`` is an
+intentionally simple full-rederivation evaluator kept as an
+independent cross-check.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 
 class ProgramError(Exception):
@@ -159,10 +164,6 @@ def _format_term(t: Term) -> str:
     return f'"{escaped}"'
 
 
-def format_program(program: Program) -> str:
-    return "\n".join(str(r) for r in program.rules) + ("\n" if program.rules else "")
-
-
 # ---------------------------------------------------------------------------
 # Parsing
 
@@ -245,13 +246,17 @@ class _Parser:
     def _peek(self) -> _Token | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
 
+    def _end_of_input(self, message: str) -> ParseError:
+        """An error positioned just after the last token."""
+        last = self.tokens[-1] if self.tokens else None
+        line = last.line if last else 1
+        col = (last.column + len(last.text)) if last else 1
+        return ParseError(message, line, col)
+
     def _next(self, expected: str | None = None) -> _Token:
         tok = self._peek()
         if tok is None:
-            last = self.tokens[-1] if self.tokens else None
-            line = last.line if last else 1
-            col = (last.column + len(last.text)) if last else 1
-            raise ParseError("unexpected end of input", line, col)
+            raise self._end_of_input("unexpected end of input")
         if expected is not None and tok.kind != expected:
             raise ParseError(
                 f"expected {expected}, found {tok.text!r}", tok.line, tok.column
@@ -297,7 +302,7 @@ class _Parser:
     def _parse_literal(self) -> BodyLiteral:
         tok = self._peek()
         if tok is None:
-            raise ParseError("unexpected end of input in rule body", 0, 0)
+            raise self._end_of_input("unexpected end of input in rule body")
         if tok.kind == "IDENT" and tok.text == "not":
             self._next()
             return Negation(self._parse_atom())
@@ -577,8 +582,95 @@ class _Relation:
             self._indexes[spec] = index
         return index.get(key, [])
 
+    def insert(self, row: tuple) -> Sequence[tuple]:
+        """Add a derived row; return the rows that are new, for the delta."""
+        return (row,) if self.add(row) else ()
+
+
+class _EqRelation(_Relation):
+    """A binary relation kept closed under symmetry and transitivity.
+
+    It stores disjoint classes, as Soufflé's ``eqrel`` does (Nappa et
+    al., PACT 2019): each id maps to the member list of its class, and a
+    union moves the smaller list into the larger (Tarjan, JACM 1975).
+    ``rows`` holds every pair of the closure, so scans, indexes and
+    negation see an ordinary relation, while each insert costs only the
+    pairs it makes new.
+    """
+
+    __slots__ = ("_members",)
+
+    def __init__(self) -> None:
+        super().__init__()
+        self._members: dict[object, list] = {}
+
+    def insert(self, row: tuple) -> Sequence[tuple]:
+        a, b = row
+        members = self._members
+        new: list[tuple] = []
+        for x in (a, b):
+            if x not in members:
+                members[x] = [x]
+                new.append((x, x))
+        big, small = members[a], members[b]
+        if big is not small:
+            if len(big) < len(small):
+                big, small = small, big
+            for x in big:
+                for y in small:
+                    new.append((x, y))
+                    new.append((y, x))
+            big.extend(small)
+            for y in small:
+                members[y] = big
+        for pair in new:
+            self.add(pair)
+        return new
+
 
 _EMPTY_RELATION = _Relation()
+
+
+def _closure_kind(rule: Rule) -> str | None:
+    """Return "sym" for ``p(B, A) :- p(A, B).`` and "trans" for
+    ``p(A, C) :- p(A, B), p(B, C).`` (up to variable names and body
+    order), or None for any other rule."""
+    pred = rule.head.predicate
+    pairs: list[tuple[str, str]] = []
+    for atom in (rule.head, *rule.body):
+        if not (
+            isinstance(atom, Atom)
+            and atom.predicate == pred
+            and len(atom.args) == 2
+            and all(isinstance(t, Variable) for t in atom.args)
+        ):
+            return None
+        pairs.append((atom.args[0].name, atom.args[1].name))
+    (x, z), body = pairs[0], pairs[1:]
+    if x == z:
+        return None
+    if body == [(z, x)]:
+        return "sym"
+    if len(body) == 2:
+        for (a, y), (y2, c) in (body, body[::-1]):
+            if (a, c) == (x, z) and y == y2 and y not in (x, z):
+                return "trans"
+    return None
+
+
+def _closure_rules(rules: Iterable[Rule]) -> dict[str, set[Rule]]:
+    """Map each equivalence predicate to its symmetry and transitivity
+    rules: a predicate is one when the program has rules of both kinds."""
+    kinds: dict[str, dict[str, set[Rule]]] = {}
+    for rule in rules:
+        kind = _closure_kind(rule)
+        if kind is not None:
+            kinds.setdefault(rule.head.predicate, {}).setdefault(kind, set()).add(rule)
+    return {
+        pred: by_kind["sym"] | by_kind["trans"]
+        for pred, by_kind in kinds.items()
+        if len(by_kind) == 2
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -827,8 +919,10 @@ def _run_plan(
 # Evaluation
 
 
-def _init_relations(program: Program, edb: Iterable[Fact]) -> dict[str, _Relation]:
-    relations: dict[str, _Relation] = {}
+def _init_relations(
+    program: Program, edb: Iterable[Fact], equivalences: Iterable[str]
+) -> dict[str, _Relation]:
+    relations: dict[str, _Relation] = {p: _EqRelation() for p in equivalences}
     arities: dict[str, int] = dict(program.arities)
     for f in edb:
         if not f.is_ground():
@@ -839,7 +933,7 @@ def _init_relations(program: Program, edb: Iterable[Fact]) -> dict[str, _Relatio
                 f"EDB fact {f} conflicts with arity {known} for {f.predicate}"
             )
         arities[f.predicate] = len(f.args)
-        relations.setdefault(f.predicate, _Relation()).add(f.args)
+        relations.setdefault(f.predicate, _Relation()).insert(f.args)
     return relations
 
 
@@ -852,19 +946,26 @@ def evaluate(program: Program, edb: Iterable[Fact]) -> set[Fact]:
     """
     edb_set = set(edb)
     strata = stratify(program)
-    relations = _init_relations(program, edb_set)
+    closure_rules = _closure_rules(program.rules)
+    relations = _init_relations(program, edb_set, closure_rules)
 
     for stratum in strata:
         dynamic_preds = {r.head.predicate for r in stratum}
-        plans = [(r, _compile_rule(r, dynamic_preds)) for r in stratum]
+        # An equivalence predicate's relation closes itself on insert,
+        # so its symmetry and transitivity rules get no join plans.
+        plans = [
+            (r, _compile_rule(r, dynamic_preds))
+            for r in stratum
+            if r not in closure_rules.get(r.head.predicate, ())
+        ]
         for pred in dynamic_preds:
             relations.setdefault(pred, _Relation())
 
         delta: dict[str, _Relation] = {p: _Relation() for p in dynamic_preds}
         for rule, plan in plans:
             for row in _run_plan(plan, relations):
-                if relations[rule.head.predicate].add(row):
-                    delta[rule.head.predicate].add(row)
+                for new in relations[rule.head.predicate].insert(row):
+                    delta[rule.head.predicate].add(new)
 
         while any(d.rows for d in delta.values()):
             new_delta: dict[str, _Relation] = {p: _Relation() for p in dynamic_preds}
@@ -876,8 +977,8 @@ def evaluate(program: Program, edb: Iterable[Fact]) -> set[Fact]:
                     if not d.rows:
                         continue
                     for row in _run_plan(plan, relations, step_idx, d):
-                        if relations[rule.head.predicate].add(row):
-                            new_delta[rule.head.predicate].add(row)
+                        for new in relations[rule.head.predicate].insert(row):
+                            new_delta[rule.head.predicate].add(new)
             delta = new_delta
 
     derived: set[Fact] = set()

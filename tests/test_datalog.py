@@ -8,6 +8,7 @@ from netloom.datalog import (
     Atom,
     ParseError,
     StratificationError,
+    _closure_rules,
     evaluate,
     evaluate_naive,
     fact,
@@ -16,7 +17,7 @@ from netloom.datalog import (
 )
 
 from generators import random_program_text
-from oracles import reachability_closure
+from oracles import reachability_closure, sym_trans_closure
 
 TC_RULES = """
 path(X, Y) :- edge(X, Y).
@@ -30,6 +31,21 @@ def edges_to_facts(edges):
 
 def path_pairs(derived):
     return {f.args for f in derived if f.predicate == "path"}
+
+
+SYMMETRY = "eq(B, A) :- eq(A, B)."
+TRANSITIVITY = "eq(A, C) :- eq(A, B), eq(B, C)."
+EQ_RULES = f"{SYMMETRY}\n{TRANSITIVITY}\neq(X, Y) :- link(X, Y).\n"
+
+
+def random_pair_facts(rng, pred, n_pairs, consts):
+    return {
+        fact(pred, rng.choice(consts), rng.choice(consts)) for _ in range(n_pairs)
+    }
+
+
+def eq_pairs(derived):
+    return {f.args for f in derived if f.predicate == "eq"}
 
 
 class TestParser:
@@ -62,6 +78,12 @@ class TestParser:
         with pytest.raises(ParseError) as err:
             parse_program("p(X) :- q(X)\nr(Y) :- q(Y).")
         assert err.value.line is not None
+
+    def test_end_of_input_in_rule_body_reports_position(self):
+        # The error points just past the trailing comma (line 1, col 13).
+        with pytest.raises(ParseError, match="line 1, column 14") as err:
+            parse_program("p(X) :- q(X),")
+        assert (err.value.line, err.value.column) == (1, 14)
 
     def test_comments_and_multiline(self):
         program = parse_program(
@@ -256,3 +278,107 @@ class TestFixpointProperties:
         for _ in range(5):
             rng.shuffle(edb)
             assert evaluate(program, set(edb)) == baseline
+
+
+class TestEquivalencePredicates:
+    """A predicate with both closure rules is kept as disjoint classes;
+    every case must still agree with the naive reference evaluator."""
+
+    def test_detection_ignores_variable_names_and_body_order(self):
+        program = parse_program(
+            "e(Q, P) :- e(P, Q). e(X, Z) :- e(Y, Z), e(X, Y). e(X, Y) :- l(X, Y)."
+        )
+        assert set(_closure_rules(program.rules)) == {"e"}
+        assert evaluate(program, {fact("l", "a", "b")}) == {
+            fact("e", "a", "a"), fact("e", "a", "b"), fact("e", "b", "a"), fact("e", "b", "b"),
+        }
+
+    @given(st.integers(min_value=0, max_value=10**9))
+    @settings(max_examples=40)
+    def test_random_pairs_match_naive_and_closure_oracle(self, seed):
+        rng = random.Random(seed)
+        consts = [f"c{i}" for i in range(rng.randint(2, 12))]
+        edb = random_pair_facts(rng, "link", rng.randint(0, 15), consts)
+        derived = evaluate(parse_program(EQ_RULES), edb)
+        assert derived == evaluate_naive(parse_program(EQ_RULES), edb)
+        assert eq_pairs(derived) == sym_trans_closure({f.args for f in edb})
+
+    @given(st.integers(min_value=0, max_value=10**9))
+    @settings(max_examples=30)
+    def test_edb_facts_seed_the_classes(self, seed):
+        rng = random.Random(seed)
+        consts = [f"c{i}" for i in range(8)]
+        edb = random_pair_facts(rng, "link", rng.randint(0, 8), consts)
+        edb |= random_pair_facts(rng, "eq", rng.randint(1, 8), consts)
+        program = parse_program(EQ_RULES)
+        assert evaluate(program, edb) == evaluate_naive(program, edb)
+
+    @given(st.integers(min_value=0, max_value=10**9))
+    @settings(max_examples=30)
+    def test_mixed_int_and_string_constants(self, seed):
+        rng = random.Random(seed)
+        consts = [0, 1, 2, "0", "1", "2", "a"]
+        edb = random_pair_facts(rng, "link", rng.randint(1, 10), consts)
+        edb |= random_pair_facts(rng, "eq", rng.randint(0, 3), consts)
+        program = parse_program(EQ_RULES)
+        assert evaluate(program, edb) == evaluate_naive(program, edb)
+
+    def test_int_and_string_ids_stay_distinct(self):
+        edb = {fact("link", 1, "a"), fact("link", "1", "b")}
+        pairs = eq_pairs(evaluate(parse_program(EQ_RULES), edb))
+        assert (1, "a") in pairs and ("1", "b") in pairs
+        assert (1, "1") not in pairs and ("a", "b") not in pairs
+
+    @given(st.integers(min_value=0, max_value=10**9))
+    @settings(max_examples=30)
+    def test_same_stratum_rules_read_and_feed_the_predicate(self, seed):
+        rng = random.Random(seed)
+        consts = [f"c{i}" for i in range(8)]
+        program = parse_program(
+            EQ_RULES
+            + """
+            tagged(X, Y) :- eq(X, Y), tag(Y).
+            eq(X, Y) :- tagged(X, Z), hop(Z, Y).
+            """
+        )
+        edb = random_pair_facts(rng, "link", rng.randint(0, 6), consts)
+        edb |= random_pair_facts(rng, "hop", rng.randint(0, 6), consts)
+        edb |= {fact("tag", rng.choice(consts)) for _ in range(rng.randint(0, 3))}
+        assert len(stratify(program)) == 1
+        assert evaluate(program, edb) == evaluate_naive(program, edb)
+
+    @given(st.integers(min_value=0, max_value=10**9))
+    @settings(max_examples=30)
+    def test_negation_in_a_higher_stratum(self, seed):
+        rng = random.Random(seed)
+        consts = [f"c{i}" for i in range(6)]
+        program = parse_program(
+            EQ_RULES
+            + """
+            node(X) :- link(X, _).
+            node(Y) :- link(_, Y).
+            apart(X, Y) :- node(X), node(Y), not eq(X, Y).
+            """
+        )
+        edb = random_pair_facts(rng, "link", rng.randint(1, 8), consts)
+        derived = evaluate(program, edb)
+        assert derived == evaluate_naive(program, edb)
+        apart = {f.args for f in derived if f.predicate == "apart"}
+        assert not apart & eq_pairs(derived)
+
+    @pytest.mark.parametrize("closure_rule", [SYMMETRY, TRANSITIVITY])
+    @given(st.integers(min_value=0, max_value=10**9))
+    @settings(max_examples=20)
+    def test_one_closure_rule_alone_is_evaluated_as_written(self, closure_rule, seed):
+        rng = random.Random(seed)
+        consts = [f"c{i}" for i in range(8)]
+        program = parse_program(f"{closure_rule}\neq(X, Y) :- link(X, Y).")
+        assert _closure_rules(program.rules) == {}
+        edb = random_pair_facts(rng, "link", rng.randint(1, 10), consts)
+        edb |= random_pair_facts(rng, "eq", rng.randint(0, 3), consts)
+        assert evaluate(program, edb) == evaluate_naive(program, edb)
+
+    def test_transitivity_alone_stays_directed(self):
+        program = parse_program(f"{TRANSITIVITY}\neq(X, Y) :- link(X, Y).")
+        edb = {fact("link", "a", "b"), fact("link", "b", "c")}
+        assert eq_pairs(evaluate(program, edb)) == {("a", "b"), ("b", "c"), ("a", "c")}

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 
@@ -450,6 +451,23 @@ class TestReconstruct:
         recon = reconstruct(store)
         for i, canonical in scenario.host_canonical_ids.items():
             assert canonical in recon.classes.hosts
+
+    def test_large_same_key_class_merges_without_cubic_cost(self):
+        # One class of 200 same-key systems over two sources: the closure
+        # is 40,000 pairs, which a join over the transitivity rule would
+        # build in ~k^3 steps (~40 s); kept as classes it takes ~1 s.
+        records = {"srca": [], "srcb": []}
+        for i in range(200):
+            name = " hot KEY " if i % 3 == 0 else "Hot Key"
+            records["srca" if i % 2 else "srcb"].append(
+                {"kind": "system", "id": f"s{i}", "name": name, "type": "application"}
+            )
+        store = store_from_sources(records)
+        start = time.perf_counter()
+        recon = reconstruct(store)
+        elapsed = time.perf_counter() - start
+        assert [len(m.member_ids) for m in recon.merged] == [200]
+        assert elapsed < 10.0
 
     def test_deterministic_output(self):
         rng = random.Random(47)
