@@ -12,7 +12,7 @@ from .conformance import (
 )
 from .datalog import Program, evaluate, evaluate_naive, parse_program, stratify
 from .ingest import Snapshot, SourceConfig, commit, load_snapshot, normalize_address
-from .model import RawStore, from_facts, to_facts
+from .model import RawStore, to_facts
 from .network import Network, emit, export_graph, export_json, parse_network
 from .query import build_index, search, traverse
 from .reconstruct import builtin_program, merge_properties, reconstruct
@@ -40,7 +40,6 @@ __all__ = [
     "evaluate_naive",
     "export_graph",
     "export_json",
-    "from_facts",
     "load_schema",
     "load_snapshot",
     "merge_properties",

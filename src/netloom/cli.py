@@ -15,7 +15,6 @@ import click
 from .conformance import ConformanceReport
 from .datalog import ProgramError, parse_program
 from .ingest import IngestError, load_snapshot
-from .model import DanglingDerivationError
 from .network import GRAPH_FORMATS, EmitError, export_graph, parse_network
 from .query import build_index, search as run_search, traverse as run_traverse
 from .reconstruct import ReconstructionError
@@ -121,7 +120,7 @@ def infer(workspace, rules):
             _fail(EXIT_VALIDATION, f"rules error: {exc}")
     try:
         network = ws.infer(extra_rules=extra)
-    except (ProgramError, ReconstructionError, DanglingDerivationError, EmitError) as exc:
+    except (ProgramError, ReconstructionError, EmitError) as exc:
         _fail(EXIT_VALIDATION, str(exc))
         return
     _emit_json({"version": network.version, **network.counts()})

@@ -257,8 +257,7 @@ class _KindMachine:
     The compiled form is the sorted field-spec sequence; checking merges
     the record's sorted keys against it, emitting a finding whenever the
     walk leaves the accepting path (missing required field, bad type,
-    enum violation). Unknown fields self-loop and are reported back as
-    extras so ingestion can keep them as simple properties.
+    enum violation). Unknown fields self-loop without a finding.
     """
 
     def __init__(self, kind: str, spec: KindSpec):
@@ -268,9 +267,8 @@ class _KindMachine:
         self.unique = spec.unique
         self.key_fields = tuple(sorted(f.name for f in spec.fields if f.key))
 
-    def check(self, rec_fields: Mapping[str, Any], origin: Origin | None) -> tuple[list[Finding], dict]:
+    def check(self, rec_fields: Mapping[str, Any], origin: Origin | None) -> list[Finding]:
         findings: list[Finding] = []
-        extras: dict[str, Any] = {}
         i = 0
         n = len(self.specs)
 
@@ -281,25 +279,23 @@ class _KindMachine:
                 )
 
         for name in sorted(rec_fields, key=str):
-            value = rec_fields[name]
             while i < n and self.specs[i].name < name:
                 miss(self.specs[i])
                 i += 1
             if i < n and self.specs[i].name == name:
                 spec = self.specs[i]
                 i += 1
+                value = rec_fields[name]
                 if value is None:
                     miss(spec)
                     continue
                 err = _validate_value(spec, value)
                 if err is not None:
                     findings.append(Finding(err[0], self.kind, origin, name, err[1]))
-            else:
-                extras[name] = value
         while i < n:
             miss(self.specs[i])
             i += 1
-        return findings, extras
+        return findings
 
 
 @dataclass(frozen=True)
@@ -409,8 +405,7 @@ def check_batch(
             )
             continue
 
-        rec_findings, _ = machine.check(rec.fields, origin)
-        findings.extend(rec_findings)
+        findings.extend(machine.check(rec.fields, origin))
 
         if origin is not None:
             prior_kind = seen_object_ids.get(origin.object_id)

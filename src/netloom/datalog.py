@@ -7,6 +7,11 @@ lowercasing, for matching noisy strings). Constants are strings or
 integers; variables start with an uppercase letter or ``_``. There is
 no arithmetic in heads and no aggregation.
 
+``Atom`` is rule syntax only. Facts travel as a fact base, a mapping
+from predicate name to a set of argument tuples
+(``{"edge": {("a", "b")}}``): ``evaluate`` and ``evaluate_naive`` take
+one as the EDB and return one holding the derived rows.
+
 ``evaluate`` runs a semi-naive fixpoint per stratum over compiled join
 plans with hash indexes. A binary predicate whose rules include both
 ``p(B, A) :- p(A, B).`` and ``p(A, C) :- p(A, B), p(B, C).`` (up to
@@ -21,7 +26,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 
 class ProgramError(Exception):
@@ -56,9 +61,6 @@ class Atom:
     predicate: str
     args: tuple[Term, ...] = ()
 
-    def is_ground(self) -> bool:
-        return not any(isinstance(a, Variable) for a in self.args)
-
     def variables(self) -> set[str]:
         return {a.name for a in self.args if isinstance(a, Variable)}
 
@@ -66,18 +68,6 @@ class Atom:
         if not self.args:
             return self.predicate
         return f"{self.predicate}({', '.join(_format_term(a) for a in self.args)})"
-
-
-# A Fact is simply a ground Atom; the alias marks intent at call sites.
-Fact = Atom
-
-
-def fact(predicate: str, *args: str | int) -> Fact:
-    """Build a ground fact, rejecting variables."""
-    atom = Atom(predicate, tuple(args))
-    if not atom.is_ground():
-        raise ValueError(f"fact contains variables: {atom}")
-    return atom
 
 
 @dataclass(frozen=True, slots=True)
@@ -117,9 +107,6 @@ BodyLiteral = Union[Atom, Negation, Comparison]
 class Rule:
     head: Atom
     body: tuple[BodyLiteral, ...] = ()
-
-    def positive_atoms(self) -> list[Atom]:
-        return [lit for lit in self.body if isinstance(lit, Atom)]
 
     def __str__(self) -> str:
         if not self.body:
@@ -556,8 +543,8 @@ class _Relation:
 
     __slots__ = ("rows", "_indexes")
 
-    def __init__(self) -> None:
-        self.rows: set[tuple] = set()
+    def __init__(self, rows: Iterable[tuple] = ()) -> None:
+        self.rows: set[tuple] = set(rows)
         self._indexes: dict[tuple, dict[tuple, list[tuple]]] = {}
 
     def add(self, row: tuple) -> bool:
@@ -919,35 +906,60 @@ def _run_plan(
 # Evaluation
 
 
-def _init_relations(
-    program: Program, edb: Iterable[Fact], equivalences: Iterable[str]
-) -> dict[str, _Relation]:
-    relations: dict[str, _Relation] = {p: _EqRelation() for p in equivalences}
-    arities: dict[str, int] = dict(program.arities)
-    for f in edb:
-        if not f.is_ground():
-            raise ValueError(f"EDB fact is not ground: {f}")
-        known = arities.get(f.predicate)
-        if known is not None and known != len(f.args):
-            raise ValueError(
-                f"EDB fact {f} conflicts with arity {known} for {f.predicate}"
-            )
-        arities[f.predicate] = len(f.args)
-        relations.setdefault(f.predicate, _Relation()).insert(f.args)
-    return relations
+def _edb_rows(program: Program, edb: Mapping[str, Iterable[tuple]]) -> dict[str, set[tuple]]:
+    """Copy an EDB into fresh row sets, rejecting rows that hold a
+    Variable and predicates whose rows disagree in length with each
+    other or with the program's arity."""
+    out: dict[str, set[tuple]] = {}
+    for pred, rows in edb.items():
+        rows = set(rows)
+        lengths = {len(row) for row in rows}
+        if pred in program.arities:
+            lengths.add(program.arities[pred])
+        if len(lengths) > 1:
+            raise ValueError(f"EDB rows of {pred} conflict in arity: {sorted(lengths)}")
+        for row in rows:
+            if any(isinstance(a, Variable) for a in row):
+                raise ValueError(f"EDB fact is not ground: {Atom(pred, row)}")
+        out[pred] = rows
+    return out
 
 
-def evaluate(program: Program, edb: Iterable[Fact]) -> set[Fact]:
+def _new_rows(
+    program: Program, model: Mapping[str, set[tuple]], edb: Mapping[str, set[tuple]]
+) -> dict[str, set[tuple]]:
+    """The rows of each head predicate in ``model`` that ``edb`` lacks,
+    keeping only predicates with at least one such row."""
+    out: dict[str, set[tuple]] = {}
+    for pred in program.head_predicates():
+        rows = model.get(pred, set()) - edb.get(pred, set())
+        if rows:
+            out[pred] = rows
+    return out
+
+
+def evaluate(
+    program: Program, edb: Mapping[str, Iterable[tuple]]
+) -> dict[str, set[tuple]]:
     """Compute the derived facts of a stratified program over an EDB.
 
-    The result is the minimal model restricted to rule-head predicates,
-    minus the facts that were already present in the EDB. Evaluation is
-    a pure function of the (set-valued) inputs.
+    Facts are a fact base: a mapping from predicate name to its set of
+    argument tuples, both for ``edb`` and for the result. The result is
+    the minimal model restricted to rule-head predicates, minus the rows
+    already in the EDB, with one entry per predicate that has at least
+    one such row. ``edb`` is not mutated, and evaluation is a pure
+    function of its (set-valued) contents.
     """
-    edb_set = set(edb)
+    edb = _edb_rows(program, edb)
     strata = stratify(program)
     closure_rules = _closure_rules(program.rules)
-    relations = _init_relations(program, edb_set, closure_rules)
+    relations: dict[str, _Relation] = {p: _EqRelation() for p in closure_rules}
+    for pred, rows in edb.items():
+        if pred in closure_rules:
+            for row in rows:
+                relations[pred].insert(row)
+        else:
+            relations[pred] = _Relation(rows)
 
     for stratum in strata:
         dynamic_preds = {r.head.predicate for r in stratum}
@@ -981,16 +993,7 @@ def evaluate(program: Program, edb: Iterable[Fact]) -> set[Fact]:
                             new_delta[rule.head.predicate].add(new)
             delta = new_delta
 
-    derived: set[Fact] = set()
-    for pred in program.head_predicates():
-        rel = relations.get(pred)
-        if rel is None:
-            continue
-        for row in rel.rows:
-            f = Atom(pred, row)
-            if f not in edb_set:
-                derived.add(f)
-    return derived
+    return _new_rows(program, {p: r.rows for p, r in relations.items()}, edb)
 
 
 # ---------------------------------------------------------------------------
@@ -1055,15 +1058,17 @@ def _naive_solutions(rule: Rule, facts: dict[str, set[tuple]]) -> Iterator[dict]
     yield from solve(list(rule.body), {})
 
 
-def evaluate_naive(program: Program, edb: Iterable[Fact]) -> set[Fact]:
-    """Naive full-rederivation evaluation; must agree with evaluate()."""
-    edb_set = set(edb)
+def evaluate_naive(
+    program: Program, edb: Mapping[str, Iterable[tuple]]
+) -> dict[str, set[tuple]]:
+    """Naive full-rederivation evaluation; must agree with evaluate().
+
+    Takes and returns fact bases (predicate name -> set of argument
+    tuples) exactly as ``evaluate`` does.
+    """
+    edb = _edb_rows(program, edb)
     strata = stratify(program)
-    facts: dict[str, set[tuple]] = {}
-    for f in edb_set:
-        if not f.is_ground():
-            raise ValueError(f"EDB fact is not ground: {f}")
-        facts.setdefault(f.predicate, set()).add(f.args)
+    facts = {pred: set(rows) for pred, rows in edb.items()}
 
     for stratum in strata:
         changed = True
@@ -1083,10 +1088,4 @@ def evaluate_naive(program: Program, edb: Iterable[Fact]) -> set[Fact]:
                     bucket.add(row)
                     changed = True
 
-    derived: set[Fact] = set()
-    for pred in program.head_predicates():
-        for row in facts.get(pred, set()):
-            f = Atom(pred, row)
-            if f not in edb_set:
-                derived.add(f)
-    return derived
+    return _new_rows(program, facts, edb)

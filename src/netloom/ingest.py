@@ -41,10 +41,13 @@ class SourceConfig:
     source_id: str
     source_type: str = ""
     mapping: dict[str, str] = field(default_factory=dict)
-    schedule_hint: int = 0  # informational only
 
 
 def load_source_config(path: str | Path) -> SourceConfig:
+    """Read a source config: a JSON object with a non-empty string
+    ``source_id``, an optional string ``source_type`` and an optional
+    ``mapping`` object of source field paths to model field names.
+    Other keys are ignored; any other shape raises IngestError."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             doc = json.load(handle)
@@ -52,14 +55,21 @@ def load_source_config(path: str | Path) -> SourceConfig:
         raise IngestError(f"cannot read source config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise IngestError(f"source config {path} is not valid JSON: {exc}") from exc
-    if not isinstance(doc.get("source_id"), str) or not doc["source_id"]:
+    if not isinstance(doc, dict):
+        raise IngestError(f"source config {path} must be a JSON object")
+    source_id = doc.get("source_id")
+    if not isinstance(source_id, str) or not source_id:
         raise IngestError(f"source config {path} must declare a source_id")
-    return SourceConfig(
-        source_id=doc["source_id"],
-        source_type=doc.get("source_type", ""),
-        mapping=dict(doc.get("mapping", {})),
-        schedule_hint=int(doc.get("schedule_hint", 0)),
-    )
+    source_type = doc.get("source_type", "")
+    if not isinstance(source_type, str):
+        raise IngestError(f"source config {path}: source_type must be a string")
+    # JSON object keys are always strings, so only the values need a check.
+    mapping = doc.get("mapping", {})
+    if not isinstance(mapping, dict) or not all(isinstance(v, str) for v in mapping.values()):
+        raise IngestError(
+            f"source config {path}: mapping must be an object of field names"
+        )
+    return SourceConfig(source_id, source_type, mapping)
 
 
 @dataclass(frozen=True)

@@ -1,20 +1,19 @@
 """Typed entities of the physical discovery model and their fact mapping.
 
 Entities carry an Origin naming the discovery source and the object id
-inside it; engine-wide ids are ``<source_id>/<object_id>``. The whole
-store maps losslessly to ground facts (``to_facts``) so rule programs
-can run over it, and back (``from_facts``) for the merge and emit
-stages.
+inside it; engine-wide ids are ``<source_id>/<object_id>``. ``to_facts``
+projects the whole store onto a fact base (predicate name -> set of
+argument tuples) so rule programs can run over it. The merge and emit
+stages read entities from the store itself, not from facts.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping
-
-from .datalog import Atom, Fact
 
 #: The fact vocabulary emitted by to_facts. Rule files must not define
 #: rules for these predicates.
@@ -37,10 +36,6 @@ DEFAULT_SPACE = "integration"
 
 class ModelError(Exception):
     pass
-
-
-class DanglingDerivationError(ModelError):
-    """A fact references an entity id that is not in the raw store."""
 
 
 @dataclass(frozen=True)
@@ -320,204 +315,49 @@ class RawStore:
 
 
 # ---------------------------------------------------------------------------
-# Fact mapping
+# Projection onto a fact base
 
 
-def to_facts(store: RawStore) -> set[Fact]:
-    """Project a conformant store onto ground facts.
+def _conf_row(conf, address: str) -> tuple:
+    i = conf.interface
+    return (conf.id, conf.owner_system_id, i.name, i.namespace, i.operation, address, conf.adapter)
+
+
+def to_facts(store: RawStore) -> dict[str, set[tuple]]:
+    """Project a conformant store onto a fact base: a mapping from each
+    predicate to its set of argument tuples, holding only predicates
+    with at least one row.
 
     Emits system/3, host/2, runs_on/2, out_conf/7, in_conf/7, prop/3,
     complex_prop/3, correlation/5, and origin/3 for id-carrying
     entities.
     """
-    facts: set[Fact] = set()
-
-    def props(owner_id: str, simple: Mapping[str, str]):
-        for k, v in simple.items():
-            facts.add(Atom("prop", (owner_id, k, v)))
-
-    for s in store.systems.values():
-        facts.add(Atom("system", (s.id, s.name, s.kind)))
-        facts.add(Atom("origin", (s.id, s.origin.source_id, s.origin.object_id)))
-        props(s.id, s.simple_props)
-        for cp in s.complex_props:
-            facts.add(Atom("complex_prop", (s.id, cp.kind, cp.digest)))
-    for h in store.hosts.values():
-        facts.add(Atom("host", (h.id, h.hostname)))
-        facts.add(Atom("origin", (h.id, h.origin.source_id, h.origin.object_id)))
-        props(h.id, h.simple_props)
-    for r in store.runs_on:
-        facts.add(Atom("runs_on", (r.system_id, r.host_id)))
-    for oc in store.out_confs.values():
-        facts.add(
-            Atom(
-                "out_conf",
-                (
-                    oc.id,
-                    oc.owner_system_id,
-                    oc.interface.name,
-                    oc.interface.namespace,
-                    oc.interface.operation,
-                    oc.receiver_address,
-                    oc.adapter,
-                ),
-            )
-        )
-        facts.add(Atom("origin", (oc.id, oc.origin.source_id, oc.origin.object_id)))
-    for ic in store.in_confs.values():
-        facts.add(
-            Atom(
-                "in_conf",
-                (
-                    ic.id,
-                    ic.owner_system_id,
-                    ic.interface.name,
-                    ic.interface.namespace,
-                    ic.interface.operation,
-                    ic.endpoint_address,
-                    ic.adapter,
-                ),
-            )
-        )
-        facts.add(Atom("origin", (ic.id, ic.origin.source_id, ic.origin.object_id)))
-    for c in store.correlations:
-        facts.add(
-            Atom("correlation", (c.left_space, c.left_id, c.right_space, c.right_id, c.kind))
-        )
-    return facts
-
-
-#: Derived predicates whose arguments at the listed positions are
-#: entity ids that must resolve against the raw store.
-_DERIVED_ID_POSITIONS = {
-    "equiv_sys": (0, 1),
-    "equiv_host": (0, 1),
-    "conf_match": (0, 1),
-    "flow": (0, 1),
-}
-
-
-def from_facts(facts: Iterable[Fact], raw: RawStore) -> RawStore:
-    """Rebuild entity views from facts, resolving payloads and origins
-    against the raw store. Raises DanglingDerivationError when a fact
-    references an id the store does not know."""
-    by_pred: dict[str, list[tuple]] = {}
-    for f in facts:
-        by_pred.setdefault(f.predicate, []).append(f.args)
-
-    def want(entity_id: str, table: Mapping[str, Any], what: str):
-        entity = table.get(entity_id)
-        if entity is None:
-            raise DanglingDerivationError(f"{what} references unknown id {entity_id!r}")
-        return entity
-
-    prop_map: dict[str, dict[str, str]] = {}
-    for owner, key, value in by_pred.get("prop", ()):
-        prop_map.setdefault(owner, {})[key] = value
-
-    systems: list[SystemEntity] = []
-    for sid, name, kind in by_pred.get("system", ()):
-        original = want(sid, raw.systems, "system fact")
-        complexes = []
-        for owner, ckind, digest in by_pred.get("complex_prop", ()):
-            if owner != sid:
-                continue
-            match = next(
-                (cp for cp in original.complex_props if cp.kind == ckind and cp.digest == digest),
-                None,
-            )
-            if match is None:
-                raise DanglingDerivationError(
-                    f"complex_prop fact for {sid!r} has no payload in the store"
-                )
-            complexes.append(match)
-        systems.append(
-            SystemEntity(
-                sid,
-                name,
-                kind,
-                prop_map.get(sid, {}),
-                tuple(sorted(complexes, key=lambda c: (c.kind, c.digest))),
-                original.origin,
-            )
-        )
-
-    hosts: list[HostEntity] = []
-    for hid, hostname in by_pred.get("host", ()):
-        original = want(hid, raw.hosts, "host fact")
-        hosts.append(HostEntity(hid, hostname, prop_map.get(hid, {}), original.origin))
-
-    known_owner_ids = {s.id for s in systems} | {h.id for h in hosts}
-    for owner in prop_map:
-        if owner not in known_owner_ids:
-            raise DanglingDerivationError(f"prop fact references unknown id {owner!r}")
-
-    # The same runs_on pair can be asserted by several sources; the fact
-    # collapses them, so rebuild every matching entity.
-    runs: list[RunsOn] = []
-    raw_runs: dict[tuple, list[RunsOn]] = {}
-    for r in raw.runs_on:
-        raw_runs.setdefault((r.system_id, r.host_id), []).append(r)
-    for sid, hid in by_pred.get("runs_on", ()):
-        originals = raw_runs.get((sid, hid))
-        if not originals:
-            raise DanglingDerivationError(
-                f"runs_on fact ({sid!r}, {hid!r}) is not in the store"
-            )
-        runs.extend(originals)
-
-    out_confs: list[OutgoingConfiguration] = []
-    for row in by_pred.get("out_conf", ()):
-        original = want(row[0], raw.out_confs, "out_conf fact")
-        out_confs.append(
-            OutgoingConfiguration(
-                row[0], row[1], InterfaceRef(row[2], row[3], row[4]), row[5], row[6],
-                original.origin,
-            )
-        )
-
-    in_confs: list[IncomingConfiguration] = []
-    for row in by_pred.get("in_conf", ()):
-        original = want(row[0], raw.in_confs, "in_conf fact")
-        in_confs.append(
-            IncomingConfiguration(
-                row[0], row[1], InterfaceRef(row[2], row[3], row[4]), row[5], row[6],
-                original.origin,
-            )
-        )
-
-    correlations: list[CorrelationHint] = []
-    raw_corr: dict[tuple, list[CorrelationHint]] = {}
-    for c in raw.correlations:
-        raw_corr.setdefault(
-            (c.left_space, c.left_id, c.right_space, c.right_id, c.kind), []
-        ).append(c)
-    for row in by_pred.get("correlation", ()):
-        originals = raw_corr.get(tuple(row))
-        if not originals:
-            raise DanglingDerivationError(f"correlation fact {row!r} is not in the store")
-        correlations.extend(originals)
-
-    system_ids = {s.id for s in systems}
-    host_ids = {h.id for h in hosts}
-    for pred, positions in _DERIVED_ID_POSITIONS.items():
-        for row in by_pred.get(pred, ()):
-            for pos in positions:
-                ref = row[pos]
-                if pred == "equiv_host":
-                    ok = ref in host_ids
-                elif pred == "conf_match":
-                    ok = ref in {c.id for c in (out_confs if pos == 0 else in_confs)}
-                else:
-                    ok = ref in system_ids
-                if not ok:
-                    raise DanglingDerivationError(
-                        f"derived fact {pred}{tuple(row)!r} references unknown id {ref!r}"
-                    )
-
-    return RawStore.build(
-        raw.version, systems, hosts, runs, out_confs, in_confs, correlations
-    )
+    systems = store.systems.values()
+    hosts = store.hosts.values()
+    out_confs = store.out_confs.values()
+    in_confs = store.in_confs.values()
+    facts = {
+        "system": {(s.id, s.name, s.kind) for s in systems},
+        "host": {(h.id, h.hostname) for h in hosts},
+        "runs_on": {(r.system_id, r.host_id) for r in store.runs_on},
+        "out_conf": {_conf_row(c, c.receiver_address) for c in out_confs},
+        "in_conf": {_conf_row(c, c.endpoint_address) for c in in_confs},
+        "prop": {
+            (e.id, k, v)
+            for e in itertools.chain(systems, hosts)
+            for k, v in e.simple_props.items()
+        },
+        "complex_prop": {(s.id, cp.kind, cp.digest) for s in systems for cp in s.complex_props},
+        "correlation": {
+            (c.left_space, c.left_id, c.right_space, c.right_id, c.kind)
+            for c in store.correlations
+        },
+        "origin": {
+            (e.id, e.origin.source_id, e.origin.object_id)
+            for e in itertools.chain(systems, hosts, out_confs, in_confs)
+        },
+    }
+    return {pred: rows for pred, rows in facts.items() if rows}
 
 
 # ---------------------------------------------------------------------------

@@ -93,9 +93,6 @@ class Network:
     def flows(self) -> dict[str, MessageFlow]:
         return {f.id: f for s in self.spaces for f in s.flows}
 
-    def space_of_participant(self) -> dict[str, str]:
-        return {p.id: s.name for s in self.spaces for p in s.participants}
-
     def counts(self) -> dict[str, int]:
         return {
             "participants": sum(len(s.participants) for s in self.spaces),

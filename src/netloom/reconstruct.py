@@ -196,15 +196,6 @@ class Reconstruction:
     links: tuple[LiftedLink, ...]
     flow_links: tuple[FlowLink, ...]
 
-    def flow_ids(self) -> dict[str, ReconstructedFlow]:
-        return {message_flow_id(f): f for f in self.flows}
-
-
-def message_flow_id(flow: ReconstructedFlow) -> str:
-    return flow_id_for(
-        flow.source_class, flow.target_class, flow.interface
-    )
-
 
 def flow_id_for(source_class: str, target_class: str, interface: InterfaceRef) -> str:
     blob = "\x1f".join(
@@ -312,20 +303,16 @@ def reconstruct(
             )
         program = program.union(extra_rules)
 
-    facts = to_facts(store)
-    idb = evaluate(program, facts)
-    by_pred: dict[str, set[tuple]] = {}
-    for f in idb:
-        by_pred.setdefault(f.predicate, set()).add(f.args)
+    idb = evaluate(program, to_facts(store))
 
     sys_pairs = {
         (a, b)
-        for a, b in by_pred.get("equiv_sys", ())
+        for a, b in idb.get("equiv_sys", ())
         if a in store.systems and b in store.systems
     }
     host_pairs = {
         (a, b)
-        for a, b in by_pred.get("equiv_host", ())
+        for a, b in idb.get("equiv_host", ())
         if a in store.hosts and b in store.hosts
     }
 
@@ -355,7 +342,7 @@ def reconstruct(
     # no liftable evidence and is skipped, so one shrinking source never
     # wedges the pipeline.
     grouped: dict[tuple, dict] = {}
-    for out_id, in_id in by_pred.get("conf_match", ()):
+    for out_id, in_id in idb.get("conf_match", ()):
         oc = store.out_confs.get(out_id)
         ic = store.in_confs.get(in_id)
         if oc is None or ic is None:
@@ -394,7 +381,7 @@ def reconstruct(
     space_of: dict[str, str] = {m.canonical_id: m.space for m in merged}
     links: set[LiftedLink] = set()
     flow_links: set[FlowLink] = set()
-    for left, right, kind in by_pred.get("participant_link", ()):
+    for left, right, kind in idb.get("participant_link", ()):
         left_is_flow = isinstance(left, str) and left.startswith("flow:")
         right_is_flow = isinstance(right, str) and right.startswith("flow:")
         if left_is_flow != right_is_flow:

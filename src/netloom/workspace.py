@@ -19,6 +19,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import os
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -40,6 +41,27 @@ logger = logging.getLogger(__name__)
 
 class WorkspaceError(Exception):
     pass
+
+
+def write_atomic(path: Path, data: bytes) -> None:
+    """Replace ``path`` with ``data`` through a temporary sibling file.
+
+    A reader sees either the old bytes or the new ones, never a torn
+    file, and a failed write leaves the old file and no temporary file.
+    The temporary name carries the process id, so two writers never
+    share one.
+    """
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_bytes(data)
+        tmp.replace(path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _json_bytes(doc) -> bytes:
+    return (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode("utf-8")
 
 
 @dataclass(frozen=True)
@@ -76,10 +98,7 @@ class Workspace:
         root.mkdir(parents=True, exist_ok=True)
         ws = Workspace(root)
         if not ws.schema_path.exists():
-            ws.schema_path.write_text(
-                json.dumps(default_schema_doc(), indent=2, sort_keys=True) + "\n",
-                encoding="utf-8",
-            )
+            write_atomic(ws.schema_path, _json_bytes(default_schema_doc()))
         ws.sources_dir.mkdir(exist_ok=True)
         ws.networks_dir.mkdir(exist_ok=True)
         ws.snapshots_dir.mkdir(exist_ok=True)
@@ -108,29 +127,22 @@ class Workspace:
         return store_from_json(self.store_path.read_bytes())
 
     def save_store(self, store: RawStore) -> None:
-        tmp = self.store_path.with_suffix(".json.tmp")
-        tmp.write_bytes(store_to_json(store))
-        tmp.replace(self.store_path)
+        write_atomic(self.store_path, store_to_json(store))
 
     # -- source configs
 
     def register_source(self, config_path: str | Path) -> SourceConfig:
         config = load_source_config(config_path)
         self.sources_dir.mkdir(exist_ok=True)
-        target = self.sources_dir / f"{config.source_id}.json"
-        target.write_text(
-            json.dumps(
+        write_atomic(
+            self.sources_dir / f"{config.source_id}.json",
+            _json_bytes(
                 {
                     "source_id": config.source_id,
                     "source_type": config.source_type,
                     "mapping": config.mapping,
-                    "schedule_hint": config.schedule_hint,
-                },
-                indent=2,
-                sort_keys=True,
-            )
-            + "\n",
-            encoding="utf-8",
+                }
+            ),
         )
         return config
 
@@ -144,11 +156,8 @@ class Workspace:
 
     def publish_network(self, network: Network) -> str:
         self.networks_dir.mkdir(exist_ok=True)
-        data = export_json(network)
-        (self.networks_dir / f"{network.version}.json").write_bytes(data)
-        latest_tmp = self.networks_dir / "LATEST.tmp"
-        latest_tmp.write_text(network.version, encoding="utf-8")
-        latest_tmp.replace(self.networks_dir / "LATEST")
+        write_atomic(self.networks_dir / f"{network.version}.json", export_json(network))
+        write_atomic(self.networks_dir / "LATEST", network.version.encode("utf-8"))
         return network.version
 
     def latest_network_bytes(self) -> bytes | None:
@@ -178,7 +187,7 @@ class Workspace:
             self.save_store(result)
             self.snapshots_dir.mkdir(exist_ok=True)
             archive = self.snapshots_dir / f"{config.source_id}__v{result.version:06d}.jsonl"
-            archive.write_bytes(snapshot_path.read_bytes())
+            write_atomic(archive, snapshot_path.read_bytes())
         return result
 
     def infer(self, extra_rules=None) -> Network:
@@ -217,10 +226,7 @@ class SnapshotWatcher:
         return {}
 
     def _save_ledger(self) -> None:
-        self.workspace.ledger_path.write_text(
-            json.dumps(self._ledger, indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
+        write_atomic(self.workspace.ledger_path, _json_bytes(self._ledger))
 
     def poll_once(self) -> list[tuple[str, str]]:
         """One scan pass; returns (filename, outcome) per processed file."""

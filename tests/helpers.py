@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+from typing import Iterable, Mapping
+
 from netloom.conformance import compile_schema, default_schema_doc, parse_schema
+from netloom.datalog import parse_program
 from netloom.ingest import RawRecord, Snapshot, commit
 from netloom.model import Origin, RawStore
 
@@ -36,3 +39,18 @@ def store_from_sources(
     for src in order or sorted(source_records):
         store = commit_records(store, source_records[src], src)
     return store
+
+
+def fact_base(*parts: str | Mapping[str, Iterable[tuple]]) -> dict[str, set[tuple]]:
+    """The union of ``parts`` as a fact base (predicate -> set of rows),
+    the shape ``to_facts`` returns and ``evaluate`` takes. A str part
+    holds ground facts in rule syntax, such as ``"edge(a, b). edge(b, c)."``."""
+    base: dict[str, set[tuple]] = {}
+    for part in parts:
+        if isinstance(part, str):
+            rows = [(r.head.predicate, r.head.args) for r in parse_program(part).rules]
+        else:
+            rows = [(pred, row) for pred, part_rows in part.items() for row in part_rows]
+        for pred, row in rows:
+            base.setdefault(pred, set()).add(row)
+    return base

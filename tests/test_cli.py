@@ -90,6 +90,18 @@ class TestIngestCommand:
         )
         assert result.exit_code == 1
 
+    def test_malformed_source_config_exit_one(self, runner, tmp_path, workspace):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('["a"]')
+        snap = tmp_path / "s.jsonl"
+        write_snapshot(snap, sample_records())
+        result = runner.invoke(
+            main, ["ingest", str(workspace), "--source-config", str(cfg), str(snap)]
+        )
+        assert result.exit_code == 1
+        assert "must be a JSON object" in result.output
+        assert isinstance(result.exception, SystemExit)
+
     def test_committed_snapshots_archived(self, runner, tmp_path, workspace):
         ingest_sample(runner, tmp_path, workspace)
         archived = list((workspace / "snapshots").glob("srca__*.jsonl"))

@@ -5,18 +5,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from netloom.datalog import (
-    Atom,
     ParseError,
     StratificationError,
+    Variable,
     _closure_rules,
     evaluate,
     evaluate_naive,
-    fact,
     parse_program,
     stratify,
 )
 
 from generators import random_program_text
+from helpers import fact_base
 from oracles import reachability_closure, sym_trans_closure
 
 TC_RULES = """
@@ -26,11 +26,11 @@ path(X, Z) :- path(X, Y), edge(Y, Z).
 
 
 def edges_to_facts(edges):
-    return {fact("edge", a, b) for a, b in edges}
+    return {"edge": set(edges)}
 
 
 def path_pairs(derived):
-    return {f.args for f in derived if f.predicate == "path"}
+    return derived.get("path", set())
 
 
 SYMMETRY = "eq(B, A) :- eq(A, B)."
@@ -39,13 +39,11 @@ EQ_RULES = f"{SYMMETRY}\n{TRANSITIVITY}\neq(X, Y) :- link(X, Y).\n"
 
 
 def random_pair_facts(rng, pred, n_pairs, consts):
-    return {
-        fact(pred, rng.choice(consts), rng.choice(consts)) for _ in range(n_pairs)
-    }
+    return {pred: {(rng.choice(consts), rng.choice(consts)) for _ in range(n_pairs)}}
 
 
 def eq_pairs(derived):
-    return {f.args for f in derived if f.predicate == "eq"}
+    return derived.get("eq", set())
 
 
 class TestParser:
@@ -155,7 +153,7 @@ class TestEvaluate:
 
     def test_empty_edb_no_bodyless_rules(self):
         program = parse_program(TC_RULES)
-        assert evaluate(program, set()) == set()
+        assert evaluate(program, {}) == {}
 
     def test_random_graph_matches_reachability_oracle(self):
         rng = random.Random(7)
@@ -178,19 +176,18 @@ class TestEvaluate:
             """
         )
         derived = evaluate(program, edges_to_facts({("a", "b"), ("c", "d")}))
-        isolated = {f.args[0] for f in derived if f.predicate == "isolated_from_a"}
+        isolated = {x for (x,) in derived["isolated_from_a"]}
         assert isolated == {"a", "c", "d"}
 
     def test_builtin_comparisons_are_type_strict(self):
         program = parse_program("same(X, Y) :- val(X), val(Y), X = Y.")
-        derived = evaluate(program, {fact("val", 1), fact("val", "1")})
-        same = {f.args for f in derived if f.predicate == "same"}
-        assert same == {(1, 1), ("1", "1")}
+        derived = evaluate(program, {"val": {(1,), ("1",)}})
+        assert derived["same"] == {(1, 1), ("1", "1")}
 
     def test_norm_eq_matches_despite_case_and_spacing(self):
         program = parse_program("m(X, Y) :- l(X), r(Y), norm_eq(X, Y).")
-        derived = evaluate(program, {fact("l", "Queue.A "), fact("r", "queue.a")})
-        assert {f.args for f in derived} == {("Queue.A ", "queue.a")}
+        derived = evaluate(program, {"l": {("Queue.A ",)}, "r": {("queue.a",)}})
+        assert derived == {"m": {("Queue.A ", "queue.a")}}
 
     def test_equality_is_a_filter_not_a_binder(self):
         # Y never appears in a positive atom: unsafe per the dialect.
@@ -199,26 +196,55 @@ class TestEvaluate:
 
     def test_equality_against_constant(self):
         program = parse_program('keep(X) :- item(X, T), T = "good".')
-        derived = evaluate(
-            program, {fact("item", "a", "good"), fact("item", "b", "bad")}
-        )
-        assert derived == {fact("keep", "a")}
+        derived = evaluate(program, {"item": {("a", "good"), ("b", "bad")}})
+        assert derived == {"keep": {("a",)}}
 
     def test_bodyless_rule_emits_fact(self):
-        derived = evaluate(parse_program("root(a)."), set())
-        assert derived == {fact("root", "a")}
+        derived = evaluate(parse_program("root(a)."), {})
+        assert derived == {"root": {("a",)}}
 
     def test_edb_fact_not_reported_as_derived(self):
         program = parse_program(TC_RULES)
-        edb = edges_to_facts({("a", "b")}) | {fact("path", "a", "b")}
-        assert evaluate(program, edb) == set()
+        edb = {"edge": {("a", "b")}, "path": {("a", "b")}}
+        assert evaluate(program, edb) == {}
 
     def test_non_ground_edb_rejected(self):
-        from netloom.datalog import Variable
-
         program = parse_program(TC_RULES)
         with pytest.raises(ValueError, match="not ground"):
-            evaluate(program, {Atom("edge", (Variable("X"), "b"))})
+            evaluate(program, {"edge": {(Variable("X"), "b")}})
+
+    def test_naive_rejects_non_ground_edb(self):
+        program = parse_program(TC_RULES)
+        with pytest.raises(ValueError, match="not ground"):
+            evaluate_naive(program, {"edge": {(Variable("X"), "b")}})
+
+    @pytest.mark.parametrize("evaluator", [evaluate, evaluate_naive])
+    def test_edb_row_conflicting_with_program_arity_rejected(self, evaluator):
+        program = parse_program(TC_RULES)
+        with pytest.raises(ValueError, match="conflict in arity"):
+            evaluator(program, {"edge": {("a", "b", "c")}})
+
+    @pytest.mark.parametrize("evaluator", [evaluate, evaluate_naive])
+    def test_edb_rows_of_mixed_length_rejected(self, evaluator):
+        program = parse_program(TC_RULES)
+        with pytest.raises(ValueError, match="conflict in arity"):
+            evaluator(program, {"node": {("a",), ("b", "c")}})
+
+    @pytest.mark.parametrize("evaluator", [evaluate, evaluate_naive])
+    def test_edb_is_not_mutated(self, evaluator):
+        # eq is an equivalence predicate, whose EDB rows seed classes.
+        program = parse_program(EQ_RULES + TC_RULES)
+        edb = {"edge": {("a", "b"), ("b", "c")}, "eq": {("a", "b")}, "path": {("a", "b")}}
+        before = {pred: set(rows) for pred, rows in edb.items()}
+        evaluator(program, edb)
+        assert edb == before
+
+    def test_accepts_any_iterable_of_rows(self):
+        program = parse_program(TC_RULES)
+        rows = [("a", "b"), ("b", "c"), ("a", "b")]
+        assert evaluate(program, {"edge": iter(rows)}) == evaluate(
+            program, {"edge": set(rows)}
+        )
 
 
 class TestEvaluateNaive:
@@ -228,10 +254,10 @@ class TestEvaluateNaive:
         assert evaluate_naive(program, edb) == evaluate(program, edb)
 
     def test_single_fact_no_rules(self):
-        assert evaluate_naive(parse_program(""), {fact("p", "a")}) == set()
+        assert evaluate_naive(parse_program(""), {"p": {("a",)}}) == {}
 
     def test_bodyless_rule(self):
-        assert evaluate_naive(parse_program("root(a)."), set()) == {fact("root", "a")}
+        assert evaluate_naive(parse_program("root(a)."), {}) == {"root": {("a",)}}
 
 
 class TestFixpointProperties:
@@ -241,7 +267,7 @@ class TestFixpointProperties:
         rng = random.Random(seed)
         rules, facts_text = random_program_text(rng)
         program = parse_program(rules)
-        edb = {r.head for r in parse_program(facts_text).rules}
+        edb = fact_base(facts_text)
         assert evaluate(program, edb) == evaluate_naive(program, edb)
 
     @given(st.integers(min_value=0, max_value=10**9))
@@ -250,12 +276,13 @@ class TestFixpointProperties:
         rng = random.Random(seed)
         rules, facts_text = random_program_text(rng)
         program = parse_program(rules)
-        edb = {r.head for r in parse_program(facts_text).rules}
+        edb = fact_base(facts_text)
         derived = evaluate(program, edb)
-        again = evaluate(program, edb | derived)
-        assert again <= (edb | derived)
+        model = fact_base(edb, derived)
+        again = evaluate(program, model)
+        assert all(rows <= model.get(pred, set()) for pred, rows in again.items())
         # The full model is unchanged by feeding derived facts back in.
-        assert again | edb | derived == derived | edb
+        assert fact_base(again, edb, derived) == fact_base(derived, edb)
 
     @given(st.integers(min_value=0, max_value=10**9))
     @settings(max_examples=30)
@@ -273,11 +300,11 @@ class TestFixpointProperties:
         rng = random.Random(3)
         rules, facts_text = random_program_text(rng)
         program = parse_program(rules)
-        edb = [r.head for r in parse_program(facts_text).rules]
-        baseline = evaluate(program, set(edb))
+        lines = facts_text.splitlines()
+        baseline = evaluate(program, fact_base(facts_text))
         for _ in range(5):
-            rng.shuffle(edb)
-            assert evaluate(program, set(edb)) == baseline
+            rng.shuffle(lines)
+            assert evaluate(program, fact_base("\n".join(lines))) == baseline
 
 
 class TestEquivalencePredicates:
@@ -289,8 +316,8 @@ class TestEquivalencePredicates:
             "e(Q, P) :- e(P, Q). e(X, Z) :- e(Y, Z), e(X, Y). e(X, Y) :- l(X, Y)."
         )
         assert set(_closure_rules(program.rules)) == {"e"}
-        assert evaluate(program, {fact("l", "a", "b")}) == {
-            fact("e", "a", "a"), fact("e", "a", "b"), fact("e", "b", "a"), fact("e", "b", "b"),
+        assert evaluate(program, {"l": {("a", "b")}}) == {
+            "e": {("a", "a"), ("a", "b"), ("b", "a"), ("b", "b")},
         }
 
     @given(st.integers(min_value=0, max_value=10**9))
@@ -301,15 +328,17 @@ class TestEquivalencePredicates:
         edb = random_pair_facts(rng, "link", rng.randint(0, 15), consts)
         derived = evaluate(parse_program(EQ_RULES), edb)
         assert derived == evaluate_naive(parse_program(EQ_RULES), edb)
-        assert eq_pairs(derived) == sym_trans_closure({f.args for f in edb})
+        assert eq_pairs(derived) == sym_trans_closure(edb["link"])
 
     @given(st.integers(min_value=0, max_value=10**9))
     @settings(max_examples=30)
     def test_edb_facts_seed_the_classes(self, seed):
         rng = random.Random(seed)
         consts = [f"c{i}" for i in range(8)]
-        edb = random_pair_facts(rng, "link", rng.randint(0, 8), consts)
-        edb |= random_pair_facts(rng, "eq", rng.randint(1, 8), consts)
+        edb = fact_base(
+            random_pair_facts(rng, "link", rng.randint(0, 8), consts),
+            random_pair_facts(rng, "eq", rng.randint(1, 8), consts),
+        )
         program = parse_program(EQ_RULES)
         assert evaluate(program, edb) == evaluate_naive(program, edb)
 
@@ -318,13 +347,15 @@ class TestEquivalencePredicates:
     def test_mixed_int_and_string_constants(self, seed):
         rng = random.Random(seed)
         consts = [0, 1, 2, "0", "1", "2", "a"]
-        edb = random_pair_facts(rng, "link", rng.randint(1, 10), consts)
-        edb |= random_pair_facts(rng, "eq", rng.randint(0, 3), consts)
+        edb = fact_base(
+            random_pair_facts(rng, "link", rng.randint(1, 10), consts),
+            random_pair_facts(rng, "eq", rng.randint(0, 3), consts),
+        )
         program = parse_program(EQ_RULES)
         assert evaluate(program, edb) == evaluate_naive(program, edb)
 
     def test_int_and_string_ids_stay_distinct(self):
-        edb = {fact("link", 1, "a"), fact("link", "1", "b")}
+        edb = {"link": {(1, "a"), ("1", "b")}}
         pairs = eq_pairs(evaluate(parse_program(EQ_RULES), edb))
         assert (1, "a") in pairs and ("1", "b") in pairs
         assert (1, "1") not in pairs and ("a", "b") not in pairs
@@ -341,9 +372,11 @@ class TestEquivalencePredicates:
             eq(X, Y) :- tagged(X, Z), hop(Z, Y).
             """
         )
-        edb = random_pair_facts(rng, "link", rng.randint(0, 6), consts)
-        edb |= random_pair_facts(rng, "hop", rng.randint(0, 6), consts)
-        edb |= {fact("tag", rng.choice(consts)) for _ in range(rng.randint(0, 3))}
+        edb = fact_base(
+            random_pair_facts(rng, "link", rng.randint(0, 6), consts),
+            random_pair_facts(rng, "hop", rng.randint(0, 6), consts),
+            {"tag": {(rng.choice(consts),) for _ in range(rng.randint(0, 3))}},
+        )
         assert len(stratify(program)) == 1
         assert evaluate(program, edb) == evaluate_naive(program, edb)
 
@@ -363,8 +396,7 @@ class TestEquivalencePredicates:
         edb = random_pair_facts(rng, "link", rng.randint(1, 8), consts)
         derived = evaluate(program, edb)
         assert derived == evaluate_naive(program, edb)
-        apart = {f.args for f in derived if f.predicate == "apart"}
-        assert not apart & eq_pairs(derived)
+        assert not derived.get("apart", set()) & eq_pairs(derived)
 
     @pytest.mark.parametrize("closure_rule", [SYMMETRY, TRANSITIVITY])
     @given(st.integers(min_value=0, max_value=10**9))
@@ -374,11 +406,13 @@ class TestEquivalencePredicates:
         consts = [f"c{i}" for i in range(8)]
         program = parse_program(f"{closure_rule}\neq(X, Y) :- link(X, Y).")
         assert _closure_rules(program.rules) == {}
-        edb = random_pair_facts(rng, "link", rng.randint(1, 10), consts)
-        edb |= random_pair_facts(rng, "eq", rng.randint(0, 3), consts)
+        edb = fact_base(
+            random_pair_facts(rng, "link", rng.randint(1, 10), consts),
+            random_pair_facts(rng, "eq", rng.randint(0, 3), consts),
+        )
         assert evaluate(program, edb) == evaluate_naive(program, edb)
 
     def test_transitivity_alone_stays_directed(self):
         program = parse_program(f"{TRANSITIVITY}\neq(X, Y) :- link(X, Y).")
-        edb = {fact("link", "a", "b"), fact("link", "b", "c")}
+        edb = {"link": {("a", "b"), ("b", "c")}}
         assert eq_pairs(evaluate(program, edb)) == {("a", "b"), ("b", "c"), ("a", "c")}

@@ -11,6 +11,7 @@ from netloom.ingest import (
     SourceConfig,
     commit,
     load_snapshot,
+    load_source_config,
     normalize_address,
 )
 from netloom.model import Origin, RawStore
@@ -59,6 +60,39 @@ class TestNormalizeAddress:
         for s in samples:
             once = normalize_address(s)
             assert normalize_address(once) == once
+
+
+class TestLoadSourceConfig:
+    def write(self, path, doc):
+        path.write_text(json.dumps(doc))
+        return path
+
+    def test_unknown_keys_are_ignored(self, tmp_path):
+        # schedule_hint is no longer read; a non-integer one used to crash.
+        path = self.write(
+            tmp_path / "cfg.json",
+            {"source_id": "srca", "source_type": "middleware",
+             "mapping": {"sysName": "name"}, "schedule_hint": "hourly", "owner": 5},
+        )
+        assert load_source_config(path) == SourceConfig(
+            "srca", "middleware", {"sysName": "name"}
+        )
+
+    @pytest.mark.parametrize(
+        "doc,message",
+        [
+            (["a"], "must be a JSON object"),
+            ({"source_id": "srca", "mapping": ["x"]}, "mapping must be an object"),
+            ({"source_id": "srca", "source_type": 5}, "source_type must be a string"),
+            ({"source_id": "srca", "mapping": {"sysName": 5}}, "mapping must be an object"),
+        ],
+        ids=["document-not-object", "mapping-not-object", "source-type-not-string",
+             "mapping-value-not-string"],
+    )
+    def test_malformed_config_raises_ingest_error(self, tmp_path, doc, message):
+        path = self.write(tmp_path / "cfg.json", doc)
+        with pytest.raises(IngestError, match=message):
+            load_source_config(path)
 
 
 class TestLoadSnapshot:
@@ -193,14 +227,16 @@ class TestCommit:
         v3 = commit(snapshot_of(smaller, "srca"), v2, CHECKER)
         expected = commit(snapshot_of(smaller, "srca"), RawStore.empty(), CHECKER)
         a_facts = {
-            f
-            for f in to_facts(v3)
-            if any(str(arg).startswith("srca/") for arg in f.args)
+            (pred, row)
+            for pred, rows in to_facts(v3).items()
+            for row in rows
+            if any(str(arg).startswith("srca/") for arg in row)
         }
         only_a = {
-            f
-            for f in to_facts(expected)
-            if any(str(arg).startswith("srca/") for arg in f.args)
+            (pred, row)
+            for pred, rows in to_facts(expected).items()
+            for row in rows
+            if any(str(arg).startswith("srca/") for arg in row)
         }
         assert a_facts == only_a
 

@@ -1,12 +1,8 @@
 import random
 
-import pytest
-
-from netloom.datalog import Atom
 from netloom.model import (
     ComplexProperty,
     CorrelationHint,
-    DanglingDerivationError,
     HostEntity,
     IncomingConfiguration,
     InterfaceRef,
@@ -15,9 +11,9 @@ from netloom.model import (
     RawStore,
     RunsOn,
     SystemEntity,
-    from_facts,
     payload_digest,
     store_from_json,
+    store_to_doc,
     store_to_json,
     to_facts,
 )
@@ -96,13 +92,13 @@ class TestToFacts:
         s = SystemEntity.create("srca/s1", "ERP", "application", origin())
         store = RawStore.build(1, systems=[s])
         facts = to_facts(store)
-        assert Atom("system", ("srca/s1", "ERP", "application")) in facts
-        assert Atom("origin", ("srca/s1", "srca", "o1")) in facts
+        assert ("srca/s1", "ERP", "application") in facts["system"]
+        assert ("srca/s1", "srca", "o1") in facts["origin"]
         # The space default is materialized as a prop so rules can see it.
-        assert Atom("prop", ("srca/s1", "space", "integration")) in facts
+        assert ("srca/s1", "space", "integration") in facts["prop"]
 
     def test_empty_store(self):
-        assert to_facts(RawStore.empty()) == set()
+        assert to_facts(RawStore.empty()) == {}
 
     def test_fact_counts_match_field_oracle(self):
         # Oracle: count the facts each entity kind must contribute.
@@ -125,42 +121,44 @@ class TestToFacts:
                     for c in store.correlations
                 }
             )
-            assert len(to_facts(store)) == expected
+            assert sum(len(rows) for rows in to_facts(store).values()) == expected
 
-
-class TestFromFacts:
-    def test_round_trip_identity(self):
+    def test_rows_match_exact_oracle(self):
+        # Oracle: every entity field the rules can see, read from the
+        # store's persisted document rather than from the entities.
         rng = random.Random(23)
         for _ in range(30):
             store = random_store(rng)
-            rebuilt = from_facts(to_facts(store), store)
-            assert rebuilt.systems == store.systems
-            assert rebuilt.hosts == store.hosts
-            assert rebuilt.runs_on == store.runs_on
-            assert rebuilt.out_confs == store.out_confs
-            assert rebuilt.in_confs == store.in_confs
-            assert rebuilt.correlations == store.correlations
+            doc = store_to_doc(store)
+            expected: dict[str, set[tuple]] = {}
 
-    def test_round_trip_restricted_to_edb(self):
-        rng = random.Random(5)
-        store = random_store(rng)
-        facts = to_facts(store)
-        rebuilt = from_facts(facts, store)
-        assert to_facts(rebuilt) == facts
+            def add(pred, *row):
+                expected.setdefault(pred, set()).add(row)
 
-    def test_dangling_derived_fact(self):
-        s = SystemEntity.create("srca/s1", "ERP", "application", origin())
-        store = RawStore.build(1, systems=[s])
-        facts = to_facts(store) | {Atom("equiv_sys", ("srca/s1", "srca/ghost"))}
-        with pytest.raises(DanglingDerivationError, match="ghost"):
-            from_facts(facts, store)
-
-    def test_empty_fact_set(self):
-        rebuilt = from_facts(set(), RawStore.empty())
-        assert rebuilt.entity_counts() == {
-            "system": 0, "host": 0, "runs_on": 0,
-            "out_conf": 0, "in_conf": 0, "correlation": 0,
-        }
+            for s in doc["systems"]:
+                add("system", s["id"], s["name"], s["kind"])
+                for key, value in s["simple_props"].items():
+                    add("prop", s["id"], key, value)
+                for cp in s["complex_props"]:
+                    add("complex_prop", s["id"], cp["kind"], cp["digest"])
+            for h in doc["hosts"]:
+                add("host", h["id"], h["hostname"])
+                for key, value in h["simple_props"].items():
+                    add("prop", h["id"], key, value)
+            for r in doc["runs_on"]:
+                add("runs_on", r["system_id"], r["host_id"])
+            for pred, address in (("out_conf", "receiver_address"), ("in_conf", "endpoint_address")):
+                for c in doc[f"{pred}s"]:
+                    i = c["interface"]
+                    add(pred, c["id"], c["owner_system_id"], i["name"], i["namespace"],
+                        i["operation"], c[address], c["adapter"])
+            for entity in doc["systems"] + doc["hosts"] + doc["out_confs"] + doc["in_confs"]:
+                add("origin", entity["id"], entity["origin"]["source_id"],
+                    entity["origin"]["object_id"])
+            for c in doc["correlations"]:
+                add("correlation", c["left_space"], c["left_id"], c["right_space"],
+                    c["right_id"], c["kind"])
+            assert to_facts(store) == expected
 
 
 class TestDigests:
