@@ -12,7 +12,7 @@ import sys
 
 import click
 
-from .conformance import ConformanceReport
+from .conformance import ConformanceReport, SchemaError
 from .datalog import ProgramError, parse_program
 from .ingest import IngestError, load_snapshot
 from .network import GRAPH_FORMATS, EmitError, export_graph, parse_network
@@ -53,6 +53,10 @@ def init(workspace):
     _emit_json({"workspace": str(ws.root), "store_version": 0})
 
 
+def _schema_failure(ws: Workspace, exc: SchemaError):
+    _fail(EXIT_ENVIRONMENT, f"invalid schema {ws.schema_path}: {exc}")
+
+
 def _load_workspace(path) -> Workspace:
     try:
         return Workspace.load(path)
@@ -73,6 +77,9 @@ def ingest(workspace, source_config, snapshot):
         result = ws.ingest(config, snapshot)
     except IngestError as exc:
         _fail(EXIT_ENVIRONMENT, str(exc))
+        return
+    except SchemaError as exc:
+        _schema_failure(ws, exc)
         return
     if isinstance(result, ConformanceReport):
         _emit_bytes(result.to_json())
@@ -96,8 +103,13 @@ def check(workspace, source_config, snapshot):
     except IngestError as exc:
         _fail(EXIT_ENVIRONMENT, str(exc))
         return
+    try:
+        checker = ws.checker()
+    except SchemaError as exc:
+        _schema_failure(ws, exc)
+        return
     store = ws.load_store().without_source(config.source_id)
-    report = check_batch(ws.checker(), snap.records, store)
+    report = check_batch(checker, snap.records, store)
     _emit_bytes(report.to_json())
     sys.exit(EXIT_OK if report.ok else EXIT_VALIDATION)
 
@@ -218,6 +230,8 @@ def watch(workspace, directory, interval, cycles):
         SnapshotWatcher(ws, directory).run(interval, cycles)
     except KeyboardInterrupt:
         click.echo("watch stopped", err=True)
+    except SchemaError as exc:
+        _schema_failure(ws, exc)
 
 
 if __name__ == "__main__":

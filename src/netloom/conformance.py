@@ -69,17 +69,30 @@ class SchemaSpec:
     kinds: dict[str, KindSpec] = field(default_factory=dict)
 
 
-def parse_schema(doc: Mapping[str, Any]) -> SchemaSpec:
-    """Parse the JSON schema document shape into a SchemaSpec."""
-    kinds_doc = doc.get("kinds")
+_SHAPE_NAMES = {Mapping: "an object", list: "a list", str: "a string", bool: "true or false"}
+
+
+def _shaped(value: Any, expected: type, where: str) -> Any:
+    if not isinstance(value, expected):
+        raise SchemaError(f"{where} must be {_SHAPE_NAMES[expected]}")
+    return value
+
+
+def parse_schema(doc: Any) -> SchemaSpec:
+    """Parse the JSON schema document shape into a SchemaSpec.
+
+    Raises SchemaError, naming the offending part, for a document of any
+    other shape."""
+    kinds_doc = doc.get("kinds") if isinstance(doc, Mapping) else None
     if not isinstance(kinds_doc, Mapping):
         raise SchemaError('schema document must have a "kinds" mapping')
     kinds: dict[str, KindSpec] = {}
     for kind, spec in kinds_doc.items():
-        fields_doc = spec.get("fields", {})
+        spec = _shaped(spec, Mapping, f"kind {kind}")
         specs = []
-        for name, fdoc in fields_doc.items():
-            type_text = fdoc.get("type", "string")
+        for name, fdoc in _shaped(spec.get("fields", {}), Mapping, f"{kind}.fields").items():
+            fdoc = _shaped(fdoc, Mapping, f"{kind}.{name}")
+            type_text = _shaped(fdoc.get("type", "string"), str, f"{kind}.{name}.type")
             enum_values: tuple[str, ...] = ()
             if type_text.startswith("enum(") and type_text.endswith(")"):
                 enum_values = tuple(
@@ -91,21 +104,33 @@ def parse_schema(doc: Mapping[str, Any]) -> SchemaSpec:
                     name=name,
                     type=type_text,
                     enum_values=enum_values,
-                    required=bool(fdoc.get("required", False)),
-                    key=bool(fdoc.get("key", False)),
+                    required=_shaped(fdoc.get("required", False), bool, f"{kind}.{name}.required"),
+                    key=_shaped(fdoc.get("key", False), bool, f"{kind}.{name}.key"),
                 )
             )
         refs = tuple(
-            RefSpec(f, target) for f, target in spec.get("refs", {}).items()
+            RefSpec(f, _shaped(target, str, f"{kind}.refs.{f}"))
+            for f, target in _shaped(spec.get("refs", {}), Mapping, f"{kind}.refs").items()
         )
-        unique = tuple(tuple(u) for u in spec.get("unique", []))
+        unique = tuple(
+            tuple(
+                _shaped(f, str, f"{kind}.unique field")
+                for f in _shaped(u, list, f"{kind}.unique entry")
+            )
+            for u in _shaped(spec.get("unique", []), list, f"{kind}.unique")
+        )
         kinds[kind] = KindSpec(tuple(specs), refs, unique)
     return SchemaSpec(kinds)
 
 
 def load_schema(path: str | Path) -> SchemaSpec:
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_schema(json.load(handle))
+    """Read and parse a schema file; raises SchemaError when it is not
+    UTF-8 JSON of the schema shape."""
+    try:
+        doc = json.loads(Path(path).read_bytes().decode("utf-8"))
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+        raise SchemaError(f"not valid JSON: {exc}") from exc
+    return parse_schema(doc)
 
 
 def default_schema_doc() -> dict:

@@ -12,21 +12,25 @@ from predicate name to a set of argument tuples
 (``{"edge": {("a", "b")}}``): ``evaluate`` and ``evaluate_naive`` take
 one as the EDB and return one holding the derived rows.
 
-``evaluate`` runs a semi-naive fixpoint per stratum over compiled join
-plans with hash indexes. A binary predicate whose rules include both
-``p(B, A) :- p(A, B).`` and ``p(A, C) :- p(A, B), p(B, C).`` (up to
-variable names) is evaluated as disjoint classes instead: those two
-rules get no join plans, and its cost is linear in the pairs it holds
-rather than cubic in a class's size. ``evaluate_naive`` is an
-intentionally simple full-rederivation evaluator kept as an
-independent cross-check.
+``evaluate`` runs a semi-naive fixpoint per stratum. Each rule becomes
+a join plan, and each plan, once per delta scan too, a Python function
+generated from source: nested ``for`` loops over hash-index lookups,
+with filters, binds and negation checks inlined.
+A binary predicate whose rules include both ``p(B, A) :- p(A, B).``
+and ``p(A, C) :- p(A, B), p(B, C).`` (up to variable names) is
+evaluated as disjoint classes instead: those two rules get no join
+plans, and its cost is linear in the pairs it holds rather than cubic
+in a class's size. ``evaluate_naive`` is an intentionally simple
+full-rederivation evaluator kept as an independent cross-check.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from itertools import chain
+from operator import itemgetter
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
 
 class ProgramError(Exception):
@@ -76,11 +80,6 @@ class Negation:
 
     def __str__(self) -> str:
         return f"not {self.atom}"
-
-
-#: Comparison operators usable in rule bodies. All are filters: their
-#: variables must be bound by positive atoms (checked at parse time).
-COMPARISON_OPS = ("=", "!=", "<", "<=", "norm_eq")
 
 
 @dataclass(frozen=True, slots=True)
@@ -224,10 +223,9 @@ def _unescape(raw: str) -> str:
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token], text: str):
+    def __init__(self, tokens: list[_Token]):
         self.tokens = tokens
         self.pos = 0
-        self.text = text
         self.anon_counter = 0
 
     def _peek(self) -> _Token | None:
@@ -360,7 +358,7 @@ def parse_program(text: str) -> Program:
     Raises ParseError with line/column for syntax errors, unsafe rules
     (reporting the offending variable), and arity conflicts.
     """
-    parser = _Parser(_tokenize(text), text)
+    parser = _Parser(_tokenize(text))
     parsed = parser.parse_rules()
 
     arities: dict[str, int] = {}
@@ -536,23 +534,25 @@ def _eval_comparison(op: str, a, b) -> bool:
 class _Relation:
     """A set of same-arity tuples with lazily built lookup indexes.
 
-    Index specs are ``(exact_positions, norm_positions)``; keys combine
-    the raw values at exact positions with the normalized values at norm
-    positions, so norm_eq joins can use hash lookups.
+    Index specs are ``(exact_positions, norm_positions)``. A spec with
+    one exact position keys its index by that value, one with several by
+    their tuple (both through ``itemgetter``); a spec with norm positions
+    keys it by ``_key``'s tuple, which appends the normalized values at
+    norm positions, so norm_eq joins can use hash lookups.
     """
 
     __slots__ = ("rows", "_indexes")
 
     def __init__(self, rows: Iterable[tuple] = ()) -> None:
         self.rows: set[tuple] = set(rows)
-        self._indexes: dict[tuple, dict[tuple, list[tuple]]] = {}
+        self._indexes: dict[tuple, tuple[Callable, dict]] = {}
 
     def add(self, row: tuple) -> bool:
         if row in self.rows:
             return False
         self.rows.add(row)
-        for spec, index in self._indexes.items():
-            index.setdefault(self._key(row, spec), []).append(row)
+        for key, index in self._indexes.values():
+            index.setdefault(key(row), []).append(row)
         return True
 
     @staticmethod
@@ -560,14 +560,18 @@ class _Relation:
         exact, norm = spec
         return tuple(row[p] for p in exact) + tuple(_norm_value(row[p]) for p in norm)
 
-    def lookup(self, spec: tuple, key: tuple) -> list[tuple]:
-        index = self._indexes.get(spec)
-        if index is None:
-            index = {}
+    def index(self, spec: tuple) -> dict[object, list[tuple]]:
+        """The index for ``spec`` (which must name a position), built on
+        first use and kept current by ``add``."""
+        entry = self._indexes.get(spec)
+        if entry is None:
+            exact, norm = spec
+            key = (lambda row: _Relation._key(row, spec)) if norm else itemgetter(*exact)
+            index: dict[object, list[tuple]] = {}
             for row in self.rows:
-                index.setdefault(self._key(row, spec), []).append(row)
-            self._indexes[spec] = index
-        return index.get(key, [])
+                index.setdefault(key(row), []).append(row)
+            entry = self._indexes[spec] = (key, index)
+        return entry[1]
 
     def insert(self, row: tuple) -> Sequence[tuple]:
         """Add a derived row; return the rows that are new, for the delta."""
@@ -697,7 +701,6 @@ class _NegCheck:
 
 @dataclass(frozen=True)
 class _Plan:
-    nslots: int
     steps: tuple
     head_parts: tuple
     dynamic_scans: tuple  # step indexes whose predicate is computed in this stratum
@@ -776,27 +779,16 @@ def _compile_rule(rule: Rule, dynamic_preds: set[str]) -> _Plan:
                 continue
             # A pending norm_eq with the other side already bound turns
             # this position into a normalized index lookup.
-            assist = None
-            for lit in pending:
-                if isinstance(lit, Comparison) and lit.op == "norm_eq":
-                    lspec = term_spec(lit.left, bound)
-                    rspec = term_spec(lit.right, bound)
-                    if (
-                        lspec is None
-                        and rspec is not None
-                        and isinstance(lit.left, Variable)
-                        and lit.left.name == t.name
-                    ):
-                        assist = (lit, rspec)
-                        break
-                    if (
-                        rspec is None
-                        and lspec is not None
-                        and isinstance(lit.right, Variable)
-                        and lit.right.name == t.name
-                    ):
-                        assist = (lit, lspec)
-                        break
+            assist = next(
+                (
+                    (lit, term_spec(other, bound))
+                    for lit in pending
+                    if isinstance(lit, Comparison) and lit.op == "norm_eq"
+                    for var, other in ((lit.left, lit.right), (lit.right, lit.left))
+                    if var == t and term_spec(other, bound) is not None
+                ),
+                None,
+            )
             if assist is not None:
                 pending.remove(assist[0])
                 norm_pos.append(pos)
@@ -824,82 +816,95 @@ def _compile_rule(rule: Rule, dynamic_preds: set[str]) -> _Plan:
     dynamic = tuple(
         i for i, s in enumerate(steps) if isinstance(s, _Scan) and s.pred in dynamic_preds
     )
-    return _Plan(len(slots), tuple(steps), head_parts, dynamic)
+    return _Plan(tuple(steps), head_parts, dynamic)
 
 
-def _resolve(spec: tuple, binding: list) -> object:
-    tag, v = spec
-    return binding[v] if tag == "s" else v
+#: Nested loops per generated function, under CPython's limit of 20
+#: statically nested blocks. A plan with more scans stages the rows
+#: bound so far in a list and continues in loops over that list.
+_MAX_NESTED_LOOPS = 16
 
 
-def _run_plan(
-    plan: _Plan,
-    relations: dict[str, _Relation],
-    delta_step: int = -1,
-    delta_relation: _Relation | None = None,
-) -> Iterator[tuple]:
-    bindings: list[list] = [[None] * plan.nslots]
-    for idx, step in enumerate(plan.steps):
-        if not bindings:
-            return
+def _plan_function(plan: _Plan, delta_step: int = -1) -> Callable:
+    """Generate ``run(relations, delta)``, which returns the head rows of
+    ``plan`` as a list, its scan ``delta_step`` reading ``delta``.
+
+    A slot is read where it is used, from its scan's row variable, or
+    from a local when ``=`` binds it; each index is fetched once, at the
+    top. Constants enter the source only as names bound in its
+    namespace, predicate names only as ``repr``.
+    """
+    ns: dict[str, object] = dict(_EMPTY=_EMPTY_RELATION, _norm=_norm_value, _same_type=_same_type)
+    where: dict[int, str] = {}  # slot -> the expression that holds it
+
+    def value(spec: tuple) -> str:
+        tag, v = spec
+        if tag == "s":
+            return where[v]
+        name = f"c{len(ns)}"
+        ns[name] = v
+        return name
+
+    def row_of(items: list[str]) -> str:
+        return f"({', '.join(items)}{',' if len(items) == 1 else ''})"
+
+    top = ["out = []", "append = out.append"]
+    lines: list[str] = []
+    depth, fail, bound = 0, "return out", []
+
+    def emit(line: str) -> None:
+        lines.append("    " * depth + line)
+
+    for i, step in enumerate(plan.steps):
         if isinstance(step, _Scan):
-            rel = (
-                delta_relation
-                if idx == delta_step and delta_relation is not None
-                else relations.get(step.pred, _EMPTY_RELATION)
-            )
-            out: list[list] = []
-            exact_pos, norm_pos = step.spec
-            if exact_pos or norm_pos:
-                for b in bindings:
-                    key = tuple(_resolve(p, b) for p in step.exact_parts) + tuple(
-                        _norm_value(_resolve(p, b)) for p in step.norm_parts
-                    )
-                    for row in rel.lookup(step.spec, key):
-                        b2 = b.copy()
-                        ok = True
-                        for pos, slot in step.extracts:
-                            b2[slot] = row[pos]
-                        for pos, slot in step.checks:
-                            if row[pos] != b2[slot]:
-                                ok = False
-                                break
-                        if ok:
-                            out.append(b2)
+            if depth == _MAX_NESTED_LOOPS:
+                top.append(f"staged{i} = []")
+                emit(f"staged{i}.append({row_of(bound)})")
+                depth = 0
+                emit(f"for {row_of(bound)} in staged{i}:")
+                depth = 1
+            rel = "delta" if i == delta_step else f"relations.get({step.pred!r}, _EMPTY)"
+            exact, norm = step.spec
+            if exact or norm:
+                ns[f"spec{i}"] = step.spec
+                top.append(f"s{i} = {rel}.index(spec{i})")
+                key = [value(p) for p in step.exact_parts]
+                key += [f"_norm({value(p)})" for p in step.norm_parts]
+                # The key has the shape that ``_Relation.index`` gives it.
+                lookup = key[0] if len(key) == 1 and not norm else row_of(key)
+                emit(f"for r{i} in s{i}.get({lookup}, ()):")
             else:
-                rows = list(rel.rows)
-                for b in bindings:
-                    for row in rows:
-                        b2 = b.copy()
-                        ok = True
-                        for pos, slot in step.extracts:
-                            b2[slot] = row[pos]
-                        for pos, slot in step.checks:
-                            if row[pos] != b2[slot]:
-                                ok = False
-                                break
-                        if ok:
-                            out.append(b2)
-            bindings = out
+                top.append(f"s{i} = {rel}.rows")
+                emit(f"for r{i} in s{i}:")
+            depth, fail = depth + 1, "continue"
+            where.update((slot, f"r{i}[{pos}]") for pos, slot in step.extracts)
+            bound.append(f"r{i}")
+            for pos, slot in step.checks:
+                emit(f"if r{i}[{pos}] != {where[slot]}: continue")
         elif isinstance(step, _Filter):
-            bindings = [
-                b
-                for b in bindings
-                if _eval_comparison(step.op, _resolve(step.left, b), _resolve(step.right, b))
-            ]
+            a, b = value(step.left), value(step.right)
+            if step.op == "norm_eq":
+                test = f"_same_type({a}, {b}) and _norm({a}) == _norm({b})"
+            elif step.op in ("<", "<="):
+                test = f"_same_type({a}, {b}) and {a} {step.op} {b}"
+            elif any(tag == "c" and isinstance(v, str) for tag, v in (step.left, step.right)):
+                test = f"{a} == {b}"  # only a str equals a str constant
+            else:
+                test = f"{a} == {b} and _same_type({a}, {b})"
+            # ``!=`` fails where the equality test holds.
+            emit(f"if {'' if step.op == '!=' else 'not '}({test}): {fail}")
         elif isinstance(step, _Bind):
-            for b in bindings:
-                b[step.slot] = _resolve(step.source, b)
+            emit(f"v{step.slot} = {value(step.source)}")
+            where[step.slot] = f"v{step.slot}"
+            bound.append(where[step.slot])
         else:
             assert isinstance(step, _NegCheck)
-            rel = relations.get(step.pred, _EMPTY_RELATION)
-            bindings = [
-                b
-                for b in bindings
-                if tuple(_resolve(p, b) for p in step.parts) not in rel.rows
-            ]
-    for b in bindings:
-        yield tuple(_resolve(p, b) for p in plan.head_parts)
+            top.append(f"n{i} = relations.get({step.pred!r}, _EMPTY).rows")
+            emit(f"if {row_of([value(p) for p in step.parts])} in n{i}: {fail}")
+    emit(f"append({row_of([value(p) for p in plan.head_parts])})")
+    body = "\n    ".join([*top, *lines, "return out"])
+    exec(compile(f"def run(relations, delta):\n    {body}", "<datalog plan>", "exec"), ns)
+    return ns.pop("run")  # so that no cycle keeps it and its namespace alive
 
 
 # ---------------------------------------------------------------------------
@@ -918,9 +923,9 @@ def _edb_rows(program: Program, edb: Mapping[str, Iterable[tuple]]) -> dict[str,
             lengths.add(program.arities[pred])
         if len(lengths) > 1:
             raise ValueError(f"EDB rows of {pred} conflict in arity: {sorted(lengths)}")
-        for row in rows:
-            if any(isinstance(a, Variable) for a in row):
-                raise ValueError(f"EDB fact is not ground: {Atom(pred, row)}")
+        if any(issubclass(t, Variable) for t in set(map(type, chain.from_iterable(rows)))):
+            row = next(r for r in rows if any(isinstance(a, Variable) for a in r))
+            raise ValueError(f"EDB fact is not ground: {Atom(pred, row)}")
         out[pred] = rows
     return out
 
@@ -963,35 +968,30 @@ def evaluate(
 
     for stratum in strata:
         dynamic_preds = {r.head.predicate for r in stratum}
-        # An equivalence predicate's relation closes itself on insert,
-        # so its symmetry and transitivity rules get no join plans.
-        plans = [
-            (r, _compile_rule(r, dynamic_preds))
-            for r in stratum
-            if r not in closure_rules.get(r.head.predicate, ())
-        ]
         for pred in dynamic_preds:
             relations.setdefault(pred, _Relation())
+        # The first round runs each plan whole; later rounds run it once
+        # per scan of a predicate computed here, reading that scan's delta.
+        first, later = [], []
+        for r in stratum:
+            if r in closure_rules.get(r.head.predicate, ()):
+                continue  # the relation closes itself on insert
+            plan, head = _compile_rule(r, dynamic_preds), r.head.predicate
+            first.append((head, None, _plan_function(plan)))
+            for i in plan.dynamic_scans:
+                later.append((head, plan.steps[i].pred, _plan_function(plan, i)))
 
-        delta: dict[str, _Relation] = {p: _Relation() for p in dynamic_preds}
-        for rule, plan in plans:
-            for row in _run_plan(plan, relations):
-                for new in relations[rule.head.predicate].insert(row):
-                    delta[rule.head.predicate].add(new)
-
-        while any(d.rows for d in delta.values()):
-            new_delta: dict[str, _Relation] = {p: _Relation() for p in dynamic_preds}
-            for rule, plan in plans:
-                for step_idx in plan.dynamic_scans:
-                    scan = plan.steps[step_idx]
-                    assert isinstance(scan, _Scan)
-                    d = delta[scan.pred]
-                    if not d.rows:
-                        continue
-                    for row in _run_plan(plan, relations, step_idx, d):
-                        for new in relations[rule.head.predicate].insert(row):
-                            new_delta[rule.head.predicate].add(new)
+        runs, delta = first, {}
+        while runs:
+            new_delta = {p: _Relation() for p in dynamic_preds}
+            for head, pred, run in runs:
+                if pred is None or delta[pred].rows:
+                    # A delta is indexed only once complete: add to its set.
+                    insert, fresh = relations[head].insert, new_delta[head].rows
+                    for row in run(relations, delta.get(pred)):
+                        fresh.update(insert(row))
             delta = new_delta
+            runs = later if any(d.rows for d in delta.values()) else []
 
     return _new_rows(program, {p: r.rows for p, r in relations.items()}, edb)
 

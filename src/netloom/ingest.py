@@ -180,7 +180,8 @@ def load_snapshot(
 
         record_captured = captured_at
         raw_captured = fields.pop("captured_at", None)
-        if isinstance(raw_captured, int) and raw_captured >= 0:
+        # bool subclasses int, but ``true`` is no timestamp.
+        if type(raw_captured) is int and raw_captured >= 0:
             record_captured = raw_captured
 
         kind = fields.pop("kind", None)

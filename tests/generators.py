@@ -9,6 +9,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
+from netloom.datalog import _format_term
+
 
 # ---------------------------------------------------------------------------
 # Random stratifiable Datalog programs
@@ -66,6 +68,78 @@ def random_program_text(
         fact_lines.append(f"{p}({', '.join(args)}).")
 
     return "\n".join(lines), "\n".join(fact_lines)
+
+
+# Constants for ``random_builtin_program``: strings that differ only in
+# case and spacing (so norm_eq has work), strings holding a quote, a
+# backslash, a newline and non-ASCII text, and integers.
+_BUILTIN_STRINGS = ["a", "A ", " a", "b", 'x"y', "back\\slash", "two\nlines", "é", " É"]
+_BUILTIN_INTS = [-1, 0, 1, 2]
+
+
+def random_builtin_program(
+    rng: random.Random, max_predicates: int = 5, max_facts: int = 30
+) -> tuple[str, dict[str, set[tuple]]]:
+    """Build (rule text, fact base) for a random stratifiable program
+    that also uses ``=``, ``!=``, ``<``, ``<=`` and ``norm_eq`` over int
+    and quoted-string constants, with zero-arity predicates allowed.
+
+    Comparisons land anywhere in a body and may join two constants, so
+    some run before the first scan; ``=`` with one side unbound becomes a
+    bind, and norm_eq beside an unscanned variable a normalized lookup.
+    """
+    n_preds = rng.randint(2, max_predicates)
+    preds = [f"p{i}" for i in range(n_preds)]
+    arity = {p: rng.randint(0, 3) for p in preds}
+    level = {p: rng.randint(0, 2) for p in preds}
+    consts: list[str | int] = rng.sample(_BUILTIN_STRINGS, 4) + rng.sample(_BUILTIN_INTS, 2)
+    var_pool = ["X", "Y", "Z", "W"]
+
+    def atom(pred: str, args: list[str]) -> str:
+        return f"{pred}({', '.join(args)})" if args else pred
+
+    def const_text() -> str:
+        return _format_term(rng.choice(consts))
+
+    lines: list[str] = []
+    for _ in range(rng.randint(1, 6)):
+        head_pred = rng.choice(preds)
+        candidates = [p for p in preds if level[p] <= level[head_pred]]
+        body: list[str] = []
+        pos_vars: list[str] = []
+        for _ in range(rng.randint(1, 3)):
+            p = rng.choice(candidates)
+            args = []
+            for _ in range(arity[p]):
+                if rng.random() < 0.8:
+                    v = rng.choice(var_pool)
+                    args.append(v)
+                    if v not in pos_vars:
+                        pos_vars.append(v)
+                else:
+                    args.append(const_text())
+            body.append(atom(p, args))
+
+        def term() -> str:
+            return rng.choice(pos_vars) if pos_vars and rng.random() < 0.7 else const_text()
+
+        lower = [p for p in preds if level[p] < level[head_pred]]
+        if lower and rng.random() < 0.4:
+            p = rng.choice(lower)
+            body.append("not " + atom(p, [term() for _ in range(arity[p])]))
+        for _ in range(rng.randint(0, 2)):
+            a, b = term(), term()
+            op = rng.choice(["=", "=", "!=", "<", "<=", "norm_eq", "norm_eq"])
+            literal = f"norm_eq({a}, {b})" if op == "norm_eq" else f"{a} {op} {b}"
+            body.insert(rng.randint(0, len(body)), literal)
+        head = atom(head_pred, [term() for _ in range(arity[head_pred])])
+        lines.append(f"{head} :- {', '.join(body)}.")
+
+    edb: dict[str, set[tuple]] = {}
+    for _ in range(rng.randint(0, max_facts)):
+        p = rng.choice(preds)
+        edb.setdefault(p, set()).add(tuple(rng.choice(consts) for _ in range(arity[p])))
+    return "\n".join(lines), edb
 
 
 # ---------------------------------------------------------------------------

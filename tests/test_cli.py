@@ -120,6 +120,29 @@ class TestIngestCommand:
         assert result.exit_code == 1
 
 
+BROKEN_SCHEMAS = ['{"kinds": {"system": []}}', '{"kinds": {', b"\xff\xfe"]
+
+
+@pytest.mark.parametrize("schema", BROKEN_SCHEMAS)
+@pytest.mark.parametrize("command", ["ingest", "check"])
+def test_malformed_schema_exit_one(runner, tmp_path, workspace, command, schema):
+    schema_path = workspace / "schema.json"
+    if isinstance(schema, bytes):
+        schema_path.write_bytes(schema)
+    else:
+        schema_path.write_text(schema)
+    cfg = tmp_path / "cfg.json"
+    write_source_config(cfg, "srca")
+    snap = tmp_path / "s.jsonl"
+    write_snapshot(snap, sample_records())
+    result = runner.invoke(main, [command, str(workspace), "--source-config", str(cfg), str(snap)])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.output.startswith("invalid schema ")
+    assert result.output.count("\n") == 1
+    assert Workspace.load(workspace).load_store().version == 0
+
+
 class TestCheckCommand:
     def test_clean_snapshot(self, runner, tmp_path, workspace):
         cfg = tmp_path / "cfg.json"
@@ -299,4 +322,22 @@ class TestWatch:
             ["watch", str(workspace), str(drop), "--interval", "0", "--cycles", "1"],
         )
         assert result.exit_code == 0
+        assert ws.load_store().version == 1
+
+    def test_watch_stops_on_malformed_schema_and_retries_later(self, tmp_path, runner, workspace):
+        ws = Workspace.load(workspace)
+        cfg = tmp_path / "srca.json"
+        write_source_config(cfg, "srca")
+        ws.register_source(cfg)
+        drop = tmp_path / "drop"
+        drop.mkdir()
+        write_snapshot(drop / "srca__one.jsonl", sample_records())
+        good_schema = ws.schema_path.read_bytes()
+        ws.schema_path.write_text('{"kinds": {"system": []}}')
+        args = ["watch", str(workspace), str(drop), "--interval", "0", "--cycles", "1"]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 1
+        assert result.output.startswith("invalid schema ")
+        ws.schema_path.write_bytes(good_schema)
+        assert runner.invoke(main, args).exit_code == 0
         assert ws.load_store().version == 1

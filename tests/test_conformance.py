@@ -133,6 +133,39 @@ class TestCompile:
         assert checker.machine("system") is not None
 
 
+class TestSchemaShape:
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            [],
+            {"kinds": []},
+            {"kinds": {"system": []}},
+            {"kinds": {"system": {"fields": ["id"]}}},
+            {"kinds": {"system": {"fields": {"id": "string"}}}},
+            {"kinds": {"system": {"fields": {"id": {"type": 5}}}}},
+            {"kinds": {"system": {"fields": {"id": {"type": "string", "required": "yes"}}}}},
+            {"kinds": {"system": {"fields": {"id": {"type": "string", "key": 1}}}}},
+            {"kinds": {"system": {"refs": ["host_id"]}}},
+            {"kinds": {"system": {"refs": {"host_id": ["host"]}}}},
+            {"kinds": {"system": {"unique": "id"}}},
+            {"kinds": {"system": {"unique": ["id"]}}},
+            {"kinds": {"system": {"unique": [[1]]}}},
+        ],
+    )
+    def test_malformed_document_raises_schema_error(self, doc):
+        with pytest.raises(SchemaError):
+            parse_schema(doc)
+
+    @pytest.mark.parametrize(
+        "data", [b'{"kinds": {', b"", b"\xff\xfe{}", b'{"kinds": {"system": []}}']
+    )
+    def test_malformed_file_raises_schema_error(self, tmp_path, data):
+        path = tmp_path / "schema.json"
+        path.write_bytes(data)
+        with pytest.raises(SchemaError):
+            load_schema(path)
+
+
 class TestCheckBatch:
     def test_missing_required_field(self):
         report = check_batch(

@@ -165,6 +165,14 @@ class TestLoadSnapshot:
         record = load_snapshot(path, SourceConfig("srca")).records[0]
         assert record.origin.captured_at == 1700000000
 
+    @pytest.mark.parametrize("value", [True, False])
+    def test_bool_captured_at_is_not_a_timestamp(self, tmp_path, value):
+        path = tmp_path / "cap.jsonl"
+        write_jsonl(path, [{"kind": "host", "id": "h1", "hostname": "x", "captured_at": value}])
+        record = load_snapshot(path, SourceConfig("srca"), captured_at=5).records[0]
+        assert record.origin.captured_at == 5
+        assert type(record.origin.captured_at) is int
+
 
 def sample_records(src_tag=""):
     return [
