@@ -75,7 +75,7 @@ def ingest(workspace, source_config, snapshot):
     try:
         config = ws.register_source(source_config)
         result = ws.ingest(config, snapshot)
-    except IngestError as exc:
+    except (IngestError, WorkspaceError) as exc:
         _fail(EXIT_ENVIRONMENT, str(exc))
         return
     except SchemaError as exc:
@@ -108,7 +108,11 @@ def check(workspace, source_config, snapshot):
     except SchemaError as exc:
         _schema_failure(ws, exc)
         return
-    store = ws.load_store().without_source(config.source_id)
+    try:
+        store = ws.load_store().without_source(config.source_id)
+    except WorkspaceError as exc:
+        _fail(EXIT_ENVIRONMENT, str(exc))
+        return
     report = check_batch(checker, snap.records, store)
     _emit_bytes(report.to_json())
     sys.exit(EXIT_OK if report.ok else EXIT_VALIDATION)
@@ -132,6 +136,9 @@ def infer(workspace, rules):
             _fail(EXIT_VALIDATION, f"rules error: {exc}")
     try:
         network = ws.infer(extra_rules=extra)
+    except WorkspaceError as exc:
+        _fail(EXIT_ENVIRONMENT, str(exc))
+        return
     except (ProgramError, ReconstructionError, EmitError) as exc:
         _fail(EXIT_VALIDATION, str(exc))
         return
@@ -232,6 +239,8 @@ def watch(workspace, directory, interval, cycles):
         click.echo("watch stopped", err=True)
     except SchemaError as exc:
         _schema_failure(ws, exc)
+    except WorkspaceError as exc:
+        _fail(EXIT_ENVIRONMENT, str(exc))
 
 
 if __name__ == "__main__":

@@ -12,15 +12,18 @@ from predicate name to a set of argument tuples
 (``{"edge": {("a", "b")}}``): ``evaluate`` and ``evaluate_naive`` take
 one as the EDB and return one holding the derived rows.
 
-``evaluate`` runs a semi-naive fixpoint per stratum. Each rule becomes
-a join plan, and each plan, once per delta scan too, a Python function
-generated from source: nested ``for`` loops over hash-index lookups,
-with filters, binds and negation checks inlined.
+``evaluate`` runs a semi-naive fixpoint per stratum. One walk over
+each rule's body schedules its literals and writes the source of a
+Python function as it goes: nested ``for`` loops over hash-index
+lookups, with filters, binds and negation checks inlined where their
+variables become bound. The function is compiled once for the first
+round and once more per scan of a predicate computed in the stratum,
+with that scan reading the delta.
 A binary predicate whose rules include both ``p(B, A) :- p(A, B).``
 and ``p(A, C) :- p(A, B), p(B, C).`` (up to variable names) is
-evaluated as disjoint classes instead: those two rules get no join
-plans, and its cost is linear in the pairs it holds rather than cubic
-in a class's size. ``evaluate_naive`` is an intentionally simple
+evaluated as disjoint classes instead: those two rules get no
+functions, and its cost is linear in the pairs it holds rather than
+cubic in a class's size. ``evaluate_naive`` is an intentionally simple
 full-rederivation evaluator kept as an independent cross-check.
 """
 
@@ -665,246 +668,161 @@ def _closure_rules(rules: Iterable[Rule]) -> dict[str, set[Rule]]:
 
 
 # ---------------------------------------------------------------------------
-# Compiled rule plans
-
-# Step value specs: ('c', constant) or ('s', slot index).
-
-
-@dataclass(frozen=True)
-class _Scan:
-    pred: str
-    spec: tuple  # (exact_positions, norm_positions)
-    exact_parts: tuple  # value specs aligned with exact positions
-    norm_parts: tuple  # value specs aligned with norm positions
-    extracts: tuple  # (position, slot)
-    checks: tuple  # (position, slot) for repeated new variables
-
-
-@dataclass(frozen=True)
-class _Filter:
-    op: str
-    left: tuple
-    right: tuple
-
-
-@dataclass(frozen=True)
-class _Bind:
-    slot: int
-    source: tuple
-
-
-@dataclass(frozen=True)
-class _NegCheck:
-    pred: str
-    parts: tuple  # value specs, all resolvable
-
-
-@dataclass(frozen=True)
-class _Plan:
-    steps: tuple
-    head_parts: tuple
-    dynamic_scans: tuple  # step indexes whose predicate is computed in this stratum
-
-
-def _compile_rule(rule: Rule, dynamic_preds: set[str]) -> _Plan:
-    slots: dict[str, int] = {}
-
-    def slot_of(name: str) -> int:
-        if name not in slots:
-            slots[name] = len(slots)
-        return slots[name]
-
-    def term_spec(t: Term, bound: set[str]) -> tuple | None:
-        if isinstance(t, Variable):
-            if t.name in bound:
-                return ("s", slots[t.name])
-            return None
-        return ("c", t)
-
-    bound: set[str] = set()
-    steps: list = []
-    pending: list[BodyLiteral] = [
-        lit for lit in rule.body if not isinstance(lit, Atom)
-    ]
-    atoms = [lit for lit in rule.body if isinstance(lit, Atom)]
-
-    def flush_pending() -> None:
-        progressed = True
-        while progressed:
-            progressed = False
-            for lit in list(pending):
-                if isinstance(lit, Negation):
-                    if lit.atom.variables() <= bound:
-                        parts = tuple(
-                            term_spec(t, bound) for t in lit.atom.args
-                        )
-                        steps.append(_NegCheck(lit.atom.predicate, parts))
-                        pending.remove(lit)
-                        progressed = True
-                    continue
-                assert isinstance(lit, Comparison)
-                ls = term_spec(lit.left, bound)
-                rs = term_spec(lit.right, bound)
-                if lit.op == "=" and (ls is None) != (rs is None):
-                    # Equality with one side known binds the other side.
-                    unbound = lit.left if ls is None else lit.right
-                    assert isinstance(unbound, Variable)
-                    steps.append(_Bind(slot_of(unbound.name), ls or rs))
-                    bound.add(unbound.name)
-                    pending.remove(lit)
-                    progressed = True
-                elif ls is not None and rs is not None:
-                    steps.append(_Filter(lit.op, ls, rs))
-                    pending.remove(lit)
-                    progressed = True
-
-    flush_pending()
-    for atom in atoms:
-        exact_pos: list[int] = []
-        exact_parts: list[tuple] = []
-        norm_pos: list[int] = []
-        norm_parts: list[tuple] = []
-        extracts: list[tuple[int, int]] = []
-        checks: list[tuple[int, int]] = []
-        new_here: set[str] = set()
-        for pos, t in enumerate(atom.args):
-            spec = term_spec(t, bound)
-            if spec is not None:
-                exact_pos.append(pos)
-                exact_parts.append(spec)
-                continue
-            assert isinstance(t, Variable)
-            if t.name in new_here:
-                checks.append((pos, slots[t.name]))
-                continue
-            # A pending norm_eq with the other side already bound turns
-            # this position into a normalized index lookup.
-            assist = next(
-                (
-                    (lit, term_spec(other, bound))
-                    for lit in pending
-                    if isinstance(lit, Comparison) and lit.op == "norm_eq"
-                    for var, other in ((lit.left, lit.right), (lit.right, lit.left))
-                    if var == t and term_spec(other, bound) is not None
-                ),
-                None,
-            )
-            if assist is not None:
-                pending.remove(assist[0])
-                norm_pos.append(pos)
-                norm_parts.append(assist[1])
-            extracts.append((pos, slot_of(t.name)))
-            new_here.add(t.name)
-        steps.append(
-            _Scan(
-                atom.predicate,
-                (tuple(exact_pos), tuple(norm_pos)),
-                tuple(exact_parts),
-                tuple(norm_parts),
-                tuple(extracts),
-                tuple(checks),
-            )
-        )
-        bound |= new_here
-        flush_pending()
-
-    if pending:
-        # Safety checking at parse time should make this unreachable.
-        raise ProgramError(f"cannot schedule literals in rule: {rule}")
-
-    head_parts = tuple(term_spec(t, bound) for t in rule.head.args)
-    dynamic = tuple(
-        i for i, s in enumerate(steps) if isinstance(s, _Scan) and s.pred in dynamic_preds
-    )
-    return _Plan(tuple(steps), head_parts, dynamic)
-
+# Generated rule functions
 
 #: Nested loops per generated function, under CPython's limit of 20
-#: statically nested blocks. A plan with more scans stages the rows
+#: statically nested blocks. A rule with more scans stages the rows
 #: bound so far in a list and continues in loops over that list.
 _MAX_NESTED_LOOPS = 16
 
 
-def _plan_function(plan: _Plan, delta_step: int = -1) -> Callable:
-    """Generate ``run(relations, delta)``, which returns the head rows of
-    ``plan`` as a list, its scan ``delta_step`` reading ``delta``.
+def _rule_functions(rule: Rule, dynamic_preds: set[str]) -> list[tuple[str | None, Callable]]:
+    """Generate the functions that evaluate ``rule``: ``(None, run)`` for
+    the first round, then ``(pred, run)`` for each scan of a predicate in
+    ``dynamic_preds``, that scan reading ``delta``. Each ``run(relations,
+    delta)`` returns the head rows as a list.
 
-    A slot is read where it is used, from its scan's row variable, or
-    from a local when ``=`` binds it; each index is fetched once, at the
-    top. Constants enter the source only as names bound in its
+    One walk over the body schedules and emits source at once. A
+    comparison or negation is emitted as soon as its variables are
+    bound, and ``=`` with one side bound binds the other side. Each atom
+    becomes a loop over an index lookup on its bound positions; a
+    pending ``norm_eq`` whose other side is bound adds a normalized key
+    part, and a variable repeated within the atom becomes a check.
+    ``where`` maps each bound variable to the expression that holds it:
+    its scan's row item, or the local a bind sets. Each index is fetched
+    once, at the top, so a delta variant differs only in its scan's
+    line there. Constants enter the source only as names bound in its
     namespace, predicate names only as ``repr``.
     """
     ns: dict[str, object] = dict(_EMPTY=_EMPTY_RELATION, _norm=_norm_value, _same_type=_same_type)
-    where: dict[int, str] = {}  # slot -> the expression that holds it
+    where: dict[str, str] = {}  # variable name -> the expression that holds it
 
-    def value(spec: tuple) -> str:
-        tag, v = spec
-        if tag == "s":
-            return where[v]
+    def value(t: Term) -> str:
+        if isinstance(t, Variable):
+            return where[t.name]
         name = f"c{len(ns)}"
-        ns[name] = v
+        ns[name] = t
         return name
+
+    def bound(t: Term) -> bool:
+        return not isinstance(t, Variable) or t.name in where
 
     def row_of(items: list[str]) -> str:
         return f"({', '.join(items)}{',' if len(items) == 1 else ''})"
 
     top = ["out = []", "append = out.append"]
     lines: list[str] = []
-    depth, fail, bound = 0, "return out", []
+    variants: list[tuple[str, int, str]] = []  # (pred, index in top, delta line)
+    live: list[str] = []  # the names a staged row carries
+    # ``i`` numbers the literals in the order they are emitted; the names
+    # of a scan's index, rows and staging list carry its number.
+    depth, fail, i = 0, "return out", 0
 
     def emit(line: str) -> None:
         lines.append("    " * depth + line)
 
-    for i, step in enumerate(plan.steps):
-        if isinstance(step, _Scan):
+    pending = [lit for lit in rule.body if not isinstance(lit, Atom)]
+    for atom in (None, *(lit for lit in rule.body if isinstance(lit, Atom))):
+        if atom is not None:
+            exact_pos, exact, norm_pos, norm, checks = [], [], [], [], []
+            new_here: dict[str, int] = {}  # variable name -> its first position
+            for pos, t in enumerate(atom.args):
+                if bound(t):
+                    exact_pos.append(pos)
+                    exact.append(t)
+                elif t.name in new_here:
+                    checks.append((pos, t.name))
+                else:
+                    # A pending norm_eq with the other side already bound
+                    # turns this position into a normalized index lookup.
+                    assist = next(
+                        (
+                            (lit, other)
+                            for lit in pending
+                            if isinstance(lit, Comparison) and lit.op == "norm_eq"
+                            for var, other in ((lit.left, lit.right), (lit.right, lit.left))
+                            if var == t and bound(other)
+                        ),
+                        None,
+                    )
+                    if assist is not None:
+                        pending.remove(assist[0])
+                        norm_pos.append(pos)
+                        norm.append(assist[1])
+                    new_here[t.name] = pos
             if depth == _MAX_NESTED_LOOPS:
                 top.append(f"staged{i} = []")
-                emit(f"staged{i}.append({row_of(bound)})")
+                emit(f"staged{i}.append({row_of(live)})")
                 depth = 0
-                emit(f"for {row_of(bound)} in staged{i}:")
+                emit(f"for {row_of(live)} in staged{i}:")
                 depth = 1
-            rel = "delta" if i == delta_step else f"relations.get({step.pred!r}, _EMPTY)"
-            exact, norm = step.spec
             if exact or norm:
-                ns[f"spec{i}"] = step.spec
-                top.append(f"s{i} = {rel}.index(spec{i})")
-                key = [value(p) for p in step.exact_parts]
-                key += [f"_norm({value(p)})" for p in step.norm_parts]
+                ns[f"spec{i}"] = (tuple(exact_pos), tuple(norm_pos))
+                fetch = f".index(spec{i})"
+                key = [value(t) for t in exact] + [f"_norm({value(t)})" for t in norm]
                 # The key has the shape that ``_Relation.index`` gives it.
                 lookup = key[0] if len(key) == 1 and not norm else row_of(key)
                 emit(f"for r{i} in s{i}.get({lookup}, ()):")
             else:
-                top.append(f"s{i} = {rel}.rows")
+                fetch = ".rows"
                 emit(f"for r{i} in s{i}:")
+            if atom.predicate in dynamic_preds:
+                variants.append((atom.predicate, len(top), f"s{i} = delta{fetch}"))
+            top.append(f"s{i} = relations.get({atom.predicate!r}, _EMPTY){fetch}")
             depth, fail = depth + 1, "continue"
-            where.update((slot, f"r{i}[{pos}]") for pos, slot in step.extracts)
-            bound.append(f"r{i}")
-            for pos, slot in step.checks:
-                emit(f"if r{i}[{pos}] != {where[slot]}: continue")
-        elif isinstance(step, _Filter):
-            a, b = value(step.left), value(step.right)
-            if step.op == "norm_eq":
-                test = f"_same_type({a}, {b}) and _norm({a}) == _norm({b})"
-            elif step.op in ("<", "<="):
-                test = f"_same_type({a}, {b}) and {a} {step.op} {b}"
-            elif any(tag == "c" and isinstance(v, str) for tag, v in (step.left, step.right)):
-                test = f"{a} == {b}"  # only a str equals a str constant
-            else:
-                test = f"{a} == {b} and _same_type({a}, {b})"
-            # ``!=`` fails where the equality test holds.
-            emit(f"if {'' if step.op == '!=' else 'not '}({test}): {fail}")
-        elif isinstance(step, _Bind):
-            emit(f"v{step.slot} = {value(step.source)}")
-            where[step.slot] = f"v{step.slot}"
-            bound.append(where[step.slot])
-        else:
-            assert isinstance(step, _NegCheck)
-            top.append(f"n{i} = relations.get({step.pred!r}, _EMPTY).rows")
-            emit(f"if {row_of([value(p) for p in step.parts])} in n{i}: {fail}")
-    emit(f"append({row_of([value(p) for p in plan.head_parts])})")
-    body = "\n    ".join([*top, *lines, "return out"])
-    exec(compile(f"def run(relations, delta):\n    {body}", "<datalog plan>", "exec"), ns)
-    return ns.pop("run")  # so that no cycle keeps it and its namespace alive
+            where.update((name, f"r{i}[{pos}]") for name, pos in new_here.items())
+            live.append(f"r{i}")
+            for pos, name in checks:
+                emit(f"if r{i}[{pos}] != {where[name]}: continue")
+            i += 1
+
+        progressed = True
+        while progressed:
+            progressed = False
+            for lit in list(pending):
+                if isinstance(lit, Negation):
+                    if not all(map(bound, lit.atom.args)):
+                        continue
+                    top.append(f"n{i} = relations.get({lit.atom.predicate!r}, _EMPTY).rows")
+                    emit(f"if {row_of([value(t) for t in lit.atom.args])} in n{i}: {fail}")
+                elif lit.op == "=" and bound(lit.left) != bound(lit.right):
+                    # Equality with one side known binds the other side.
+                    var, known = (lit.left, lit.right) if bound(lit.right) else (lit.right, lit.left)
+                    name = f"v{len(where)}"
+                    emit(f"{name} = {value(known)}")
+                    where[var.name] = name
+                    live.append(name)
+                elif bound(lit.left) and bound(lit.right):
+                    a, b = value(lit.left), value(lit.right)
+                    if lit.op == "norm_eq":
+                        test = f"_same_type({a}, {b}) and _norm({a}) == _norm({b})"
+                    elif lit.op in ("<", "<="):
+                        test = f"_same_type({a}, {b}) and {a} {lit.op} {b}"
+                    elif isinstance(lit.left, str) or isinstance(lit.right, str):
+                        test = f"{a} == {b}"  # only a str equals a str constant
+                    else:
+                        test = f"{a} == {b} and _same_type({a}, {b})"
+                    # ``!=`` fails where the equality test holds.
+                    emit(f"if {'' if lit.op == '!=' else 'not '}({test}): {fail}")
+                else:
+                    continue
+                pending.remove(lit)
+                progressed = True
+                i += 1
+
+    if pending:
+        # Safety checking at parse time should make this unreachable.
+        raise ProgramError(f"cannot schedule literals in rule: {rule}")
+    emit(f"append({row_of([value(t) for t in rule.head.args])})")
+
+    def function(top: list[str]) -> Callable:
+        body = "\n    ".join([*top, *lines, "return out"])
+        exec(compile(f"def run(relations, delta):\n    {body}", "<datalog rule>", "exec"), ns)
+        return ns.pop("run")  # so that no cycle keeps it and its namespace alive
+
+    return [(None, function(top))] + [
+        (pred, function([*top[:at], line, *top[at + 1 :]])) for pred, at, line in variants
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -970,16 +888,14 @@ def evaluate(
         dynamic_preds = {r.head.predicate for r in stratum}
         for pred in dynamic_preds:
             relations.setdefault(pred, _Relation())
-        # The first round runs each plan whole; later rounds run it once
+        # The first round runs each rule whole; later rounds run it once
         # per scan of a predicate computed here, reading that scan's delta.
         first, later = [], []
         for r in stratum:
             if r in closure_rules.get(r.head.predicate, ()):
                 continue  # the relation closes itself on insert
-            plan, head = _compile_rule(r, dynamic_preds), r.head.predicate
-            first.append((head, None, _plan_function(plan)))
-            for i in plan.dynamic_scans:
-                later.append((head, plan.steps[i].pred, _plan_function(plan, i)))
+            for pred, run in _rule_functions(r, dynamic_preds):
+                (first if pred is None else later).append((r.head.predicate, pred, run))
 
         runs, delta = first, {}
         while runs:

@@ -48,8 +48,9 @@ class Origin:
     def __post_init__(self):
         if not self.source_id or not self.object_id:
             raise ModelError("origin requires source_id and object_id")
-        if self.captured_at < 0:
-            raise ModelError("captured_at must be >= 0")
+        # bool subclasses int, but ``true`` is no timestamp.
+        if type(self.captured_at) is not int or self.captured_at < 0:
+            raise ModelError(f"captured_at must be an integer >= 0, not {self.captured_at!r}")
 
 
 @dataclass(frozen=True)
@@ -294,16 +295,6 @@ class RawStore:
             "correlation": origin_ids(self.correlations),
         }
 
-    def entity_counts(self) -> dict[str, int]:
-        return {
-            "system": len(self.systems),
-            "host": len(self.hosts),
-            "runs_on": len(self.runs_on),
-            "out_conf": len(self.out_confs),
-            "in_conf": len(self.in_confs),
-            "correlation": len(self.correlations),
-        }
-
     def content_equal(self, other: "RawStore") -> bool:
         return self.content_digest() == other.content_digest()
 
@@ -464,6 +455,9 @@ def store_to_json(store: RawStore) -> bytes:
 
 def store_from_json(data: bytes) -> RawStore:
     doc = json.loads(data.decode("utf-8"))
+    version = doc["version"]
+    if type(version) is not int or version < 0:
+        raise ModelError(f"store version must be an integer >= 0, not {version!r}")
     systems = [
         SystemEntity(
             d["id"],
@@ -526,5 +520,5 @@ def store_from_json(data: bytes) -> RawStore:
         for d in doc["correlations"]
     ]
     return RawStore.build(
-        doc["version"], systems, hosts, runs, out_confs, in_confs, correlations
+        version, systems, hosts, runs, out_confs, in_confs, correlations
     )

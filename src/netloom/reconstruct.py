@@ -4,9 +4,10 @@ The rule program finds system and host equivalences (key match on
 normalized name + kind across sources, propagated per Fig-style
 runs_on joins), matches outbound against inbound configurations to
 derive message flows, and maps correlation records to cross-space
-links. The post-passes lift rule output to canonical ids: union-find
-partitions, property merging with trust-ranked conflict resolution,
-flow deduplication, and link resolution.
+links. The post-passes lift rule output to canonical ids: partitions
+read off the closed equivalence rows, property merging with
+trust-ranked conflict resolution, flow deduplication, and link
+resolution.
 
 Everything here is a pure function of one store version, so the result
 is independent of the order in which snapshots were loaded.
@@ -93,22 +94,6 @@ class EquivalenceClassSet:
     _system_rep: dict[str, str] = field(default_factory=dict, repr=False)
     _host_rep: dict[str, str] = field(default_factory=dict, repr=False)
 
-    @staticmethod
-    def build(
-        system_members: Iterable[str],
-        system_pairs: Iterable[tuple[str, str]],
-        host_members: Iterable[str],
-        host_pairs: Iterable[tuple[str, str]],
-    ) -> "EquivalenceClassSet":
-        sys_classes = _partition(system_members, system_pairs)
-        host_classes = _partition(host_members, host_pairs)
-        return EquivalenceClassSet(
-            sys_classes,
-            host_classes,
-            {m: c for c, ms in sys_classes.items() for m in ms},
-            {m: c for c, ms in host_classes.items() for m in ms},
-        )
-
     def system_rep(self, entity_id: str) -> str:
         return self._system_rep[entity_id]
 
@@ -116,28 +101,28 @@ class EquivalenceClassSet:
         return self._host_rep[entity_id]
 
 
-def _partition(members: Iterable[str], pairs: Iterable[tuple[str, str]]) -> dict[str, tuple[str, ...]]:
-    parent: dict[str, str] = {m: m for m in members}
+def _classes(
+    members: Iterable[str], rows: Iterable[tuple]
+) -> tuple[dict[str, tuple[str, ...]], dict[str, str]]:
+    """Partition ``members`` by the rows of an equivalence predicate.
 
-    def find(x: str) -> str:
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    for a, b in pairs:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-    groups: dict[str, list[str]] = {}
-    for m in parent:
-        groups.setdefault(find(m), []).append(m)
-    return {
-        min(ms): tuple(sorted(ms))
-        for ms in groups.values()
-    }
+    The built-in rules close ``equiv_sys`` and ``equiv_host`` under
+    symmetry and transitivity, also through ids outside ``members``, so
+    a member's class is itself plus its partners among ``members``.
+    Returns the classes, keyed by their smallest member and holding
+    their members sorted, and each member's key.
+    """
+    partners = {m: {m} for m in members}
+    for a, b in rows:
+        if a in partners and b in partners:
+            partners[a].add(b)
+    classes: dict[str, tuple[str, ...]] = {}
+    rep: dict[str, str] = {}
+    for m, group in partners.items():
+        rep[m] = key = min(group)
+        if key not in classes:
+            classes[key] = tuple(sorted(group))
+    return classes, rep
 
 
 @dataclass(frozen=True)
@@ -219,7 +204,7 @@ def merge_properties(
 
     Simple properties are unioned; conflicting values are resolved by
     higher trust rank, then lexicographically smaller source id, and the
-    losing values are logged. Complex properties deduplicate by digest;
+    losing values are kept in ``conflicts``. Complex properties deduplicate by digest;
     same-kind payloads with different digests are all retained. The
     result does not depend on member order.
     """
@@ -282,11 +267,7 @@ def merge_properties(
     )
 
 
-def reconstruct(
-    store: RawStore,
-    extra_rules: Program | None = None,
-    trust: Mapping[str, int] | None = None,
-) -> Reconstruction:
+def reconstruct(store: RawStore, extra_rules: Program | None = None) -> Reconstruction:
     """Run the inference program over the store and lift the results.
 
     ``extra_rules`` may extend every derived predicate but must not
@@ -304,21 +285,9 @@ def reconstruct(
         program = program.union(extra_rules)
 
     idb = evaluate(program, to_facts(store))
-
-    sys_pairs = {
-        (a, b)
-        for a, b in idb.get("equiv_sys", ())
-        if a in store.systems and b in store.systems
-    }
-    host_pairs = {
-        (a, b)
-        for a, b in idb.get("equiv_host", ())
-        if a in store.hosts and b in store.hosts
-    }
-
-    classes = EquivalenceClassSet.build(
-        store.systems.keys(), sys_pairs, store.hosts.keys(), host_pairs
-    )
+    sys_classes, sys_rep = _classes(store.systems, idb.get("equiv_sys", ()))
+    host_classes, host_rep = _classes(store.hosts, idb.get("equiv_host", ()))
+    classes = EquivalenceClassSet(sys_classes, host_classes, sys_rep, host_rep)
 
     runs_on_hosts: dict[str, list[str]] = {}
     for r in store.runs_on:
@@ -328,9 +297,8 @@ def reconstruct(
     merged = tuple(
         merge_properties(
             [store.systems[m] for m in members],
-            trust,
-            runs_on_hosts,
-            classes.host_rep,
+            runs_on_hosts=runs_on_hosts,
+            host_rep=classes.host_rep,
         )
         for members in classes.systems.values()
     )

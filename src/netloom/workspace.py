@@ -32,7 +32,7 @@ from .conformance import (
     load_schema,
 )
 from .ingest import IngestError, SourceConfig, commit, load_snapshot, load_source_config
-from .model import RawStore, store_from_json, store_to_json
+from .model import ModelError, RawStore, store_from_json, store_to_json
 from .network import Network, emit, export_json
 from .reconstruct import reconstruct
 
@@ -124,7 +124,13 @@ class Workspace:
     # -- store versions
 
     def load_store(self) -> RawStore:
-        return store_from_json(self.store_path.read_bytes())
+        """The current store; raises WorkspaceError if ``store.json``
+        does not hold one."""
+        try:
+            return store_from_json(self.store_path.read_bytes())
+        except (ValueError, LookupError, TypeError, ModelError) as exc:
+            detail = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
+            raise WorkspaceError(f"unreadable store {self.store_path}: {detail}") from exc
 
     def save_store(self, store: RawStore) -> None:
         write_atomic(self.store_path, store_to_json(store))

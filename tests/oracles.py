@@ -56,6 +56,24 @@ def sym_trans_closure(pairs: set[tuple]) -> set[tuple]:
     return closure
 
 
+def union_find_classes(members, pairs: set[tuple]) -> dict:
+    """Partition ``members`` by union-find over ``pairs``: each class
+    keyed by its smallest member, holding its members sorted."""
+    parent = {m: m for m in members}
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for a, b in pairs:
+        parent[find(a)] = find(b)
+    groups: dict = {}
+    for m in parent:
+        groups.setdefault(find(m), []).append(m)
+    return {min(ms): tuple(sorted(ms)) for ms in groups.values()}
+
+
 def parse_dot(text: str) -> tuple[set, list]:
     """Minimal independent DOT reader: validates the digraph shape and
     returns (node ids, edge pairs). Raises ValueError on malformed

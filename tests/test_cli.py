@@ -143,6 +143,45 @@ def test_malformed_schema_exit_one(runner, tmp_path, workspace, command, schema)
     assert Workspace.load(workspace).load_store().version == 0
 
 
+# Each entry turns the bytes of a valid store.json into broken ones.
+BROKEN_STORES = {
+    "not-utf8": lambda good: b"\xff\xfe",
+    "not-json": lambda good: good[: len(good) // 2],
+    "not-an-object": lambda good: b"[]",
+    "no-systems": lambda good: b'{"version": 1}',
+    "str-version": lambda good: good.replace(b'"version":1', b'"version":"1"'),
+    "str-captured-at": lambda good: good.replace(b'"captured_at":0', b'"captured_at":"soon"'),
+    "bool-captured-at": lambda good: good.replace(b'"captured_at":0', b'"captured_at":true'),
+}
+
+
+@pytest.mark.parametrize("broken", BROKEN_STORES.values(), ids=BROKEN_STORES.keys())
+@pytest.mark.parametrize("command", ["ingest", "check", "infer", "watch"])
+def test_malformed_store_exit_one(runner, tmp_path, workspace, command, broken):
+    assert ingest_sample(runner, tmp_path, workspace).exit_code == 0
+    store_path = workspace / "store.json"
+    bad = broken(store_path.read_bytes())
+    assert bad != store_path.read_bytes()
+    store_path.write_bytes(bad)
+    cfg, snap, drop = tmp_path / "srca.json", tmp_path / "s.jsonl", tmp_path / "drop"
+    write_snapshot(snap, sample_records("2"))
+    drop.mkdir()
+    write_snapshot(drop / "srca__two.jsonl", sample_records("2"))
+    args = {
+        "ingest": ["ingest", str(workspace), "--source-config", str(cfg), str(snap)],
+        "check": ["check", str(workspace), "--source-config", str(cfg), str(snap)],
+        "infer": ["infer", str(workspace)],
+        "watch": ["watch", str(workspace), str(drop), "--interval", "0", "--cycles", "1"],
+    }[command]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.output.startswith(f"unreadable store {store_path}: ")
+    assert result.output.count("\n") == 1
+    assert store_path.read_bytes() == bad
+    assert not (workspace / "watch_ledger.json").exists()
+
+
 class TestCheckCommand:
     def test_clean_snapshot(self, runner, tmp_path, workspace):
         cfg = tmp_path / "cfg.json"

@@ -420,8 +420,8 @@ class TestEquivalencePredicates:
 
 
 class TestGeneratedPlans:
-    """``evaluate`` runs each rule plan as a function generated from
-    source; these cases aim at the paths of that generator that are easy
+    """``evaluate`` runs each rule as a function generated from source;
+    these cases aim at the paths of that generator that are easy
     to get wrong, each checked against the naive evaluator."""
 
     @staticmethod

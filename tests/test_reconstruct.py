@@ -22,7 +22,7 @@ from netloom.reconstruct import (
 
 from generators import make_scenario
 from helpers import commit_records, fact_base, store_from_sources
-from oracles import sym_trans_closure
+from oracles import sym_trans_closure, union_find_classes
 
 
 def sys_entity(src, obj, name, kind="application", props=None, complexes=(), space=None):
@@ -327,6 +327,32 @@ class TestReconstruct:
         recon = reconstruct(store, extra_rules=extra)
         assert len(recon.merged) == 1
         assert recon.merged[0].member_ids == ("srca/x", "srcb/y")
+
+    def test_classes_through_ids_outside_the_store_match_union_find(self):
+        # Extra rules pair store entities with ids the store lacks. The
+        # closed rows then pair those entities with each other directly,
+        # and the classes must equal a union-find over the rows that
+        # pair two store ids.
+        rng = random.Random(48)
+        scenario = make_scenario(rng, n_systems=12, n_flows=6, n_sources=3)
+        store = store_from_sources(scenario.source_records)
+        extra = parse_program(
+            'equiv_sys(A, "ghost") :- system(A, _, "tenant").\n'
+            'equiv_sys(A, 7) :- system(A, _, "middleware"), origin(A, "srcb", _).\n'
+            'equiv_host(H, "nowhere") :- runs_on(S, H), system(S, _, "tenant").'
+        )
+        recon = reconstruct(store, extra_rules=extra)
+        derived = evaluate(builtin_program().union(extra), to_facts(store))
+        for pred, members, classes, rep in (
+            ("equiv_sys", store.systems, recon.classes.systems, recon.classes.system_rep),
+            ("equiv_host", store.hosts, recon.classes.hosts, recon.classes.host_rep),
+        ):
+            pairs = {(a, b) for a, b in derived[pred] if a in members and b in members}
+            assert classes == union_find_classes(members, pairs)
+            assert all(rep(m) == key for key, ms in classes.items() for m in ms)
+        tenants = sorted(s.id for s in store.systems.values() if s.kind == "tenant")
+        assert len(tenants) > 2
+        assert tuple(tenants) in recon.classes.systems.values()
 
     def test_extra_rules_must_not_redefine_edb(self):
         store = RawStore.empty()
