@@ -203,7 +203,7 @@ def query_traverse(workspace, start, depth, follow_links, spaces):
             spaces=list(spaces) or None,
         )
     except KeyError as exc:
-        _fail(EXIT_VALIDATION, f"unknown participant: {exc}")
+        _fail(EXIT_VALIDATION, exc.args[0])
         return
     except ValueError as exc:
         _fail(EXIT_VALIDATION, str(exc))

@@ -453,11 +453,21 @@ def store_to_json(store: RawStore) -> bytes:
     ).encode("utf-8")
 
 
+_STORE_COLLECTIONS = ("systems", "hosts", "runs_on", "out_confs", "in_confs", "correlations")
+
+
 def store_from_json(data: bytes) -> RawStore:
     doc = json.loads(data.decode("utf-8"))
     version = doc["version"]
     if type(version) is not int or version < 0:
         raise ModelError(f"store version must be an integer >= 0, not {version!r}")
+    for name in _STORE_COLLECTIONS:
+        if type(doc[name]) is not list:
+            raise ModelError(f"store {name} must be a list, not {type(doc[name]).__name__}")
+    for name in ("systems", "hosts"):
+        for d in doc[name]:
+            if type(d["simple_props"]) is not dict:
+                raise ModelError(f"simple_props of {d['id']!r} must be an object")
     systems = [
         SystemEntity(
             d["id"],

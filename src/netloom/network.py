@@ -270,48 +270,50 @@ def export_json(network: Network) -> bytes:
 
 
 def parse_network(data: bytes) -> Network:
+    """Inverse of ``export_json``: ``parse_network(export_json(n)) == n``."""
     doc = json.loads(data.decode("utf-8"))
-    spaces = tuple(
+    participant, flow, complex_view = Participant, MessageFlow, ComplexPropertyView
+    spaces = tuple([
         NetworkSpace(
-            name=s["name"],
-            participants=tuple(
-                Participant(
-                    id=p["id"],
-                    label=p["label"],
-                    space=p["space"],
-                    props=p["props"],
-                    complex_props=tuple(
-                        ComplexPropertyView(c["kind"], c["digest"], c["payload"])
+            s["name"],
+            tuple([
+                participant(
+                    p["id"],
+                    p["label"],
+                    p["space"],
+                    p["props"],
+                    tuple([
+                        complex_view(c["kind"], c["digest"], c["payload"])
                         for c in p["complex_props"]
-                    ),
-                    origins=tuple((o[0], o[1]) for o in p["origins"]),
+                    ]),
+                    tuple(map(tuple, p["origins"])),
                 )
                 for p in s["participants"]
-            ),
-            flows=tuple(
-                MessageFlow(
-                    id=f["id"],
-                    source=f["source"],
-                    target=f["target"],
-                    interface_label=f["interface"],
-                    origins=tuple((o[0], o[1]) for o in f["origins"]),
+            ]),
+            tuple([
+                flow(
+                    f["id"],
+                    f["source"],
+                    f["target"],
+                    f["interface"],
+                    tuple(map(tuple, f["origins"])),
                 )
                 for f in s["flows"]
-            ),
+            ]),
         )
         for s in doc["spaces"]
-    )
+    ])
     return Network(
-        version=doc["version"],
-        spaces=spaces,
-        participant_links=tuple(
+        doc["version"],
+        spaces,
+        tuple([
             ParticipantLink(l["id"], l["left"], l["right"], l["kind"])
             for l in doc["participant_links"]
-        ),
-        flow_links=tuple(
+        ]),
+        tuple([
             MessageFlowLink(l["id"], l["left_flow"], l["right_flow"], l["kind"])
             for l in doc["flow_links"]
-        ),
+        ]),
     )
 
 

@@ -1,9 +1,10 @@
 """Query, traversal, and full-text search over a published network.
 
-Indexes are rebuilt per network version and immutable afterwards:
-an id index, an exact attribute index, an inverted token index over
-labels and simple properties, and adjacency lists over flows and
-participant links.
+An index holds what traversal reads: participants by id, each
+participant's space, and adjacency over flows and participant links.
+It is built per network version and immutable afterwards. Search keeps
+no token index: a one-shot query asks one question, so it scans the
+participants once per call.
 """
 
 from __future__ import annotations
@@ -25,9 +26,6 @@ def tokenize(text: str) -> list[str]:
 class NetworkIndex:
     network: Network
     by_id: dict = field(default_factory=dict)
-    attr_index: dict = field(default_factory=dict)  # (key, value) -> set of ids
-    text_index: dict = field(default_factory=dict)  # token -> set of ids
-    label_tokens: dict = field(default_factory=dict)  # id -> set of tokens
     flow_adjacency: dict = field(default_factory=dict)  # id -> set of neighbor ids
     link_adjacency: dict = field(default_factory=dict)
     participant_space: dict = field(default_factory=dict)
@@ -35,27 +33,14 @@ class NetworkIndex:
 
 def build_index(network: Network) -> NetworkIndex:
     by_id = {}
-    attr_index: dict[tuple[str, str], set[str]] = {}
-    text_index: dict[str, set[str]] = {}
-    label_tokens: dict[str, set[str]] = {}
-    flow_adjacency: dict[str, set[str]] = {}
-    link_adjacency: dict[str, set[str]] = {}
     participant_space: dict[str, str] = {}
-
     for space in network.spaces:
         for p in space.participants:
             by_id[p.id] = p
             participant_space[p.id] = space.name
-            label_tokens[p.id] = set(tokenize(p.label))
-            tokens = set(label_tokens[p.id])
-            for key, value in p.props.items():
-                attr_index.setdefault((key, value), set()).add(p.id)
-                tokens.update(tokenize(key))
-                tokens.update(tokenize(value))
-            for token in tokens:
-                text_index.setdefault(token, set()).add(p.id)
-            flow_adjacency.setdefault(p.id, set())
-            link_adjacency.setdefault(p.id, set())
+    flow_adjacency: dict[str, set[str]] = {pid: set() for pid in by_id}
+    link_adjacency: dict[str, set[str]] = {pid: set() for pid in by_id}
+    for space in network.spaces:
         for f in space.flows:
             flow_adjacency.setdefault(f.source, set()).add(f.target)
             flow_adjacency.setdefault(f.target, set()).add(f.source)
@@ -66,9 +51,6 @@ def build_index(network: Network) -> NetworkIndex:
     return NetworkIndex(
         network=network,
         by_id=by_id,
-        attr_index=attr_index,
-        text_index=text_index,
-        label_tokens=label_tokens,
         flow_adjacency=flow_adjacency,
         link_adjacency=link_adjacency,
         participant_space=participant_space,
@@ -78,29 +60,26 @@ def build_index(network: Network) -> NetworkIndex:
 def search(index: NetworkIndex, query: str) -> list[str]:
     """Participants matching every query token, best label matches first.
 
-    Ties rank by id; an empty query matches nothing. Equivalent to a
-    full scan over the network.
+    Ties rank by id; an empty query matches nothing. A token of a text
+    is a substring of the lowered text, so a participant whose lowered
+    label and simple properties miss some query token is rejected
+    before anything of it is tokenised.
     """
     tokens = tokenize(query)
     if not tokens:
         return []
-    result: set[str] | None = None
-    for token in tokens:
-        hits = index.text_index.get(token, set())
-        result = hits if result is None else result & hits
-        if not result:
-            return []
-    assert result is not None
-
-    def rank(pid: str):
-        label_matches = sum(1 for t in tokens if t in index.label_tokens[pid])
-        return (-label_matches, pid)
-
-    return sorted(result, key=rank)
-
-
-def attribute_lookup(index: NetworkIndex, key: str, value: str) -> list[str]:
-    return sorted(index.attr_index.get((key, value), set()))
+    hits = []
+    for pid, p in index.by_id.items():
+        props = p.props
+        text = " ".join([p.label, *props, *props.values()]).lower()
+        if not all(t in text for t in tokens):
+            continue
+        label_tokens = set(tokenize(p.label))
+        bag = label_tokens.union(*map(tokenize, props), *map(tokenize, props.values()))
+        if all(t in bag for t in tokens):
+            hits.append((-sum(t in label_tokens for t in tokens), pid))
+    hits.sort()
+    return [pid for _, pid in hits]
 
 
 def traverse(

@@ -143,6 +143,13 @@ def test_malformed_schema_exit_one(runner, tmp_path, workspace, command, schema)
     assert Workspace.load(workspace).load_store().version == 0
 
 
+def _edited(good, change):
+    """The store bytes ``good``, re-encoded after ``change`` edits the document."""
+    doc = json.loads(good)
+    change(doc)
+    return json.dumps(doc).encode()
+
+
 # Each entry turns the bytes of a valid store.json into broken ones.
 BROKEN_STORES = {
     "not-utf8": lambda good: b"\xff\xfe",
@@ -152,6 +159,10 @@ BROKEN_STORES = {
     "str-version": lambda good: good.replace(b'"version":1', b'"version":"1"'),
     "str-captured-at": lambda good: good.replace(b'"captured_at":0', b'"captured_at":"soon"'),
     "bool-captured-at": lambda good: good.replace(b'"captured_at":0', b'"captured_at":true'),
+    "list-simple-props": lambda good: _edited(
+        good, lambda doc: doc["systems"][0].update(simple_props=[])
+    ),
+    "dict-systems": lambda good: _edited(good, lambda doc: doc.update(systems={})),
 }
 
 
@@ -288,6 +299,7 @@ class TestQueryCommand:
             main, ["query", "traverse", str(workspace), "ghost"]
         )
         assert result.exit_code == 2
+        assert result.output == "unknown participant 'ghost'\n"
 
 
 class TestWatch:

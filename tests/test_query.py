@@ -2,7 +2,9 @@ import random
 
 import pytest
 
-from netloom.network import emit, export_json, parse_network
+from netloom.network import (
+    Network, NetworkSpace, Participant, emit, export_json, parse_network,
+)
 from netloom.query import build_index, search, tokenize, traverse
 from netloom.reconstruct import reconstruct
 
@@ -18,6 +20,21 @@ def network_from(records):
 def random_network(rng, n_systems=12, n_flows=18):
     scenario = make_scenario(rng, n_systems=n_systems, n_flows=n_flows, n_sources=2)
     return emit(reconstruct(store_from_sources(scenario.source_records)))
+
+
+def network_of(*participants):
+    """A network holding ``participants`` in one space, in the given order."""
+    return Network("", (NetworkSpace("integration", tuple(participants)),))
+
+
+# Letters whose lowercase form differs in length or leaves ASCII
+# (dotted and dotless i, final sigma, sharp s, the fi ligature, the
+# Kelvin sign), next to plain ASCII and punctuation.
+FUZZ_ALPHABET = "abeiksyERTKS01" + "İıΣσςßẞﬁéK" + " -_./:'!"
+
+
+def fuzz_text(rng, longest):
+    return "".join(rng.choice(FUZZ_ALPHABET) for _ in range(rng.randint(0, longest)))
 
 
 def scan_search(network, query):
@@ -81,6 +98,11 @@ class TestSearch:
             ]
         )
         assert search(build_index(network), "production") == ["srca/a"]
+        index = build_index(network_of(
+            Participant("a", "Core", "integration", {"Region-Code": "x"}),
+        ))
+        assert search(index, "region") == ["a"]
+        assert search(index, "code x") == ["a"]
 
     def test_label_matches_rank_before_prop_matches(self):
         network = network_from(
@@ -91,6 +113,13 @@ class TestSearch:
             ]
         )
         assert search(build_index(network), "erp") == ["srca/z", "srca/b"]
+        index = build_index(network_of(
+            Participant("c", "ERP", "integration"),
+            Participant("a", "Billing", "integration", {"note": "erp adjacent"}),
+            Participant("b", "erp", "integration"),
+        ))
+        assert search(index, "erp") == ["b", "c", "a"]
+        assert search(index, "erp erp") == ["b", "c", "a"]
 
     def test_matches_scan_oracle_on_random_networks(self):
         rng = random.Random(71)
@@ -101,20 +130,35 @@ class TestSearch:
             for q in queries:
                 assert search(index, q) == scan_search(network, q)
 
-    def test_attribute_lookup_is_exact(self):
-        from netloom.query import attribute_lookup
+    def test_token_must_match_whole(self):
+        index = build_index(network_of(
+            Participant("a", "System", "integration"),
+            Participant("b", "terp", "integration", {"note": "systems"}),
+        ))
+        assert search(index, "sys") == []
+        assert search(index, "erp") == []
+        assert search(index, "system") == ["a"]
 
-        network = network_from(
-            [
-                {"kind": "system", "id": "a", "name": "A", "type": "application",
-                 "env": "prod"},
-                {"kind": "system", "id": "b", "name": "B", "type": "application",
-                 "env": "test"},
+    def test_matches_scan_oracle_on_adversarial_text(self):
+        rng = random.Random(76)
+        for _ in range(200):
+            participants = [
+                Participant(
+                    f"p{i:02d}",
+                    fuzz_text(rng, 12),
+                    "integration",
+                    {fuzz_text(rng, 6): fuzz_text(rng, 10) for _ in range(rng.randint(0, 3))},
+                )
+                for i in rng.sample(range(20), 8)
             ]
-        )
-        index = build_index(network)
-        assert attribute_lookup(index, "env", "prod") == ["srca/a"]
-        assert attribute_lookup(index, "env", "qa") == []
+            network = network_of(*participants)
+            index = build_index(network)
+            words = [t for p in participants for t in tokenize(p.label)]
+            queries = [fuzz_text(rng, 6) for _ in range(10)]
+            for word in rng.sample(words, min(5, len(words))):
+                queries.append(word[: rng.randint(1, len(word))])
+            for q in queries:
+                assert search(index, q) == scan_search(network, q), q
 
     def test_every_participant_retrievable_by_own_tokens(self):
         rng = random.Random(72)
