@@ -2,18 +2,20 @@
 
 A SchemaSpec declares, per record kind, the typed fields, referential
 constraints, and uniqueness constraints. Compiling a schema yields a
-checker whose per-kind machine walks the record's fields in sorted-key
-order against the sorted field specs, producing one finding per
-violation. A batch is accepted only when the report is empty; checking
-never mutates anything.
+checker that holds, per kind, the field specs in name order; each
+record's declared fields are checked in that order, one finding per
+violation, and fields the schema does not declare are ignored. A batch
+is accepted only when the report is empty; checking never mutates
+anything.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Any
 
 from .model import Origin, RawStore
 
@@ -276,60 +278,20 @@ def _validate_value(spec: FieldSpec, value: Any) -> tuple[str, str] | None:
     return None
 
 
-class _KindMachine:
-    """Validation walk over a record's fields in sorted-key order.
+@dataclass(frozen=True)
+class _CompiledKind:
+    """One kind's checks, fixed at compile time: its field specs in name
+    order, its refs, and its key and unique constraints as
+    ``(label, fields)`` pairs."""
 
-    The compiled form is the sorted field-spec sequence; checking merges
-    the record's sorted keys against it, emitting a finding whenever the
-    walk leaves the accepting path (missing required field, bad type,
-    enum violation). Unknown fields self-loop without a finding.
-    """
-
-    def __init__(self, kind: str, spec: KindSpec):
-        self.kind = kind
-        self.specs = tuple(sorted(spec.fields, key=lambda f: f.name))
-        self.refs = spec.refs
-        self.unique = spec.unique
-        self.key_fields = tuple(sorted(f.name for f in spec.fields if f.key))
-
-    def check(self, rec_fields: Mapping[str, Any], origin: Origin | None) -> list[Finding]:
-        findings: list[Finding] = []
-        i = 0
-        n = len(self.specs)
-
-        def miss(spec: FieldSpec):
-            if spec.required:
-                findings.append(
-                    Finding(MISSING_FIELD, self.kind, origin, spec.name, "required field missing")
-                )
-
-        for name in sorted(rec_fields, key=str):
-            while i < n and self.specs[i].name < name:
-                miss(self.specs[i])
-                i += 1
-            if i < n and self.specs[i].name == name:
-                spec = self.specs[i]
-                i += 1
-                value = rec_fields[name]
-                if value is None:
-                    miss(spec)
-                    continue
-                err = _validate_value(spec, value)
-                if err is not None:
-                    findings.append(Finding(err[0], self.kind, origin, name, err[1]))
-        while i < n:
-            miss(self.specs[i])
-            i += 1
-        return findings
+    specs: tuple[FieldSpec, ...]
+    refs: tuple[RefSpec, ...]
+    constraints: tuple[tuple[str, tuple[str, ...]], ...]
 
 
 @dataclass(frozen=True)
 class CompiledChecker:
-    schema: SchemaSpec
-    machines: dict[str, _KindMachine]
-
-    def machine(self, kind: str) -> _KindMachine | None:
-        return self.machines.get(kind)
+    kinds: dict[str, _CompiledKind]
 
 
 def compile_schema(schema: SchemaSpec) -> CompiledChecker:
@@ -339,7 +301,7 @@ def compile_schema(schema: SchemaSpec) -> CompiledChecker:
     not required, empty enums, unknown field types, and constraints over
     undeclared fields.
     """
-    machines: dict[str, _KindMachine] = {}
+    kinds: dict[str, _CompiledKind] = {}
     for kind, spec in schema.kinds.items():
         declared = {f.name for f in spec.fields}
         for f in spec.fields:
@@ -362,8 +324,13 @@ def compile_schema(schema: SchemaSpec) -> CompiledChecker:
             for fname in combo:
                 if fname not in declared:
                     raise SchemaError(f"{kind}: unique field {fname!r} is not declared")
-        machines[kind] = _KindMachine(kind, spec)
-    return CompiledChecker(schema, machines)
+        key_fields = tuple(sorted(f.name for f in spec.fields if f.key))
+        constraints = [("key", key_fields)] if key_fields else []
+        constraints.extend(("unique", combo) for combo in spec.unique)
+        kinds[kind] = _CompiledKind(
+            tuple(sorted(spec.fields, key=lambda f: f.name)), spec.refs, tuple(constraints)
+        )
+    return CompiledChecker(kinds)
 
 
 def resolve_ref(value: str, source_id: str) -> str:
@@ -423,14 +390,26 @@ def check_batch(
                 Finding(MALFORMED_RECORD, "", origin, "kind", "record has no kind")
             )
             continue
-        machine = checker.machine(rec.kind)
-        if machine is None:
+        compiled = checker.kinds.get(rec.kind)
+        if compiled is None:
             findings.append(
                 Finding(UNKNOWN_KIND, rec.kind, origin, "kind", f"unknown record kind {rec.kind!r}")
             )
             continue
 
-        findings.extend(machine.check(rec.fields, origin))
+        # Unknown fields never yield a finding, so walking the declared
+        # fields alone gives every field finding, in name order.
+        for spec in compiled.specs:
+            value = rec.fields.get(spec.name)
+            if value is None:
+                if spec.required:
+                    findings.append(
+                        Finding(MISSING_FIELD, rec.kind, origin, spec.name, "required field missing")
+                    )
+                continue
+            err = _validate_value(spec, value)
+            if err is not None:
+                findings.append(Finding(err[0], rec.kind, origin, spec.name, err[1]))
 
         if origin is not None:
             prior_kind = seen_object_ids.get(origin.object_id)
@@ -449,11 +428,7 @@ def check_batch(
             seen_object_ids[origin.object_id] = rec.kind
 
         # Duplicate identity within the batch.
-        constraints = []
-        if machine.key_fields:
-            constraints.append(("key", machine.key_fields))
-        constraints.extend(("unique", combo) for combo in machine.unique)
-        for label, combo in constraints:
+        for label, combo in compiled.constraints:
             values = tuple(rec.fields.get(f) for f in combo)
             if any(v is None for v in values):
                 continue
@@ -474,7 +449,7 @@ def check_batch(
 
         # Referential integrity against existing union batch.
         source_id = origin.source_id if origin else ""
-        for ref in machine.refs:
+        for ref in compiled.refs:
             value = rec.fields.get(ref.field)
             if not isinstance(value, str) or not value:
                 continue

@@ -77,14 +77,12 @@ class RawRecord:
     kind: str | None
     fields: dict[str, Any]
     origin: Origin
-    line: int = 0
 
 
 @dataclass(frozen=True)
 class Snapshot:
     source_id: str
     records: tuple[RawRecord, ...]
-    captured_at: int = 0
 
 
 _URL_RE = re.compile(r"^([A-Za-z][A-Za-z0-9+.-]*)://([^/]*)(/.*)?$")
@@ -134,9 +132,7 @@ def _delete_path(fields: dict, path: str) -> None:
     node.pop(parts[-1], None)
 
 
-def load_snapshot(
-    path: str | Path, config: SourceConfig, captured_at: int = 0
-) -> Snapshot:
+def load_snapshot(path: str | Path, config: SourceConfig) -> Snapshot:
     """Load a JSON Lines snapshot file and map it into raw records.
 
     Each line must be a JSON object. The mapping is applied first; the
@@ -178,22 +174,20 @@ def load_snapshot(
         object_id = str(object_id)
         fields["id"] = object_id
 
-        record_captured = captured_at
-        raw_captured = fields.pop("captured_at", None)
+        captured_at = fields.pop("captured_at", None)
         # bool subclasses int, but ``true`` is no timestamp.
-        if type(raw_captured) is int and raw_captured >= 0:
-            record_captured = raw_captured
+        if type(captured_at) is not int or captured_at < 0:
+            captured_at = 0
 
         kind = fields.pop("kind", None)
         records.append(
             RawRecord(
                 kind=kind if isinstance(kind, str) else None,
                 fields=fields,
-                origin=Origin(config.source_id, object_id, config.source_type, record_captured),
-                line=lineno,
+                origin=Origin(config.source_id, object_id, config.source_type, captured_at),
             )
         )
-    return Snapshot(config.source_id, tuple(records), captured_at)
+    return Snapshot(config.source_id, tuple(records))
 
 
 # ---------------------------------------------------------------------------

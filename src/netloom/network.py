@@ -114,7 +114,7 @@ def emit(recon: Reconstruction) -> Network:
     spaces are always present. Any dangling or cross-space-inconsistent
     reference is an internal invariant breach and fails hard.
     """
-    by_space: dict[str, list[Participant]] = {name: [] for name in BUILTIN_SPACES}
+    participants = []
     participant_space: dict[str, str] = {}
     for m in recon.merged:
         props = {k: v for k, v in m.simple_props.items() if k != "space"}
@@ -129,10 +129,10 @@ def emit(recon: Reconstruction) -> Network:
             ),
             origins=tuple((o.source_id, o.object_id) for o in m.origins),
         )
-        by_space.setdefault(m.space, []).append(participant)
+        participants.append(participant)
         participant_space[m.canonical_id] = m.space
 
-    flows_by_space: dict[str, list[MessageFlow]] = {name: [] for name in BUILTIN_SPACES}
+    flows = []
     flow_space: dict[str, str] = {}
     for f in recon.flows:
         for endpoint in (f.source_class, f.target_class):
@@ -146,7 +146,7 @@ def emit(recon: Reconstruction) -> Network:
                 f"({src_space!r} vs {tgt_space!r})"
             )
         fid = flow_id_for(f.source_class, f.target_class, f.interface)
-        flows_by_space.setdefault(src_space, []).append(
+        flows.append(
             MessageFlow(
                 id=fid,
                 source=f.source_class,
@@ -187,21 +187,7 @@ def emit(recon: Reconstruction) -> Network:
             )
         )
 
-    spaces = tuple(
-        NetworkSpace(
-            name=name,
-            participants=tuple(sorted(by_space.get(name, []), key=lambda p: p.id)),
-            flows=tuple(sorted(flows_by_space.get(name, []), key=lambda f: f.id)),
-        )
-        for name in sorted(set(by_space) | set(flows_by_space))
-    )
-    body = Network(
-        version="",
-        spaces=spaces,
-        participant_links=tuple(sorted(links, key=lambda l: l.id)),
-        flow_links=tuple(sorted(flow_links, key=lambda l: l.id)),
-    )
-    return _with_content_version(body)
+    return build_fragment(participants, flows, links, flow_links)
 
 
 def _with_content_version(network: Network) -> Network:
@@ -323,8 +309,8 @@ def build_fragment(
     participant_links: Iterable[ParticipantLink],
     flow_links: Iterable[MessageFlowLink] = (),
 ) -> Network:
-    """Assemble a valid Network from already-validated pieces (used for
-    traversal results); built-in spaces are always present."""
+    """Assemble a valid Network from already-validated pieces (emit's
+    output and traversal results); built-in spaces are always present."""
     by_space: dict[str, list[Participant]] = {name: [] for name in BUILTIN_SPACES}
     for p in participants:
         by_space.setdefault(p.space, []).append(p)

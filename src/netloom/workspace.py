@@ -227,9 +227,23 @@ class SnapshotWatcher:
         self._ledger: dict[str, str] = self._load_ledger()
 
     def _load_ledger(self) -> dict[str, str]:
-        if self.workspace.ledger_path.exists():
-            return json.loads(self.workspace.ledger_path.read_text(encoding="utf-8"))
-        return {}
+        """The ledger on disk, or an empty one; raises WorkspaceError if
+        ``watch_ledger.json`` is not a JSON object of strings to strings."""
+        path = self.workspace.ledger_path
+        if not path.exists():
+            return {}
+        try:
+            ledger = json.loads(path.read_text(encoding="utf-8"))
+        except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+            raise WorkspaceError(f"unreadable ledger {path}: {exc}") from exc
+        # JSON object keys are always strings, so only the values need a check.
+        if not isinstance(ledger, dict) or not all(
+            isinstance(v, str) for v in ledger.values()
+        ):
+            raise WorkspaceError(
+                f"unreadable ledger {path}: must be an object of file names to digests"
+            )
+        return ledger
 
     def _save_ledger(self) -> None:
         write_atomic(self.workspace.ledger_path, _json_bytes(self._ledger))

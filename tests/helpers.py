@@ -19,8 +19,8 @@ def snapshot_of(records: list[dict], src: str) -> Snapshot:
         kind = r.pop("kind", None)
         obj = str(r.get("id", f"anon{i}"))
         r["id"] = obj
-        out.append(RawRecord(kind, r, Origin(src, obj, "test", 0), i + 1))
-    return Snapshot(src, tuple(out), 0)
+        out.append(RawRecord(kind, r, Origin(src, obj, "test", 0)))
+    return Snapshot(src, tuple(out))
 
 
 def commit_records(store: RawStore, records: list[dict], src: str) -> RawStore:

@@ -7,6 +7,7 @@ internals: brute-force closures, matrix reachability, linear scans.
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Mapping
 
 
 def reachability_closure(nodes: list, edges: set[tuple]) -> set[tuple]:
@@ -127,3 +128,128 @@ def bfs_nodes(start, adjacency: dict, depth: int) -> set:
         if not frontier:
             break
     return seen
+
+
+def conformance_findings(
+    schema_doc: dict, records: list[tuple], existing_ids: dict[str, set[str]]
+) -> list[tuple[str, str, str, str]]:
+    """Reference conformance check: the findings, as ``(code, kind,
+    field, message)``, for ``records`` given as ``(kind, fields,
+    source_id, object_id)`` against a schema document of the README's
+    shape and the engine ids already stored per kind.
+
+    Each record's keys are sorted and merged against the kind's field
+    specs sorted by name: a spec passed over, or matched by a null
+    value, is a missing field if required; a matched value is type
+    checked; an unknown key is skipped. Object ids, key and unique
+    combinations and refs are then checked as the README describes.
+    """
+    kinds = {}
+    for kind, kdoc in schema_doc["kinds"].items():
+        specs = []
+        for name, fdoc in kdoc.get("fields", {}).items():
+            type_text = fdoc.get("type", "string")
+            enum_values = ()
+            if type_text.startswith("enum(") and type_text.endswith(")"):
+                enum_values = tuple(v.strip() for v in type_text[5:-1].split(",") if v.strip())
+                type_text = "enum"
+            specs.append(
+                (name, type_text, enum_values, fdoc.get("required", False), fdoc.get("key", False))
+            )
+        specs.sort(key=lambda spec: spec[0])
+        keys = tuple(sorted(spec[0] for spec in specs if spec[4]))
+        combos = [("key", keys)] if keys else []
+        combos += [("unique", tuple(u)) for u in kdoc.get("unique", [])]
+        kinds[kind] = (specs, combos, list(kdoc.get("refs", {}).items()))
+
+    def type_error(type_text, enum_values, strict, value):
+        got = type(value).__name__
+        if type_text == "string":
+            if not isinstance(value, str):
+                return "TYPE_MISMATCH", f"expected string, got {got}"
+            if strict and value == "":
+                return "TYPE_MISMATCH", "required string must be non-empty"
+        elif type_text == "integer":
+            if type(value) is bool or not isinstance(value, int):
+                return "TYPE_MISMATCH", f"expected integer, got {got}"
+        elif type_text == "enum":
+            if not isinstance(value, str):
+                return "TYPE_MISMATCH", f"expected string enum, got {got}"
+            if value not in enum_values:
+                return "ENUM_VIOLATION", f"value {value!r} not in {{{', '.join(enum_values)}}}"
+        elif type_text == "mapping":
+            if not isinstance(value, Mapping):
+                return "TYPE_MISMATCH", f"expected mapping, got {got}"
+        elif type_text == "list":
+            if not isinstance(value, (list, tuple)):
+                return "TYPE_MISMATCH", f"expected list, got {got}"
+        return None
+
+    pools = {kind: set(ids) for kind, ids in existing_ids.items()}
+    for kind, _, source_id, object_id in records:
+        if isinstance(kind, str):
+            pools.setdefault(kind, set()).add(f"{source_id}/{object_id}")
+
+    out = []
+    seen_object_ids = {}
+    seen_combos = set()
+    for kind, fields, source_id, object_id in records:
+        if not isinstance(fields, Mapping) or not all(isinstance(k, str) for k in fields):
+            out.append(("MALFORMED_RECORD", str(kind), "", "record fields must be a string-keyed mapping"))
+            continue
+        if not isinstance(kind, str) or kind == "":
+            out.append(("MALFORMED_RECORD", "", "kind", "record has no kind"))
+            continue
+        if kind not in kinds:
+            out.append(("UNKNOWN_KIND", kind, "kind", f"unknown record kind {kind!r}"))
+            continue
+        specs, combos, refs = kinds[kind]
+
+        def missing(spec):
+            if spec[3]:
+                out.append(("MISSING_FIELD", kind, spec[0], "required field missing"))
+
+        i = 0
+        for name in sorted(fields):
+            while i < len(specs) and specs[i][0] < name:
+                missing(specs[i])
+                i += 1
+            if i < len(specs) and specs[i][0] == name:
+                _, type_text, enum_values, required, key = spec = specs[i]
+                i += 1
+                if fields[name] is None:
+                    missing(spec)
+                    continue
+                error = type_error(type_text, enum_values, required or key, fields[name])
+                if error is not None:
+                    out.append((error[0], kind, name, error[1]))
+        for spec in specs[i:]:
+            missing(spec)
+
+        if object_id in seen_object_ids:
+            message = (f"object id {object_id!r} already used by a "
+                       f"{seen_object_ids[object_id]} record in this batch")
+            out.append(("DUPLICATE_KEY", kind, "id", message))
+            continue
+        seen_object_ids[object_id] = kind
+
+        for label, combo in combos:
+            values = tuple(fields.get(f) for f in combo)
+            if any(v is None for v in values):
+                continue
+            seen = (kind, label, combo, tuple(repr(v) for v in values))
+            if seen in seen_combos:
+                out.append(("DUPLICATE_KEY", kind, ",".join(combo),
+                            f"duplicate {label} {values!r} within batch"))
+            seen_combos.add(seen)
+
+        for field, target in refs:
+            value = fields.get(field)
+            if not isinstance(value, str) or value == "":
+                continue
+            qualified = "/" in value or value.startswith("flow:")
+            engine_id = value if qualified else f"{source_id}/{value}"
+            if engine_id not in pools.get(target, set()):
+                out.append(("DANGLING_REF", kind, field,
+                            f"{field}={value!r} does not resolve to a {target}"))
+    return out

@@ -193,6 +193,37 @@ def test_malformed_store_exit_one(runner, tmp_path, workspace, command, broken):
     assert not (workspace / "watch_ledger.json").exists()
 
 
+# A ledger must be a JSON object of file names to digests.
+BROKEN_LEDGERS = {
+    "truncated": b"[1,2",
+    "list": b"[]",
+    "not-utf8": b"\xff\xfe",
+    "int-digest": b'{"srca__one.jsonl": 1}',
+}
+
+
+@pytest.mark.parametrize("ledger", BROKEN_LEDGERS.values(), ids=BROKEN_LEDGERS.keys())
+def test_malformed_ledger_exit_one(runner, tmp_path, workspace, ledger):
+    ws = Workspace.load(workspace)
+    cfg = tmp_path / "srca.json"
+    write_source_config(cfg, "srca")
+    ws.register_source(cfg)
+    drop = tmp_path / "drop"
+    drop.mkdir()
+    write_snapshot(drop / "srca__one.jsonl", sample_records())
+    ledger_path = workspace / "watch_ledger.json"
+    ledger_path.write_bytes(ledger)
+    result = runner.invoke(
+        main, ["watch", str(workspace), str(drop), "--interval", "0", "--cycles", "1"]
+    )
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.output.startswith(f"unreadable ledger {ledger_path}: ")
+    assert result.output.count("\n") == 1
+    assert ledger_path.read_bytes() == ledger
+    assert ws.load_store().version == 0
+
+
 class TestCheckCommand:
     def test_clean_snapshot(self, runner, tmp_path, workspace):
         cfg = tmp_path / "cfg.json"

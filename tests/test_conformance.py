@@ -20,12 +20,14 @@ from netloom.conformance import (
     parse_schema,
 )
 from netloom.ingest import RawRecord
-from netloom.model import Origin, RawStore
+from netloom.model import HostEntity, Origin, RawStore, SystemEntity
+
+from oracles import conformance_findings
 
 
 def rec(kind, fields, src="srca", obj=None):
     obj = obj or fields.get("id", "x")
-    return RawRecord(kind, dict(fields), Origin(src, str(obj), "test", 0), 0)
+    return RawRecord(kind, dict(fields), Origin(src, str(obj), "test", 0))
 
 
 def make_checker(doc=None):
@@ -130,7 +132,7 @@ class TestCompile:
         path = tmp_path / "schema.json"
         path.write_text(json.dumps(default_schema_doc()))
         checker = compile_schema(load_schema(path))
-        assert checker.machine("system") is not None
+        assert "system" in checker.kinds
 
 
 class TestSchemaShape:
@@ -248,11 +250,11 @@ def mutate(batch, code, rng):
         return batch
     if code == UNKNOWN_KIND:
         i = rng.randrange(len(batch))
-        batch[i] = RawRecord("mystery", batch[i].fields, batch[i].origin, 0)
+        batch[i] = RawRecord("mystery", batch[i].fields, batch[i].origin)
         return batch
     if code == MALFORMED_RECORD:
         i = rng.randrange(len(batch))
-        batch[i] = RawRecord(None, batch[i].fields, batch[i].origin, 0)
+        batch[i] = RawRecord(None, batch[i].fields, batch[i].origin)
         return batch
     kind_of_code = {
         MISSING_FIELD: "system",
@@ -284,3 +286,96 @@ class TestMutationCorpus:
     def test_no_false_findings_on_clean_corpus(self):
         checker = make_checker(schema_with_enum())
         assert check_batch(checker, valid_batch(50), RawStore.empty()).ok
+
+
+# Seeded schemas and batches for the comparison with the reference walk.
+FIELD_NAMES = ("a", "env", "meta", "n", "name", "owner", "tags", "z")
+FIELD_VALUES = {
+    "string": ["x", "y", "", 5, True, ["x"]],
+    "integer": [0, 7, -1, True, False, "7", 1.5],
+    "enum(prod, test)": ["prod", "test", "qa", "", 3],
+    "mapping": [{}, {"a": 1}, [], "m", 0],
+    "list": [[], ["a", {"b": 2}], {}, "l", False],
+}
+REF_VALUES = ["o1", "o2", "h0", "s1", "srcb/s1", "srca/h0", "flow:f", "ghost", "", 4]
+EXISTING = RawStore.build(
+    1,
+    systems=[SystemEntity.create("srcb/s1", "Other", "application", Origin("srcb", "s1", "", 0))],
+    hosts=[HostEntity.create("srca/h0", "h0.net", Origin("srca", "h0", "", 0))],
+)
+EXISTING_IDS = {"system": {"srcb/s1"}, "host": {"srca/h0"}}
+
+
+def random_schema_doc(rng):
+    kinds = rng.sample(["system", "host", "k0", "k1"], rng.randint(1, 3))
+    doc = {"kinds": {}}
+    for kind in kinds:
+        fields = {}
+        if rng.random() < 0.8:
+            fields["id"] = {"type": "string", "required": True, "key": True}
+        for name in rng.sample(FIELD_NAMES, rng.randint(0, 4)):
+            type_text = rng.choice(sorted(FIELD_VALUES))
+            required = rng.random() < 0.5
+            fdoc = {"type": type_text, "required": required}
+            if required and type_text not in ("mapping", "list") and rng.random() < 0.3:
+                fdoc["key"] = True
+            fields[name] = fdoc
+        refs = {
+            name: rng.choice(kinds)
+            for name, fdoc in fields.items()
+            if name != "id" and fdoc["type"] == "string" and rng.random() < 0.5
+        }
+        unique = [
+            rng.sample(sorted(fields), rng.randint(1, min(2, len(fields))))
+            for _ in range(rng.randint(0, 2) if fields else 0)
+        ]
+        doc["kinds"][kind] = {"fields": fields, "refs": refs, "unique": unique}
+    return doc
+
+
+def random_record(rng, doc):
+    kinds = list(doc["kinds"])
+    kind = rng.choice(kinds) if rng.random() < 0.9 else rng.choice([None, "", "mystery"])
+    obj = rng.choice(["o1", "o2", "o3", "o4", "o5", "o6", "h0", "s1"])
+    kdoc = doc["kinds"].get(kind, {"fields": {}, "refs": {}})
+    fields = {}
+    for name, fdoc in kdoc["fields"].items():
+        roll = rng.random()
+        if roll < 0.1:
+            continue
+        if roll < 0.2:
+            fields[name] = None
+        elif name == "id" and roll < 0.8:
+            fields[name] = obj
+        elif name in kdoc["refs"]:
+            fields[name] = rng.choice(REF_VALUES)
+        else:
+            fields[name] = rng.choice(FIELD_VALUES[fdoc["type"]])
+    for _ in range(rng.randint(0, 2)):
+        fields[rng.choice(FIELD_NAMES + ("_x", "zz"))] = rng.choice(["u", 1, None, {"n": 1}])
+    roll = rng.random()
+    if roll < 0.03:
+        fields[7] = "non-string key"
+    elif roll < 0.05:
+        fields = ["not", "a", "mapping"]
+    return RawRecord(kind, fields, Origin(rng.choice(["srca", "srca", "srcb"]), obj, "test", 0))
+
+
+class TestReferenceChecker:
+    def test_findings_match_the_sorted_merge_reference(self):
+        rng = random.Random(2718)
+        codes = set()
+        accepted = 0
+        for _ in range(2500):
+            doc = random_schema_doc(rng)
+            checker = compile_schema(parse_schema(doc))
+            batch = [random_record(rng, doc) for _ in range(rng.randint(1, 12))]
+            report = check_batch(checker, batch, EXISTING)
+            got = [(f.code, f.kind, f.field, f.message) for f in report.findings]
+            records = [(r.kind, r.fields, r.origin.source_id, r.origin.object_id) for r in batch]
+            assert got == conformance_findings(doc, records, EXISTING_IDS), doc
+            codes.update(code for code, *_ in got)
+            accepted += report.ok
+        # Every finding code, and both clean and rejected batches, occur.
+        assert codes == set(FINDING_CODES)
+        assert 0 < accepted < 2500

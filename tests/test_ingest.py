@@ -31,8 +31,8 @@ def snapshot_of(records, src="srca"):
         kind = r.pop("kind", None)
         obj = str(r.get("id", f"anon{i}"))
         r["id"] = obj
-        out.append(RawRecord(kind, r, Origin(src, obj, "test", 0), i + 1))
-    return Snapshot(src, tuple(out), 0)
+        out.append(RawRecord(kind, r, Origin(src, obj, "test", 0)))
+    return Snapshot(src, tuple(out))
 
 
 class TestNormalizeAddress:
@@ -169,8 +169,8 @@ class TestLoadSnapshot:
     def test_bool_captured_at_is_not_a_timestamp(self, tmp_path, value):
         path = tmp_path / "cap.jsonl"
         write_jsonl(path, [{"kind": "host", "id": "h1", "hostname": "x", "captured_at": value}])
-        record = load_snapshot(path, SourceConfig("srca"), captured_at=5).records[0]
-        assert record.origin.captured_at == 5
+        record = load_snapshot(path, SourceConfig("srca")).records[0]
+        assert record.origin.captured_at == 0
         assert type(record.origin.captured_at) is int
 
 
