@@ -7,7 +7,6 @@ problems, 2 validation or rule errors.
 
 from __future__ import annotations
 
-import json
 import sys
 
 import click
@@ -15,6 +14,7 @@ import click
 from .conformance import ConformanceReport, SchemaError
 from .datalog import ProgramError, parse_program
 from .ingest import IngestError, load_snapshot
+from .model import CANONICAL_JSON
 from .network import GRAPH_FORMATS, EmitError, export_graph, parse_network
 from .query import build_index, search as run_search, traverse as run_traverse
 from .reconstruct import ReconstructionError
@@ -37,7 +37,7 @@ def _emit_bytes(data: bytes):
 
 
 def _emit_json(doc):
-    click.echo(json.dumps(doc, sort_keys=True, separators=(",", ":")))
+    click.echo(CANONICAL_JSON.encode(doc))
 
 
 @click.group()

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
-from .model import Origin, RawStore
+from .model import Origin, RawStore, canonical_bytes
 
 MISSING_FIELD = "MISSING_FIELD"
 TYPE_MISMATCH = "TYPE_MISMATCH"
@@ -246,7 +246,7 @@ class ConformanceReport:
 
     def to_json(self) -> bytes:
         doc = {"accepted": self.ok, "findings": [f.to_doc() for f in self.findings]}
-        return (json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n").encode()
+        return canonical_bytes(doc)
 
 
 # Field validators: each returns an error message or None.

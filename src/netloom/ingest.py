@@ -18,6 +18,7 @@ from typing import Any, Mapping
 
 from .conformance import CompiledChecker, ConformanceReport, check_batch, resolve_ref
 from .model import (
+    CANONICAL_JSON,
     ComplexProperty,
     CorrelationHint,
     DEFAULT_SPACE,
@@ -45,7 +46,8 @@ class SourceConfig:
 
 def load_source_config(path: str | Path) -> SourceConfig:
     """Read a source config: a JSON object with a non-empty string
-    ``source_id``, an optional string ``source_type`` and an optional
+    ``source_id`` free of ``/`` and ``\\`` and other than ``.`` and
+    ``..``, an optional string ``source_type`` and an optional
     ``mapping`` object of source field paths to model field names.
     Other keys are ignored; any other shape raises IngestError."""
     try:
@@ -60,6 +62,13 @@ def load_source_config(path: str | Path) -> SourceConfig:
     source_id = doc.get("source_id")
     if not isinstance(source_id, str) or not source_id:
         raise IngestError(f"source config {path} must declare a source_id")
+    # The id names files in the workspace and prefixes engine ids
+    # (<source_id>/<object_id>), so it must be one plain path segment.
+    if "/" in source_id or "\\" in source_id or source_id in (".", ".."):
+        raise IngestError(
+            f"source config {path}: source_id {source_id!r} must not contain "
+            "'/' or '\\' or be '.' or '..'"
+        )
     source_type = doc.get("source_type", "")
     if not isinstance(source_type, str):
         raise IngestError(f"source config {path}: source_type must be a string")
@@ -266,9 +275,7 @@ def build_entities(snapshot: Snapshot):
             # Hosts have no complex-property bag; keep nested extras as
             # canonical JSON strings so nothing is dropped.
             for cp in complexes:
-                simple[cp.kind] = json.dumps(
-                    cp.payload, sort_keys=True, separators=(",", ":")
-                )
+                simple[cp.kind] = CANONICAL_JSON.encode(cp.payload)
             hosts.append(
                 HostEntity.create(engine_id, f["hostname"], rec.origin, simple)
             )
@@ -339,6 +346,12 @@ def commit(
     if not report.ok:
         return report
     systems, hosts, runs, outs, ins, corrs = build_entities(snapshot)
-    return base.with_entities(
-        store.version + 1, systems, hosts, runs, outs, ins, corrs
+    return RawStore.build(
+        store.version + 1,
+        [*base.systems.values(), *systems],
+        [*base.hosts.values(), *hosts],
+        [*base.runs_on, *runs],
+        [*base.out_confs.values(), *outs],
+        [*base.in_confs.values(), *ins],
+        [*base.correlations, *corrs],
     )

@@ -5,14 +5,19 @@ inside it; engine-wide ids are ``<source_id>/<object_id>``. ``to_facts``
 projects the whole store onto a fact base (predicate name -> set of
 argument tuples) so rule programs can run over it. The merge and emit
 stages read entities from the store itself, not from facts.
+
+``store.json`` is written by the one canonical encoder, ``CANONICAL_JSON``,
+straight from the entities: each JSON object's keys are the fields of its
+dataclass, so renaming a field changes the on-disk format.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 from typing import Any, Iterable, Mapping
 
 #: The fact vocabulary emitted by to_facts. Rule files must not define
@@ -36,6 +41,29 @@ DEFAULT_SPACE = "integration"
 
 class ModelError(Exception):
     pass
+
+
+@functools.cache
+def _field_dict(cls: type):
+    """The function from a ``cls`` instance to its field dict, compiled once
+    per dataclass: faster than ``vars()`` or a loop over the field names."""
+    if not is_dataclass(cls):
+        raise TypeError(f"Object of type {cls.__name__} is not JSON serializable")
+    items = ", ".join(f"{f.name!r}: o.{f.name}" for f in fields(cls))
+    return eval(f"lambda o: {{{items}}}")
+
+
+#: The encoder of every compact canonical JSON document: sorted keys,
+#: no whitespace, and a dataclass instance written as the object of its
+#: fields. Anything else that is not plain JSON raises TypeError.
+CANONICAL_JSON = json.JSONEncoder(
+    sort_keys=True, separators=(",", ":"), default=lambda obj: _field_dict(type(obj))(obj)
+)
+
+
+def canonical_bytes(value: Any) -> bytes:
+    """``value`` as one line of canonical JSON, newline included."""
+    return (CANONICAL_JSON.encode(value) + "\n").encode("utf-8")
 
 
 @dataclass(frozen=True)
@@ -77,7 +105,7 @@ def canonical_payload(value: Any) -> Any:
 
 
 def payload_digest(payload: Any) -> str:
-    blob = json.dumps(canonical_payload(payload), sort_keys=True, separators=(",", ":"))
+    blob = CANONICAL_JSON.encode(canonical_payload(payload))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
@@ -262,26 +290,6 @@ class RawStore:
             ),
         )
 
-    def with_entities(
-        self,
-        version: int,
-        systems: Iterable[SystemEntity] = (),
-        hosts: Iterable[HostEntity] = (),
-        runs_on: Iterable[RunsOn] = (),
-        out_confs: Iterable[OutgoingConfiguration] = (),
-        in_confs: Iterable[IncomingConfiguration] = (),
-        correlations: Iterable[CorrelationHint] = (),
-    ) -> "RawStore":
-        return RawStore.build(
-            version,
-            list(self.systems.values()) + list(systems),
-            list(self.hosts.values()) + list(hosts),
-            list(self.runs_on) + list(runs_on),
-            list(self.out_confs.values()) + list(out_confs),
-            list(self.in_confs.values()) + list(in_confs),
-            list(self.correlations) + list(correlations),
-        )
-
     def ids_by_kind(self) -> dict[str, set[str]]:
         def origin_ids(items):
             return {f"{x.origin.source_id}/{x.origin.object_id}" for x in items}
@@ -299,9 +307,7 @@ class RawStore:
         return self.content_digest() == other.content_digest()
 
     def content_digest(self) -> str:
-        doc = store_to_doc(self)
-        doc.pop("version", None)
-        blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+        blob = CANONICAL_JSON.encode(_collections(self))
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
@@ -355,102 +361,25 @@ def to_facts(store: RawStore) -> dict[str, set[tuple]]:
 # Store persistence (canonical JSON)
 
 
-def _origin_doc(o: Origin) -> dict:
-    return {
-        "source_id": o.source_id,
-        "object_id": o.object_id,
-        "source_type": o.source_type,
-        "captured_at": o.captured_at,
-    }
-
-
 def _origin_from(doc: dict) -> Origin:
     return Origin(doc["source_id"], doc["object_id"], doc["source_type"], doc["captured_at"])
 
 
-def store_to_doc(store: RawStore) -> dict:
+def _collections(store: RawStore) -> dict:
+    """The store's collections as written: each keyed collection as the
+    list of its entities, which RawStore keeps sorted by id."""
     return {
-        "version": store.version,
-        "systems": [
-            {
-                "id": s.id,
-                "name": s.name,
-                "kind": s.kind,
-                "simple_props": dict(sorted(s.simple_props.items())),
-                "complex_props": [
-                    {
-                        "kind": cp.kind,
-                        "digest": cp.digest,
-                        "payload": cp.payload,
-                        "origin": _origin_doc(cp.origin),
-                    }
-                    for cp in s.complex_props
-                ],
-                "origin": _origin_doc(s.origin),
-            }
-            for s in store.systems.values()
-        ],
-        "hosts": [
-            {
-                "id": h.id,
-                "hostname": h.hostname,
-                "simple_props": dict(sorted(h.simple_props.items())),
-                "origin": _origin_doc(h.origin),
-            }
-            for h in store.hosts.values()
-        ],
-        "runs_on": [
-            {"system_id": r.system_id, "host_id": r.host_id, "origin": _origin_doc(r.origin)}
-            for r in store.runs_on
-        ],
-        "out_confs": [
-            {
-                "id": c.id,
-                "owner_system_id": c.owner_system_id,
-                "interface": {
-                    "name": c.interface.name,
-                    "namespace": c.interface.namespace,
-                    "operation": c.interface.operation,
-                },
-                "receiver_address": c.receiver_address,
-                "adapter": c.adapter,
-                "origin": _origin_doc(c.origin),
-            }
-            for c in store.out_confs.values()
-        ],
-        "in_confs": [
-            {
-                "id": c.id,
-                "owner_system_id": c.owner_system_id,
-                "interface": {
-                    "name": c.interface.name,
-                    "namespace": c.interface.namespace,
-                    "operation": c.interface.operation,
-                },
-                "endpoint_address": c.endpoint_address,
-                "adapter": c.adapter,
-                "origin": _origin_doc(c.origin),
-            }
-            for c in store.in_confs.values()
-        ],
-        "correlations": [
-            {
-                "left_space": c.left_space,
-                "left_id": c.left_id,
-                "right_space": c.right_space,
-                "right_id": c.right_id,
-                "kind": c.kind,
-                "origin": _origin_doc(c.origin),
-            }
-            for c in store.correlations
-        ],
+        "systems": list(store.systems.values()),
+        "hosts": list(store.hosts.values()),
+        "runs_on": store.runs_on,
+        "out_confs": list(store.out_confs.values()),
+        "in_confs": list(store.in_confs.values()),
+        "correlations": store.correlations,
     }
 
 
 def store_to_json(store: RawStore) -> bytes:
-    return (
-        json.dumps(store_to_doc(store), sort_keys=True, separators=(",", ":")) + "\n"
-    ).encode("utf-8")
+    return canonical_bytes({"version": store.version, **_collections(store)})
 
 
 _STORE_COLLECTIONS = ("systems", "hosts", "runs_on", "out_confs", "in_confs", "correlations")

@@ -4,8 +4,11 @@ A Network is an immutable value: named spaces holding participants and
 message flows, plus cross-space participant links and flow links. The
 JSON rendering is canonical (sorted keys, entities sorted by id, no
 timestamps), so two equal networks always serialize to the same bytes
-and the version id can simply be a digest of the content. GraphML and
-DOT exports cover the graph-shaped subset for standard tooling.
+and the version id can simply be a digest of the content. It is written
+by ``model.CANONICAL_JSON`` straight from the dataclasses below: each
+JSON object's keys are the fields of its dataclass, so renaming a field
+changes the format and every network version. GraphML and DOT exports
+cover the graph-shaped subset for standard tooling.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from dataclasses import dataclass, field
 from typing import Any, Iterable, Sequence
 from xml.sax.saxutils import escape, quoteattr
 
+from .model import CANONICAL_JSON, canonical_bytes
 from .reconstruct import Reconstruction, flow_id_for
 
 BUILTIN_SPACES = ("business-process", "integration")
@@ -34,6 +38,10 @@ class ComplexPropertyView:
 
 @dataclass(frozen=True)
 class Participant:
+    """One merged system. ``complex_props`` are sorted by (kind, digest) and
+    ``origins`` are sorted, as ``merge_properties`` builds them and as
+    ``parse_network`` reads them; the export writes them as held."""
+
     id: str
     label: str
     space: str
@@ -44,10 +52,13 @@ class Participant:
 
 @dataclass(frozen=True)
 class MessageFlow:
+    """A flow within one space. ``origins`` are sorted, as ``reconstruct``
+    builds them and as ``parse_network`` reads them."""
+
     id: str
     source: str
     target: str
-    interface_label: str
+    interface: str
     origins: tuple[tuple[str, str], ...] = ()
 
 
@@ -151,7 +162,7 @@ def emit(recon: Reconstruction) -> Network:
                 id=fid,
                 source=f.source_class,
                 target=f.target_class,
-                interface_label=f.interface.label(),
+                interface=f.interface.label(),
                 origins=tuple((o.source_id, o.object_id) for o in f.origins),
             )
         )
@@ -190,69 +201,13 @@ def emit(recon: Reconstruction) -> Network:
     return build_fragment(participants, flows, links, flow_links)
 
 
-def _with_content_version(network: Network) -> Network:
-    doc = _network_doc(network)
-    doc.pop("version", None)
-    blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
-    version = hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
-    return Network(version, network.spaces, network.participant_links, network.flow_links)
-
-
 # ---------------------------------------------------------------------------
 # Canonical JSON
 
 
-def _network_doc(network: Network) -> dict:
-    return {
-        "version": network.version,
-        "spaces": [
-            {
-                "name": s.name,
-                "participants": [
-                    {
-                        "id": p.id,
-                        "label": p.label,
-                        "space": p.space,
-                        "props": dict(sorted(p.props.items())),
-                        "complex_props": [
-                            {"kind": c.kind, "digest": c.digest, "payload": c.payload}
-                            for c in sorted(
-                                p.complex_props, key=lambda c: (c.kind, c.digest)
-                            )
-                        ],
-                        "origins": [list(o) for o in sorted(p.origins)],
-                    }
-                    for p in s.participants
-                ],
-                "flows": [
-                    {
-                        "id": f.id,
-                        "source": f.source,
-                        "target": f.target,
-                        "interface": f.interface_label,
-                        "origins": [list(o) for o in sorted(f.origins)],
-                    }
-                    for f in s.flows
-                ],
-            }
-            for s in network.spaces
-        ],
-        "participant_links": [
-            {"id": l.id, "left": l.left, "right": l.right, "kind": l.kind}
-            for l in network.participant_links
-        ],
-        "flow_links": [
-            {"id": l.id, "left_flow": l.left_flow, "right_flow": l.right_flow, "kind": l.kind}
-            for l in network.flow_links
-        ],
-    }
-
-
 def export_json(network: Network) -> bytes:
     """Canonical JSON bytes: equal networks export byte-identically."""
-    return (
-        json.dumps(_network_doc(network), sort_keys=True, separators=(",", ":")) + "\n"
-    ).encode("utf-8")
+    return canonical_bytes(network)
 
 
 def parse_network(data: bytes) -> Network:
@@ -326,13 +281,14 @@ def build_fragment(
         )
         for name in sorted(set(by_space) | set(flow_by_space))
     )
-    body = Network(
-        "",
-        spaces,
-        tuple(sorted(participant_links, key=lambda l: l.id)),
-        tuple(sorted(flow_links, key=lambda l: l.id)),
-    )
-    return _with_content_version(body)
+    content = {
+        "spaces": spaces,
+        "participant_links": tuple(sorted(participant_links, key=lambda l: l.id)),
+        "flow_links": tuple(sorted(flow_links, key=lambda l: l.id)),
+    }
+    # The version is the digest of the export without its version key.
+    version = hashlib.sha256(CANONICAL_JSON.encode(content).encode("utf-8")).hexdigest()
+    return Network(version[:16], **content)
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +332,7 @@ def _render_dot(participants, flows, links) -> bytes:
     for f in sorted(flows, key=lambda f: f.id):
         lines.append(
             f"  {_dot_quote(f.source)} -> {_dot_quote(f.target)} "
-            f"[label={_dot_quote(f.interface_label)}];"
+            f"[label={_dot_quote(f.interface)}];"
         )
     for l in sorted(links, key=lambda l: l.id):
         lines.append(
@@ -407,7 +363,7 @@ def _render_graphml(participants, flows, links) -> bytes:
             f"    <edge id={quoteattr(f.id)} source={quoteattr(f.source)} "
             f"target={quoteattr(f.target)}>"
         )
-        out.append(f'      <data key="d_edge_label">{escape(f.interface_label)}</data>')
+        out.append(f'      <data key="d_edge_label">{escape(f.interface)}</data>')
         out.append('      <data key="d_edge_kind">flow</data>')
         out.append("    </edge>")
     for l in sorted(links, key=lambda l: l.id):

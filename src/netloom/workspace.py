@@ -21,7 +21,7 @@ import json
 import logging
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .conformance import (
@@ -128,7 +128,7 @@ class Workspace:
         does not hold one."""
         try:
             return store_from_json(self.store_path.read_bytes())
-        except (ValueError, LookupError, TypeError, ModelError) as exc:
+        except (OSError, ValueError, LookupError, TypeError, ModelError) as exc:
             detail = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
             raise WorkspaceError(f"unreadable store {self.store_path}: {detail}") from exc
 
@@ -140,16 +140,7 @@ class Workspace:
     def register_source(self, config_path: str | Path) -> SourceConfig:
         config = load_source_config(config_path)
         self.sources_dir.mkdir(exist_ok=True)
-        write_atomic(
-            self.sources_dir / f"{config.source_id}.json",
-            _json_bytes(
-                {
-                    "source_id": config.source_id,
-                    "source_type": config.source_type,
-                    "mapping": config.mapping,
-                }
-            ),
-        )
+        write_atomic(self.sources_dir / f"{config.source_id}.json", _json_bytes(asdict(config)))
         return config
 
     def get_source(self, source_id: str) -> SourceConfig:
@@ -234,7 +225,7 @@ class SnapshotWatcher:
             return {}
         try:
             ledger = json.loads(path.read_text(encoding="utf-8"))
-        except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+        except (OSError, ValueError) as exc:  # ValueError: JSONDecodeError, UnicodeDecodeError
             raise WorkspaceError(f"unreadable ledger {path}: {exc}") from exc
         # JSON object keys are always strings, so only the values need a check.
         if not isinstance(ledger, dict) or not all(

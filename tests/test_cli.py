@@ -102,6 +102,25 @@ class TestIngestCommand:
         assert "must be a JSON object" in result.output
         assert isinstance(result.exception, SystemExit)
 
+    @pytest.mark.parametrize("source_id", ["../../evil", "a/b", "a\\b", ".", ".."])
+    def test_source_id_not_a_plain_name_exit_one(self, runner, tmp_path, workspace, source_id):
+        cfg = tmp_path / "cfg.json"
+        write_source_config(cfg, source_id)
+        snap = tmp_path / "s.jsonl"
+        write_snapshot(snap, sample_records())
+        before = {p for p in tmp_path.rglob("*") if workspace not in p.parents}
+        ws_before = sorted(workspace.rglob("*"))
+        result = runner.invoke(
+            main, ["ingest", str(workspace), "--source-config", str(cfg), str(snap)]
+        )
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.output.count("\n") == 1
+        assert "source_id" in result.output
+        assert {p for p in tmp_path.rglob("*") if workspace not in p.parents} == before
+        assert sorted(workspace.rglob("*")) == ws_before
+        assert Workspace.load(workspace).load_store().version == 0
+
     def test_committed_snapshots_archived(self, runner, tmp_path, workspace):
         ingest_sample(runner, tmp_path, workspace)
         archived = list((workspace / "snapshots").glob("srca__*.jsonl"))
@@ -163,6 +182,7 @@ BROKEN_STORES = {
         good, lambda doc: doc["systems"][0].update(simple_props=[])
     ),
     "dict-systems": lambda good: _edited(good, lambda doc: doc.update(systems={})),
+    "directory": None,  # a store.json that cannot be read at all
 }
 
 
@@ -171,9 +191,14 @@ BROKEN_STORES = {
 def test_malformed_store_exit_one(runner, tmp_path, workspace, command, broken):
     assert ingest_sample(runner, tmp_path, workspace).exit_code == 0
     store_path = workspace / "store.json"
-    bad = broken(store_path.read_bytes())
-    assert bad != store_path.read_bytes()
-    store_path.write_bytes(bad)
+    if broken is None:
+        store_path.unlink()
+        store_path.mkdir()
+        bad = None
+    else:
+        bad = broken(store_path.read_bytes())
+        assert bad != store_path.read_bytes()
+        store_path.write_bytes(bad)
     cfg, snap, drop = tmp_path / "srca.json", tmp_path / "s.jsonl", tmp_path / "drop"
     write_snapshot(snap, sample_records("2"))
     drop.mkdir()
@@ -189,7 +214,7 @@ def test_malformed_store_exit_one(runner, tmp_path, workspace, command, broken):
     assert isinstance(result.exception, SystemExit)
     assert result.output.startswith(f"unreadable store {store_path}: ")
     assert result.output.count("\n") == 1
-    assert store_path.read_bytes() == bad
+    assert store_path.is_dir() if bad is None else store_path.read_bytes() == bad
     assert not (workspace / "watch_ledger.json").exists()
 
 
@@ -199,6 +224,7 @@ BROKEN_LEDGERS = {
     "list": b"[]",
     "not-utf8": b"\xff\xfe",
     "int-digest": b'{"srca__one.jsonl": 1}',
+    "directory": None,  # a ledger that cannot be read at all
 }
 
 
@@ -212,7 +238,10 @@ def test_malformed_ledger_exit_one(runner, tmp_path, workspace, ledger):
     drop.mkdir()
     write_snapshot(drop / "srca__one.jsonl", sample_records())
     ledger_path = workspace / "watch_ledger.json"
-    ledger_path.write_bytes(ledger)
+    if ledger is None:
+        ledger_path.mkdir()
+    else:
+        ledger_path.write_bytes(ledger)
     result = runner.invoke(
         main, ["watch", str(workspace), str(drop), "--interval", "0", "--cycles", "1"]
     )
@@ -220,7 +249,7 @@ def test_malformed_ledger_exit_one(runner, tmp_path, workspace, ledger):
     assert isinstance(result.exception, SystemExit)
     assert result.output.startswith(f"unreadable ledger {ledger_path}: ")
     assert result.output.count("\n") == 1
-    assert ledger_path.read_bytes() == ledger
+    assert ledger_path.is_dir() if ledger is None else ledger_path.read_bytes() == ledger
     assert ws.load_store().version == 0
 
 

@@ -1,3 +1,4 @@
+import json
 import random
 
 from netloom.model import (
@@ -13,7 +14,6 @@ from netloom.model import (
     SystemEntity,
     payload_digest,
     store_from_json,
-    store_to_doc,
     store_to_json,
     to_facts,
 )
@@ -125,11 +125,11 @@ class TestToFacts:
 
     def test_rows_match_exact_oracle(self):
         # Oracle: every entity field the rules can see, read from the
-        # store's persisted document rather than from the entities.
+        # store's persisted bytes rather than from the entities.
         rng = random.Random(23)
         for _ in range(30):
             store = random_store(rng)
-            doc = store_to_doc(store)
+            doc = json.loads(store_to_json(store))
             expected: dict[str, set[tuple]] = {}
 
             def add(pred, *row):
