@@ -44,9 +44,16 @@ class SourceConfig:
     mapping: dict[str, str] = field(default_factory=dict)
 
 
+# The longest source id, in UTF-8 bytes. The archive name
+# ``<source_id>__v000000.jsonl`` plus ``write_atomic``'s ``.<pid>.tmp``
+# suffix must stay under the usual 255-byte file name limit.
+MAX_SOURCE_ID_BYTES = 200
+
+
 def load_source_config(path: str | Path) -> SourceConfig:
     """Read a source config: a JSON object with a non-empty string
-    ``source_id`` free of ``/`` and ``\\`` and other than ``.`` and
+    ``source_id`` of at most ``MAX_SOURCE_ID_BYTES`` UTF-8 bytes, free
+    of ``/``, ``\\``, NUL and lone surrogates and other than ``.`` and
     ``..``, an optional string ``source_type`` and an optional
     ``mapping`` object of source field paths to model field names.
     Other keys are ignored; any other shape raises IngestError."""
@@ -68,6 +75,20 @@ def load_source_config(path: str | Path) -> SourceConfig:
         raise IngestError(
             f"source config {path}: source_id {source_id!r} must not contain "
             "'/' or '\\' or be '.' or '..'"
+        )
+    try:
+        size = len(source_id.encode("utf-8"))
+    except UnicodeEncodeError:  # a lone surrogate, such as "\ud800"
+        size = -1
+    if "\0" in source_id or size < 0:
+        raise IngestError(
+            f"source config {path}: source_id {source_id!r} must not contain "
+            "NUL or a lone surrogate"
+        )
+    if size > MAX_SOURCE_ID_BYTES:
+        raise IngestError(
+            f"source config {path}: source_id is longer than "
+            f"{MAX_SOURCE_ID_BYTES} UTF-8 bytes"
         )
     source_type = doc.get("source_type", "")
     if not isinstance(source_type, str):
@@ -141,18 +162,34 @@ def _delete_path(fields: dict, path: str) -> None:
     node.pop(parts[-1], None)
 
 
-def load_snapshot(path: str | Path, config: SourceConfig) -> Snapshot:
-    """Load a JSON Lines snapshot file and map it into raw records.
-
-    Each line must be a JSON object. The mapping is applied first; the
-    record must then carry an object id (the mapping target "object_id",
-    falling back to the field "id"). Malformed lines and missing ids
-    are reported with their line number.
-    """
+def read_snapshot(path: str | Path) -> bytes:
+    """The bytes of a snapshot file; raises IngestError if it cannot be read."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        return Path(path).read_bytes()
     except OSError as exc:
         raise IngestError(f"cannot read snapshot {path}: {exc}") from exc
+
+
+def load_snapshot(
+    path: str | Path, config: SourceConfig, data: bytes | None = None
+) -> Snapshot:
+    """Load a JSON Lines snapshot file and map it into raw records.
+
+    ``data``, when given, is the file's content as the caller already
+    read it, so the bytes parsed are the bytes it digests or archives;
+    otherwise the file is read here. Each line must be a JSON object.
+    The mapping is applied first; the record must then carry an object
+    id (the mapping target "object_id", falling back to the field
+    "id"). Bytes that are not UTF-8, malformed lines and missing ids
+    raise IngestError naming the line.
+    """
+    if data is None:
+        data = read_snapshot(path)
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise IngestError(f"{path}: line {lineno}: not UTF-8 ({exc.reason})") from exc
 
     records: list[RawRecord] = []
     for lineno, line in enumerate(text.splitlines(), start=1):

@@ -5,6 +5,8 @@ Layout under the workspace root:
     schema.json              conformance schema (editable)
     sources/<source_id>.json registered source configs
     store.json               current raw store version (canonical JSON)
+    snapshots/<source_id>__v<store version>.jsonl
+                             the bytes of each committed snapshot
     networks/<version>.json  published network exports
     networks/LATEST          name of the most recent version
     watch_ledger.json        processed snapshot files (name + digest)
@@ -31,7 +33,14 @@ from .conformance import (
     default_schema_doc,
     load_schema,
 )
-from .ingest import IngestError, SourceConfig, commit, load_snapshot, load_source_config
+from .ingest import (
+    IngestError,
+    SourceConfig,
+    commit,
+    load_snapshot,
+    load_source_config,
+    read_snapshot,
+)
 from .model import ModelError, RawStore, store_from_json, store_to_json
 from .network import Network, emit, export_json
 from .reconstruct import reconstruct
@@ -173,22 +182,29 @@ class Workspace:
         """Load, validate, and commit one snapshot.
 
         Returns the new RawStore on success or the ConformanceReport on
-        findings. Committed snapshot files are archived under
-        snapshots/ for provenance.
+        findings. The file is read once, and a committed snapshot's
+        bytes are archived under snapshots/ for provenance.
         """
-        snapshot_path = Path(snapshot_path)
-        snapshot = load_snapshot(snapshot_path, config)
-        store = self.load_store()
-        result = commit(snapshot, store, self.checker())
+        data = read_snapshot(snapshot_path)
+        snapshot = load_snapshot(snapshot_path, config, data)
+        result = commit(snapshot, self.load_store(), self.checker())
         if isinstance(result, RawStore):
-            self.save_store(result)
-            self.snapshots_dir.mkdir(exist_ok=True)
-            archive = self.snapshots_dir / f"{config.source_id}__v{result.version:06d}.jsonl"
-            write_atomic(archive, snapshot_path.read_bytes())
+            self._save_committed(result, [(config.source_id, result.version, data)])
         return result
 
+    def _save_committed(self, store: RawStore, archives: list[tuple[str, int, bytes]]) -> None:
+        """Save ``store``, then archive each committed snapshot, given as
+        (source id, store version it made, bytes)."""
+        self.save_store(store)
+        self.snapshots_dir.mkdir(exist_ok=True)
+        for source_id, version, data in archives:
+            write_atomic(self.snapshots_dir / f"{source_id}__v{version:06d}.jsonl", data)
+
     def infer(self, extra_rules=None) -> Network:
-        store = self.load_store()
+        """Reconstruct the network from the current store and publish it."""
+        return self._infer(self.load_store(), extra_rules)
+
+    def _infer(self, store: RawStore, extra_rules=None) -> Network:
         network = emit(reconstruct(store, extra_rules=extra_rules))
         self.publish_network(network)
         return network
@@ -198,18 +214,14 @@ class Workspace:
 # Directory watcher
 
 
-def _file_digest(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
 class SnapshotWatcher:
     """Polls a directory for snapshot files and ingests each exactly once.
 
     Files are identified by (name, content digest), so re-dropping an
     identical file is a no-op while changed content is picked up again.
-    Per-file failures are logged and do not stop the loop; after a poll
-    that committed anything, inference runs once and the network is
-    republished.
+    Per-file failures are logged and do not stop the loop. A file whose
+    source is not registered is not ledgered, so it is retried on every
+    poll until its source config is registered.
     """
 
     def __init__(self, workspace: Workspace, directory: str | Path):
@@ -240,43 +252,62 @@ class SnapshotWatcher:
         write_atomic(self.workspace.ledger_path, _json_bytes(self._ledger))
 
     def poll_once(self) -> list[tuple[str, str]]:
-        """One scan pass; returns (filename, outcome) per processed file."""
+        """One scan pass; returns (filename, outcome) per processed file.
+
+        Each new or changed file is read once, and those bytes are
+        digested, committed and archived. Files commit in name order
+        against one load of the store, which is then saved once. The
+        archives and the ledger follow, and if anything committed, the
+        store just saved is reconstructed and published without being
+        read again. The ledger advances only after the save succeeds.
+        """
+        ws = self.workspace
         outcomes: list[tuple[str, str]] = []
-        committed = False
+        ledgered: dict[str, str] = {}
+        archives: list[tuple[str, int, bytes]] = []
+        store = checker = None
         for path in sorted(self.directory.glob("*.jsonl")):
-            digest = _file_digest(path)
+            try:
+                data = read_snapshot(path)
+            except IngestError as exc:  # e.g. removed since the scan; retried
+                logger.warning("skipping %s: %s", path.name, exc)
+                outcomes.append((path.name, "load-error"))
+                continue
+            digest = hashlib.sha256(data).hexdigest()
             if self._ledger.get(path.name) == digest:
                 continue
-            outcome = self._process(path)
-            outcomes.append((path.name, outcome))
-            self._ledger[path.name] = digest
-            if outcome == "committed":
-                committed = True
-        if outcomes:
+            try:
+                config = ws.get_source(path.name.split("__", 1)[0])
+            except WorkspaceError as exc:
+                logger.warning("skipping %s: %s", path.name, exc)
+                outcomes.append((path.name, "no-source-config"))
+                continue
+            ledgered[path.name] = digest
+            try:
+                snapshot = load_snapshot(path, config, data)
+            except IngestError as exc:
+                logger.warning("skipping %s: %s", path.name, exc)
+                outcomes.append((path.name, "load-error"))
+                continue
+            if store is None:
+                store, checker = ws.load_store(), ws.checker()
+            result = commit(snapshot, store, checker)
+            if isinstance(result, ConformanceReport):
+                logger.warning("rejected %s: %d findings", path.name, len(result.findings))
+                outcomes.append((path.name, "rejected"))
+                continue
+            store = result
+            archives.append((config.source_id, store.version, data))
+            outcomes.append((path.name, "committed"))
+        if archives:
+            ws._save_committed(store, archives)
+        if ledgered:
+            self._ledger.update(ledgered)
             self._save_ledger()
-        if committed:
-            network = self.workspace.infer()
+        if archives:
+            network = ws._infer(store)
             logger.info("published network %s", network.version)
         return outcomes
-
-    def _process(self, path: Path) -> str:
-        source_id = path.name.split("__", 1)[0]
-        try:
-            config = self.workspace.get_source(source_id)
-        except WorkspaceError as exc:
-            logger.warning("skipping %s: %s", path.name, exc)
-            return "no-source-config"
-        try:
-            result = self.workspace.ingest(config, path)
-        except IngestError as exc:
-            logger.warning("skipping %s: %s", path.name, exc)
-            return "load-error"
-        if isinstance(result, ConformanceReport):
-            logger.warning(
-                "rejected %s: %d findings", path.name, len(result.findings)
-            )
-            return "rejected"
-        return "committed"
 
     def run(self, interval: float, cycles: int = 0) -> None:
         done = 0

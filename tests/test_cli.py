@@ -102,7 +102,12 @@ class TestIngestCommand:
         assert "must be a JSON object" in result.output
         assert isinstance(result.exception, SystemExit)
 
-    @pytest.mark.parametrize("source_id", ["../../evil", "a/b", "a\\b", ".", ".."])
+    @pytest.mark.parametrize("source_id", [
+        "../../evil", "a/b", "a\\b", ".", "..",
+        pytest.param("a\u0000b", id="nul"),
+        pytest.param("x" * 300, id="300-bytes"),
+        pytest.param("\ud800", id="lone-surrogate"),
+    ])
     def test_source_id_not_a_plain_name_exit_one(self, runner, tmp_path, workspace, source_id):
         cfg = tmp_path / "cfg.json"
         write_source_config(cfg, source_id)
@@ -119,6 +124,29 @@ class TestIngestCommand:
         assert "source_id" in result.output
         assert {p for p in tmp_path.rglob("*") if workspace not in p.parents} == before
         assert sorted(workspace.rglob("*")) == ws_before
+        assert Workspace.load(workspace).load_store().version == 0
+
+    def test_longest_source_id_ingests(self, runner, tmp_path, workspace):
+        source_id = "\u00e9" * 100  # 200 UTF-8 bytes
+        result = ingest_sample(runner, tmp_path, workspace, src=source_id)
+        assert result.exit_code == 0, result.output
+        assert (workspace / "snapshots" / f"{source_id}__v000001.jsonl").exists()
+        too_long = ingest_sample(runner, tmp_path, workspace, src="x" + source_id)
+        assert too_long.exit_code == 1
+        assert "longer than 200 UTF-8 bytes" in too_long.output
+
+    def test_snapshot_not_utf8_exit_one(self, runner, tmp_path, workspace):
+        cfg = tmp_path / "cfg.json"
+        write_source_config(cfg, "srca")
+        snap = tmp_path / "s.jsonl"
+        snap.write_bytes(b'{"kind": "system", "id": "s\xff", "name": "ERP", "type": "application"}\n')
+        result = runner.invoke(
+            main, ["ingest", str(workspace), "--source-config", str(cfg), str(snap)]
+        )
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.output.count("\n") == 1
+        assert "line 1: not UTF-8" in result.output
         assert Workspace.load(workspace).load_store().version == 0
 
     def test_committed_snapshots_archived(self, runner, tmp_path, workspace):
@@ -411,6 +439,54 @@ class TestWatch:
         watcher = SnapshotWatcher(ws, drop)
         outcomes = dict(watcher.poll_once())
         assert outcomes["mystery__x.jsonl"] == "no-source-config"
+
+    def test_unregistered_source_retried_once_registered(self, tmp_path, runner, workspace):
+        ws = Workspace.load(workspace)
+        drop = tmp_path / "drop"
+        drop.mkdir()
+        write_snapshot(drop / "late__x.jsonl", sample_records())
+        watcher = SnapshotWatcher(ws, drop)
+        assert watcher.poll_once() == [("late__x.jsonl", "no-source-config")]
+        assert watcher.poll_once() == [("late__x.jsonl", "no-source-config")]
+        assert not ws.ledger_path.exists()
+        assert ws.load_store().version == 0
+
+        cfg = tmp_path / "late.json"
+        write_source_config(cfg, "late")
+        ws.register_source(cfg)
+        assert watcher.poll_once() == [("late__x.jsonl", "committed")]
+        assert ws.load_store().version == 1
+        assert ws.latest_network_bytes() is not None
+        assert watcher.poll_once() == []
+
+    def test_unreadable_file_is_a_load_error_and_retried(self, tmp_path, runner, workspace):
+        ws = Workspace.load(workspace)
+        cfg = tmp_path / "srca.json"
+        write_source_config(cfg, "srca")
+        ws.register_source(cfg)
+        drop = tmp_path / "drop"
+        drop.mkdir()
+        (drop / "srca__dir.jsonl").mkdir()
+        write_snapshot(drop / "srca__good.jsonl", sample_records())
+        watcher = SnapshotWatcher(ws, drop)
+        assert watcher.poll_once() == [("srca__dir.jsonl", "load-error"), ("srca__good.jsonl", "committed")]
+        assert watcher.poll_once() == [("srca__dir.jsonl", "load-error")]
+        (drop / "srca__dir.jsonl").rmdir()
+        write_snapshot(drop / "srca__dir.jsonl", sample_records("v2"))
+        assert watcher.poll_once() == [("srca__dir.jsonl", "committed")]
+        assert ws.load_store().version == 2
+
+    def test_snapshot_not_utf8_is_a_load_error(self, tmp_path, runner, workspace):
+        ws = Workspace.load(workspace)
+        cfg = tmp_path / "srca.json"
+        write_source_config(cfg, "srca")
+        ws.register_source(cfg)
+        drop = tmp_path / "drop"
+        drop.mkdir()
+        (drop / "srca__bad.jsonl").write_bytes(b'{"kind": "host", "id": "\xff"}\n')
+        write_snapshot(drop / "srca__good.jsonl", sample_records())
+        outcomes = SnapshotWatcher(ws, drop).poll_once()
+        assert outcomes == [("srca__bad.jsonl", "load-error"), ("srca__good.jsonl", "committed")]
 
     def test_empty_directory_no_version_change(self, tmp_path, runner, workspace):
         ws = Workspace.load(workspace)

@@ -145,6 +145,21 @@ class TestLoadSnapshot:
         with pytest.raises(IngestError, match="cannot read"):
             load_snapshot(tmp_path / "absent.jsonl", SourceConfig("srca"))
 
+    def test_not_utf8(self, tmp_path):
+        path = tmp_path / "latin1.jsonl"
+        path.write_bytes(b'{"kind": "host", "id": "h", "hostname": "x"}\n{"id": "h\xe9"}\n')
+        with pytest.raises(IngestError, match=r"latin1.jsonl: line 2: not UTF-8 \(invalid"):
+            load_snapshot(path, SourceConfig("srca"))
+
+    def test_given_bytes_parsed_instead_of_the_file(self, tmp_path):
+        path = tmp_path / "snap.jsonl"
+        write_jsonl(path, [{"kind": "host", "id": "on-disk", "hostname": "x"}])
+        data = b'{"kind": "host", "id": "given", "hostname": "x"}\r\n\r\n'
+        snap = load_snapshot(path, SourceConfig("srca"), data)
+        assert [r.origin.object_id for r in snap.records] == ["given"]
+        with pytest.raises(IngestError, match=r"gone.jsonl: line 1: malformed JSON"):
+            load_snapshot(tmp_path / "gone.jsonl", SourceConfig("srca"), b"{x\n")
+
     def test_dotted_mapping_path(self, tmp_path):
         path = tmp_path / "nested.jsonl"
         write_jsonl(
