@@ -15,7 +15,7 @@ from .conformance import ConformanceReport, SchemaError
 from .datalog import ProgramError, parse_program
 from .ingest import IngestError, load_snapshot
 from .model import CANONICAL_JSON
-from .network import GRAPH_FORMATS, EmitError, export_graph, parse_network
+from .network import GRAPH_FORMATS, EmitError, Network, export_graph, export_json
 from .query import build_index, search as run_search, traverse as run_traverse
 from .reconstruct import ReconstructionError
 from .workspace import SnapshotWatcher, Workspace, WorkspaceError
@@ -145,11 +145,14 @@ def infer(workspace, rules):
     _emit_json({"version": network.version, **network.counts()})
 
 
-def _latest_network(ws: Workspace):
-    data = ws.latest_network_bytes()
-    if data is None:
+def _latest_network(ws: Workspace) -> Network:
+    try:
+        network = ws.latest_network()
+    except WorkspaceError as exc:
+        _fail(EXIT_ENVIRONMENT, str(exc))
+    if network is None:
         _fail(EXIT_ENVIRONMENT, "no network published yet (run infer first)")
-    return data
+    return network
 
 
 @main.command()
@@ -160,13 +163,11 @@ def _latest_network(ws: Workspace):
               help="Restrict graph exports to these spaces.")
 def export(workspace, fmt, spaces):
     """Write the latest published network to stdout."""
-    ws = _load_workspace(workspace)
-    data = _latest_network(ws)
+    network = _latest_network(_load_workspace(workspace))
     if fmt == "json":
-        _emit_bytes(data)
-        return
-    network = parse_network(data)
-    _emit_bytes(export_graph(network, fmt, list(spaces) or None))
+        _emit_bytes(export_json(network))
+    else:
+        _emit_bytes(export_graph(network, fmt, list(spaces) or None))
 
 
 @main.group()
@@ -180,8 +181,7 @@ def query():
 def query_search(workspace, text):
     """Rank participants matching all query tokens."""
     ws = _load_workspace(workspace)
-    network = parse_network(_latest_network(ws))
-    _emit_json(run_search(build_index(network), text))
+    _emit_json(run_search(build_index(_latest_network(ws)), text))
 
 
 @query.command("traverse")
@@ -192,11 +192,8 @@ def query_search(workspace, text):
 @click.option("--space", "spaces", multiple=True)
 def query_traverse(workspace, start, depth, follow_links, spaces):
     """Emit the neighborhood of a participant as a network fragment."""
-    from .network import export_json
-
     ws = _load_workspace(workspace)
-    network = parse_network(_latest_network(ws))
-    index = build_index(network)
+    index = build_index(_latest_network(ws))
     try:
         fragment = run_traverse(
             index, start, depth, follow_links=follow_links,

@@ -192,7 +192,8 @@ def load_snapshot(
         raise IngestError(f"{path}: line {lineno}: not UTF-8 ({exc.reason})") from exc
 
     records: list[RawRecord] = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    # Only "\n" ends a line: splitlines() also splits at U+2028, U+2029, U+0085.
+    for lineno, line in enumerate(text.split("\n"), start=1):
         if not line.strip():
             continue
         try:

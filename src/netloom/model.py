@@ -7,8 +7,10 @@ argument tuples) so rule programs can run over it. The merge and emit
 stages read entities from the store itself, not from facts.
 
 ``store.json`` is written by the one canonical encoder, ``CANONICAL_JSON``,
-straight from the entities: each JSON object's keys are the fields of its
-dataclass, so renaming a field changes the on-disk format.
+straight from the entities, and read back by ``canonical_decoder``, which
+is built from the same dataclass fields and their types: each JSON
+object's keys are the fields of its dataclass, so renaming a field
+changes the on-disk format on both sides at once.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import functools
 import hashlib
 import itertools
 import json
+import typing
 from dataclasses import dataclass, field, fields, is_dataclass
 from typing import Any, Iterable, Mapping
 
@@ -66,6 +69,52 @@ def canonical_bytes(value: Any) -> bytes:
     return (CANONICAL_JSON.encode(value) + "\n").encode("utf-8")
 
 
+@functools.cache
+def canonical_decoder(cls: type):
+    """The inverse of ``CANONICAL_JSON`` on a dataclass: the function from
+    a decoded JSON object to a ``cls`` instance, compiled once per class
+    from its fields and resolved type hints. Nested dataclasses and
+    tuples are rebuilt, a ``dict`` field that holds no JSON object raises
+    ModelError, and any other value is passed on as it is."""
+    env = {"object_field": _object_field}
+    return eval(f"lambda d: {_construct(cls, 'd', env)}", env)
+
+
+def _construct(cls: type, obj: str, env: dict) -> str:
+    """Source of an expression that builds a ``cls`` instance from the
+    JSON object named ``obj``, binding in ``env`` the names it calls.
+    The items of a tuple of dataclasses are built inline, in a nested
+    comprehension; a single nested dataclass by its own decoder."""
+    hints = typing.get_type_hints(cls)
+    env[cls.__name__] = cls
+    parts = []
+    for f in fields(cls):
+        hint, value = hints[f.name], f"{obj}[{f.name!r}]"
+        origin, args = typing.get_origin(hint), typing.get_args(hint)
+        # The X of a ``tuple[X, ...]`` field, else None.
+        item = args[0] if origin is tuple and args[1:] == (Ellipsis,) else None
+        if hint is dict or origin is dict:
+            value = f"object_field({value}, {cls.__name__ + '.' + f.name!r})"
+        elif is_dataclass(item):
+            x = f"{obj}_"
+            value = f"tuple([{_construct(item, x, env)} for {x} in {value}])"
+        elif typing.get_origin(item) is tuple:
+            value = f"tuple(map(tuple, {value}))"
+        elif origin is tuple:
+            value = f"tuple({value})"
+        elif is_dataclass(hint):
+            env[f"decode_{hint.__name__}"] = canonical_decoder(hint)
+            value = f"decode_{hint.__name__}({value})"
+        parts.append(value)
+    return f"{cls.__name__}({', '.join(parts)})"
+
+
+def _object_field(value: Any, where: str) -> dict:
+    if type(value) is not dict:
+        raise ModelError(f"{where} must be an object, not {type(value).__name__}")
+    return value
+
+
 @dataclass(frozen=True)
 class Origin:
     source_id: str
@@ -107,6 +156,13 @@ def canonical_payload(value: Any) -> Any:
 def payload_digest(payload: Any) -> str:
     blob = CANONICAL_JSON.encode(canonical_payload(payload))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+def content_id(prefix: str, *parts: str) -> str:
+    """The id ``<prefix>:<16 hex digits>`` derived from ``parts`` alone, so
+    equal content always gets the same id."""
+    blob = "\x1f".join(parts)
+    return f"{prefix}:{hashlib.sha256(blob.encode('utf-8')).hexdigest()[:16]}"
 
 
 @dataclass(frozen=True)
@@ -361,28 +417,27 @@ def to_facts(store: RawStore) -> dict[str, set[tuple]]:
 # Store persistence (canonical JSON)
 
 
-def _origin_from(doc: dict) -> Origin:
-    return Origin(doc["source_id"], doc["object_id"], doc["source_type"], doc["captured_at"])
+#: Each collection of ``store.json``, in the order ``RawStore`` holds
+#: them, with the entity class of its items.
+_STORE_COLLECTIONS = {
+    "systems": SystemEntity,
+    "hosts": HostEntity,
+    "runs_on": RunsOn,
+    "out_confs": OutgoingConfiguration,
+    "in_confs": IncomingConfiguration,
+    "correlations": CorrelationHint,
+}
 
 
 def _collections(store: RawStore) -> dict:
     """The store's collections as written: each keyed collection as the
     list of its entities, which RawStore keeps sorted by id."""
-    return {
-        "systems": list(store.systems.values()),
-        "hosts": list(store.hosts.values()),
-        "runs_on": store.runs_on,
-        "out_confs": list(store.out_confs.values()),
-        "in_confs": list(store.in_confs.values()),
-        "correlations": store.correlations,
-    }
+    collections = {name: getattr(store, name) for name in _STORE_COLLECTIONS}
+    return {k: list(v.values()) if isinstance(v, dict) else v for k, v in collections.items()}
 
 
 def store_to_json(store: RawStore) -> bytes:
     return canonical_bytes({"version": store.version, **_collections(store)})
-
-
-_STORE_COLLECTIONS = ("systems", "hosts", "runs_on", "out_confs", "in_confs", "correlations")
 
 
 def store_from_json(data: bytes) -> RawStore:
@@ -390,74 +445,10 @@ def store_from_json(data: bytes) -> RawStore:
     version = doc["version"]
     if type(version) is not int or version < 0:
         raise ModelError(f"store version must be an integer >= 0, not {version!r}")
-    for name in _STORE_COLLECTIONS:
-        if type(doc[name]) is not list:
-            raise ModelError(f"store {name} must be a list, not {type(doc[name]).__name__}")
-    for name in ("systems", "hosts"):
-        for d in doc[name]:
-            if type(d["simple_props"]) is not dict:
-                raise ModelError(f"simple_props of {d['id']!r} must be an object")
-    systems = [
-        SystemEntity(
-            d["id"],
-            d["name"],
-            d["kind"],
-            d["simple_props"],
-            tuple(
-                ComplexProperty(
-                    cp["kind"], cp["payload"], _origin_from(cp["origin"]), cp["digest"]
-                )
-                for cp in d["complex_props"]
-            ),
-            _origin_from(d["origin"]),
-        )
-        for d in doc["systems"]
-    ]
-    hosts = [
-        HostEntity(d["id"], d["hostname"], d["simple_props"], _origin_from(d["origin"]))
-        for d in doc["hosts"]
-    ]
-    runs = [
-        RunsOn(d["system_id"], d["host_id"], _origin_from(d["origin"]))
-        for d in doc["runs_on"]
-    ]
-    out_confs = [
-        OutgoingConfiguration(
-            d["id"],
-            d["owner_system_id"],
-            InterfaceRef(
-                d["interface"]["name"], d["interface"]["namespace"], d["interface"]["operation"]
-            ),
-            d["receiver_address"],
-            d["adapter"],
-            _origin_from(d["origin"]),
-        )
-        for d in doc["out_confs"]
-    ]
-    in_confs = [
-        IncomingConfiguration(
-            d["id"],
-            d["owner_system_id"],
-            InterfaceRef(
-                d["interface"]["name"], d["interface"]["namespace"], d["interface"]["operation"]
-            ),
-            d["endpoint_address"],
-            d["adapter"],
-            _origin_from(d["origin"]),
-        )
-        for d in doc["in_confs"]
-    ]
-    correlations = [
-        CorrelationHint(
-            d["left_space"],
-            d["left_id"],
-            d["right_space"],
-            d["right_id"],
-            d["kind"],
-            _origin_from(d["origin"]),
-        )
-        for d in doc["correlations"]
-    ]
-    return RawStore.build(
-        version, systems, hosts, runs, out_confs, in_confs, correlations
-    )
+    collections = {}
+    for name, cls in _STORE_COLLECTIONS.items():
+        items = doc[name]
+        if type(items) is not list:
+            raise ModelError(f"store {name} must be a list, not {type(items).__name__}")
+        collections[name] = map(canonical_decoder(cls), items)
+    return RawStore.build(version, **collections)

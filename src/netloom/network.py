@@ -5,8 +5,9 @@ message flows, plus cross-space participant links and flow links. The
 JSON rendering is canonical (sorted keys, entities sorted by id, no
 timestamps), so two equal networks always serialize to the same bytes
 and the version id can simply be a digest of the content. It is written
-by ``model.CANONICAL_JSON`` straight from the dataclasses below: each
-JSON object's keys are the fields of its dataclass, so renaming a field
+by ``model.CANONICAL_JSON`` straight from the dataclasses below and read
+back by ``model.canonical_decoder`` from their fields: each JSON
+object's keys are the fields of its dataclass, so renaming a field
 changes the format and every network version. GraphML and DOT exports
 cover the graph-shaped subset for standard tooling.
 """
@@ -19,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Any, Iterable, Sequence
 from xml.sax.saxutils import escape, quoteattr
 
-from .model import CANONICAL_JSON, canonical_bytes
+from .model import CANONICAL_JSON, canonical_bytes, canonical_decoder, content_id
 from .reconstruct import Reconstruction, flow_id_for
 
 BUILTIN_SPACES = ("business-process", "integration")
@@ -112,11 +113,6 @@ class Network:
         }
 
 
-def _link_id(prefix: str, *parts: str) -> str:
-    blob = "\x1f".join(parts)
-    return f"{prefix}:{hashlib.sha256(blob.encode('utf-8')).hexdigest()[:16]}"
-
-
 def emit(recon: Reconstruction) -> Network:
     """Assemble the client-facing network from reconstruction output.
 
@@ -175,7 +171,7 @@ def emit(recon: Reconstruction) -> Network:
                 raise EmitError(f"link endpoint {endpoint!r} has no participant")
         links.append(
             ParticipantLink(
-                _link_id("pl", l.left, l.right, l.kind), l.left, l.right, l.kind
+                content_id("pl", l.left, l.right, l.kind), l.left, l.right, l.kind
             )
         )
 
@@ -191,7 +187,7 @@ def emit(recon: Reconstruction) -> Network:
             )
         flow_links.append(
             MessageFlowLink(
-                _link_id("fl", fl.left_flow, fl.right_flow, fl.kind),
+                content_id("fl", fl.left_flow, fl.right_flow, fl.kind),
                 fl.left_flow,
                 fl.right_flow,
                 fl.kind,
@@ -212,50 +208,7 @@ def export_json(network: Network) -> bytes:
 
 def parse_network(data: bytes) -> Network:
     """Inverse of ``export_json``: ``parse_network(export_json(n)) == n``."""
-    doc = json.loads(data.decode("utf-8"))
-    participant, flow, complex_view = Participant, MessageFlow, ComplexPropertyView
-    spaces = tuple([
-        NetworkSpace(
-            s["name"],
-            tuple([
-                participant(
-                    p["id"],
-                    p["label"],
-                    p["space"],
-                    p["props"],
-                    tuple([
-                        complex_view(c["kind"], c["digest"], c["payload"])
-                        for c in p["complex_props"]
-                    ]),
-                    tuple(map(tuple, p["origins"])),
-                )
-                for p in s["participants"]
-            ]),
-            tuple([
-                flow(
-                    f["id"],
-                    f["source"],
-                    f["target"],
-                    f["interface"],
-                    tuple(map(tuple, f["origins"])),
-                )
-                for f in s["flows"]
-            ]),
-        )
-        for s in doc["spaces"]
-    ])
-    return Network(
-        doc["version"],
-        spaces,
-        tuple([
-            ParticipantLink(l["id"], l["left"], l["right"], l["kind"])
-            for l in doc["participant_links"]
-        ]),
-        tuple([
-            MessageFlowLink(l["id"], l["left_flow"], l["right_flow"], l["kind"])
-            for l in doc["flow_links"]
-        ]),
-    )
+    return canonical_decoder(Network)(json.loads(data.decode("utf-8")))
 
 
 def build_fragment(

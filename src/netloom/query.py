@@ -1,10 +1,9 @@
 """Query, traversal, and full-text search over a published network.
 
-An index holds what traversal reads: participants by id, each
-participant's space, and adjacency over flows and participant links.
-It is built per network version and immutable afterwards. Search keeps
-no token index: a one-shot query asks one question, so it scans the
-participants once per call.
+An index holds what traversal reads: participants by id and adjacency
+over flows and participant links. It is built per network version and
+immutable afterwards. Search keeps no token index: a one-shot query
+asks one question, so it scans the participants once per call.
 """
 
 from __future__ import annotations
@@ -28,16 +27,10 @@ class NetworkIndex:
     by_id: dict = field(default_factory=dict)
     flow_adjacency: dict = field(default_factory=dict)  # id -> set of neighbor ids
     link_adjacency: dict = field(default_factory=dict)
-    participant_space: dict = field(default_factory=dict)
 
 
 def build_index(network: Network) -> NetworkIndex:
-    by_id = {}
-    participant_space: dict[str, str] = {}
-    for space in network.spaces:
-        for p in space.participants:
-            by_id[p.id] = p
-            participant_space[p.id] = space.name
+    by_id = {p.id: p for space in network.spaces for p in space.participants}
     flow_adjacency: dict[str, set[str]] = {pid: set() for pid in by_id}
     link_adjacency: dict[str, set[str]] = {pid: set() for pid in by_id}
     for space in network.spaces:
@@ -53,7 +46,6 @@ def build_index(network: Network) -> NetworkIndex:
         by_id=by_id,
         flow_adjacency=flow_adjacency,
         link_adjacency=link_adjacency,
-        participant_space=participant_space,
     )
 
 
@@ -99,7 +91,7 @@ def traverse(
     allowed = set(spaces) if spaces else None
 
     def admitted(pid: str) -> bool:
-        return allowed is None or index.participant_space[pid] in allowed
+        return allowed is None or index.by_id[pid].space in allowed
 
     selected = {start}
     frontier = [start]

@@ -15,7 +15,6 @@ is independent of the order in which snapshots were loaded.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
@@ -29,6 +28,7 @@ from .model import (
     Origin,
     RawStore,
     SystemEntity,
+    content_id,
     to_facts,
 )
 
@@ -183,10 +183,9 @@ class Reconstruction:
 
 
 def flow_id_for(source_class: str, target_class: str, interface: InterfaceRef) -> str:
-    blob = "\x1f".join(
-        (source_class, target_class, interface.name, interface.namespace, interface.operation)
+    return content_id(
+        "flow", source_class, target_class, interface.name, interface.namespace, interface.operation
     )
-    return "flow:" + hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
 
 
 def _sorted_origins(origins: Iterable[Origin]) -> tuple[Origin, ...]:

@@ -42,7 +42,7 @@ from .ingest import (
     read_snapshot,
 )
 from .model import ModelError, RawStore, store_from_json, store_to_json
-from .network import Network, emit, export_json
+from .network import Network, emit, export_json, parse_network
 from .reconstruct import reconstruct
 
 logger = logging.getLogger(__name__)
@@ -50,6 +50,16 @@ logger = logging.getLogger(__name__)
 
 class WorkspaceError(Exception):
     pass
+
+
+def _read(what: str, path: Path, decode):
+    """``decode`` of the bytes of ``path``; raises WorkspaceError naming
+    the file if it cannot be read or does not hold a ``what``."""
+    try:
+        return decode(path.read_bytes())
+    except (OSError, ValueError, LookupError, TypeError, ModelError) as exc:
+        detail = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
+        raise WorkspaceError(f"unreadable {what} {path}: {detail}") from exc
 
 
 def write_atomic(path: Path, data: bytes) -> None:
@@ -135,11 +145,7 @@ class Workspace:
     def load_store(self) -> RawStore:
         """The current store; raises WorkspaceError if ``store.json``
         does not hold one."""
-        try:
-            return store_from_json(self.store_path.read_bytes())
-        except (OSError, ValueError, LookupError, TypeError, ModelError) as exc:
-            detail = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
-            raise WorkspaceError(f"unreadable store {self.store_path}: {detail}") from exc
+        return _read("store", self.store_path, store_from_json)
 
     def save_store(self, store: RawStore) -> None:
         write_atomic(self.store_path, store_to_json(store))
@@ -166,15 +172,25 @@ class Workspace:
         write_atomic(self.networks_dir / "LATEST", network.version.encode("utf-8"))
         return network.version
 
-    def latest_network_bytes(self) -> bytes | None:
+    def latest_network_path(self) -> Path | None:
+        """The file of the most recently published network, or None if
+        none is published."""
         pointer = self.networks_dir / "LATEST"
         if not pointer.exists():
             return None
         version = pointer.read_text(encoding="utf-8").strip()
         path = self.networks_dir / f"{version}.json"
-        if not path.exists():
-            return None
-        return path.read_bytes()
+        return path if path.exists() else None
+
+    def latest_network_bytes(self) -> bytes | None:
+        path = self.latest_network_path()
+        return None if path is None else path.read_bytes()
+
+    def latest_network(self) -> Network | None:
+        """The latest published network, or None if none is published;
+        raises WorkspaceError if its file does not hold one."""
+        path = self.latest_network_path()
+        return None if path is None else _read("network", path, parse_network)
 
     # -- pipeline steps
 
@@ -221,7 +237,7 @@ class SnapshotWatcher:
     identical file is a no-op while changed content is picked up again.
     Per-file failures are logged and do not stop the loop. A file whose
     source is not registered is not ledgered, so it is retried on every
-    poll until its source config is registered.
+    poll until its source config is registered and parses.
     """
 
     def __init__(self, workspace: Workspace, directory: str | Path):
@@ -278,7 +294,7 @@ class SnapshotWatcher:
                 continue
             try:
                 config = ws.get_source(path.name.split("__", 1)[0])
-            except WorkspaceError as exc:
+            except (WorkspaceError, IngestError) as exc:  # missing or broken config
                 logger.warning("skipping %s: %s", path.name, exc)
                 outcomes.append((path.name, "no-source-config"))
                 continue

@@ -281,6 +281,44 @@ def test_malformed_ledger_exit_one(runner, tmp_path, workspace, ledger):
     assert ws.load_store().version == 0
 
 
+# Each entry turns the bytes of a valid network export into broken ones.
+BROKEN_NETWORKS = {
+    "not-utf8": lambda good: b"\xff\xfe",
+    "truncated": lambda good: good[: len(good) // 2],
+    "not-an-object": lambda good: b"[]",
+    "no-spaces": lambda good: _edited(good, lambda doc: doc.pop("spaces")),
+    "list-props": lambda good: _edited(
+        good, lambda doc: doc["spaces"][1]["participants"][0].update(props=[])
+    ),
+    "directory": None,  # a network file that cannot be read at all
+}
+
+
+@pytest.mark.parametrize("broken", BROKEN_NETWORKS.values(), ids=BROKEN_NETWORKS.keys())
+@pytest.mark.parametrize(
+    "head, tail",
+    [(["export"], ["--format", "json"]), (["export"], ["--format", "graphml"]),
+     (["export"], ["--format", "dot"]), (["query", "search"], ["erp"]),
+     (["query", "traverse"], ["srca/erp"])],
+    ids=["json", "graphml", "dot", "search", "traverse"],
+)
+def test_malformed_network_exit_one(runner, tmp_path, workspace, head, tail, broken):
+    assert ingest_sample(runner, tmp_path, workspace).exit_code == 0
+    assert runner.invoke(main, ["infer", str(workspace)]).exit_code == 0
+    ws = Workspace.load(workspace)
+    path = ws.latest_network_path()
+    if broken is None:
+        path.unlink()
+        path.mkdir()
+    else:
+        path.write_bytes(broken(path.read_bytes()))
+    result = runner.invoke(main, [*head, str(workspace), *tail])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.output.startswith(f"unreadable network {path}: ")
+    assert result.output.count("\n") == 1
+
+
 class TestCheckCommand:
     def test_clean_snapshot(self, runner, tmp_path, workspace):
         cfg = tmp_path / "cfg.json"
@@ -294,6 +332,25 @@ class TestCheckCommand:
         assert json.loads(result.output)["accepted"] is True
         # Dry run: the store was not touched.
         assert Workspace.load(workspace).load_store().version == 0
+
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+    def test_line_separators_inside_strings_are_not_line_ends(
+        self, runner, tmp_path, workspace, newline
+    ):
+        cfg = tmp_path / "cfg.json"
+        write_source_config(cfg, "srca")
+        records = sample_records("\u2028\u2029\x85")
+        snap = tmp_path / "s.jsonl"
+        snap.write_bytes(
+            newline.join(json.dumps(r, ensure_ascii=False) for r in records).encode() + b"\n"
+        )
+        assert "\u2028".encode() in snap.read_bytes()
+        result = runner.invoke(
+            main, ["check", str(workspace), "--source-config", str(cfg), str(snap)]
+        )
+        assert result.exit_code == 0, result.output
+        assert json.loads(result.output)["accepted"] is True
 
 
 class TestInferCommand:
@@ -458,6 +515,28 @@ class TestWatch:
         assert ws.load_store().version == 1
         assert ws.latest_network_bytes() is not None
         assert watcher.poll_once() == []
+
+    def test_broken_source_config_skipped_and_retried(self, tmp_path, runner, workspace, caplog):
+        ws = Workspace.load(workspace)
+        cfg = tmp_path / "srca.json"
+        write_source_config(cfg, "srca")
+        ws.register_source(cfg)
+        (ws.sources_dir / "srca.json").write_text("[1]")
+        drop = tmp_path / "drop"
+        drop.mkdir()
+        write_snapshot(drop / "srca__1.jsonl", sample_records())
+        args = ["watch", str(workspace), str(drop), "--interval", "0", "--cycles", "1"]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0, result.output
+        assert "srca.json must be a JSON object" in caplog.text
+        watcher = SnapshotWatcher(ws, drop)
+        assert watcher.poll_once() == [("srca__1.jsonl", "no-source-config")]
+        assert not ws.ledger_path.exists()
+        assert ws.load_store().version == 0
+
+        ws.register_source(cfg)
+        assert watcher.poll_once() == [("srca__1.jsonl", "committed")]
+        assert ws.load_store().version == 1
 
     def test_unreadable_file_is_a_load_error_and_retried(self, tmp_path, runner, workspace):
         ws = Workspace.load(workspace)

@@ -1,12 +1,15 @@
 import json
 import random
 
+import pytest
+
 from netloom.model import (
     ComplexProperty,
     CorrelationHint,
     HostEntity,
     IncomingConfiguration,
     InterfaceRef,
+    ModelError,
     Origin,
     OutgoingConfiguration,
     RawStore,
@@ -201,6 +204,16 @@ class TestStorePersistence:
             again = store_from_json(data)
             assert store_to_json(again) == data
             assert again.content_equal(store)
+            # Equal bytes alone would pass with nested objects left as dicts.
+            assert again == store
+
+    @pytest.mark.parametrize("collection", ["systems", "hosts"])
+    def test_dict_field_must_hold_an_object(self, collection):
+        store = random_store(random.Random(5))
+        doc = json.loads(store_to_json(store))
+        doc[collection][0]["simple_props"] = ["space", "integration"]
+        with pytest.raises(ModelError, match=r"\.simple_props must be an object, not list"):
+            store_from_json(json.dumps(doc).encode())
 
     def test_without_source_removes_only_that_source(self):
         rng = random.Random(91)
