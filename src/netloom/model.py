@@ -6,11 +6,14 @@ projects the whole store onto a fact base (predicate name -> set of
 argument tuples) so rule programs can run over it. The merge and emit
 stages read entities from the store itself, not from facts.
 
-``store.json`` is written by the one canonical encoder, ``CANONICAL_JSON``,
-straight from the entities, and read back by ``canonical_decoder``, which
-is built from the same dataclass fields and their types: each JSON
-object's keys are the fields of its dataclass, so renaming a field
-changes the on-disk format on both sides at once.
+A store is persisted one segment per source (``RawStore.only_source``;
+the workspace keeps the files). ``store_to_json`` writes a store or a
+segment with the one canonical encoder, ``CANONICAL_JSON``, straight
+from the entities, and ``store_from_json`` reads it back through
+``canonical_decoder``, which is built from the same dataclass fields
+and their types: each JSON object's keys are the fields of its
+dataclass, so renaming a field changes the on-disk format on both sides
+at once.
 """
 
 from __future__ import annotations
@@ -331,19 +334,32 @@ class RawStore:
         )
 
     def without_source(self, source_id: str) -> "RawStore":
+        return self._select(source_id, False)
+
+    def only_source(self, source_id: str) -> "RawStore":
+        """The entities ``source_id`` contributed, at this store's version."""
+        return self._select(source_id, True)
+
+    def _select(self, source_id: str, inside: bool) -> "RawStore":
+        """The entities whose source is ``source_id`` (``inside``) or is
+        any other (not ``inside``), in the order this store holds them."""
+
         def keep(entities: dict):
-            return {k: v for k, v in entities.items() if v.origin.source_id != source_id}
+            return {
+                k: v for k, v in entities.items() if (v.origin.source_id == source_id) is inside
+            }
+
+        def keep_all(items: tuple):
+            return tuple(x for x in items if (x.origin.source_id == source_id) is inside)
 
         return RawStore(
             version=self.version,
             systems=keep(self.systems),
             hosts=keep(self.hosts),
-            runs_on=tuple(r for r in self.runs_on if r.origin.source_id != source_id),
+            runs_on=keep_all(self.runs_on),
             out_confs=keep(self.out_confs),
             in_confs=keep(self.in_confs),
-            correlations=tuple(
-                c for c in self.correlations if c.origin.source_id != source_id
-            ),
+            correlations=keep_all(self.correlations),
         )
 
     def ids_by_kind(self) -> dict[str, set[str]]:
@@ -417,7 +433,7 @@ def to_facts(store: RawStore) -> dict[str, set[tuple]]:
 # Store persistence (canonical JSON)
 
 
-#: Each collection of ``store.json``, in the order ``RawStore`` holds
+#: Each collection of a store document, in the order ``RawStore`` holds
 #: them, with the entity class of its items.
 _STORE_COLLECTIONS = {
     "systems": SystemEntity,

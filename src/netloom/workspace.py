@@ -4,12 +4,27 @@ Layout under the workspace root:
 
     schema.json              conformance schema (editable)
     sources/<source_id>.json registered source configs
-    store.json               current raw store version (canonical JSON)
+    .lock                    taken (flock) by each writer of the store
+    store.json               manifest of the current raw store version:
+                             {"segments": {source id: file}, "version": n}
+    store/<source_id>.<16 hex digits>.json
+                             one segment per source: its entities, stamped
+                             with the store version that last committed it;
+                             the digits begin the SHA-256 of the file
     snapshots/<source_id>__v<store version>.jsonl
                              the bytes of each committed snapshot
     networks/<version>.json  published network exports
     networks/LATEST          name of the most recent version
     watch_ledger.json        processed snapshot files (name + digest)
+
+A commit writes the segments of the sources it committed, then replaces
+the manifest, then deletes the segments the manifest no longer lists; so
+a reader that goes by the manifest sees the old store or the new one.
+Writers take an exclusive ``flock`` on ``.lock`` from loading the store
+to saving it, so one writer never deletes the segments of another's
+save in flight, nor overwrites its commit.
+A ``store.json`` that holds a whole store (the format before segments)
+is still read, and the next save replaces it with segments.
 
 Snapshot files picked up by the watcher are named
 ``<source_id>__<anything>.jsonl``; the prefix selects the registered
@@ -18,12 +33,16 @@ source config.
 
 from __future__ import annotations
 
+import fcntl
 import hashlib
 import json
 import logging
 import os
+import re
 import time
-from dataclasses import asdict, dataclass
+from contextlib import contextmanager
+from dataclasses import asdict, dataclass, replace
+from itertools import chain
 from pathlib import Path
 
 from .conformance import (
@@ -41,7 +60,7 @@ from .ingest import (
     load_source_config,
     read_snapshot,
 )
-from .model import ModelError, RawStore, store_from_json, store_to_json
+from .model import ModelError, RawStore, canonical_bytes, store_from_json, store_to_json
 from .network import Network, emit, export_json, parse_network
 from .reconstruct import reconstruct
 
@@ -52,14 +71,78 @@ class WorkspaceError(Exception):
     pass
 
 
-def _read(what: str, path: Path, decode):
-    """``decode`` of the bytes of ``path``; raises WorkspaceError naming
-    the file if it cannot be read or does not hold a ``what``."""
+@contextmanager
+def _unreadable(what: str, path: Path):
+    """Turn a failure to read or decode ``path`` inside the block into a
+    WorkspaceError naming the file."""
     try:
-        return decode(path.read_bytes())
+        yield
     except (OSError, ValueError, LookupError, TypeError, ModelError) as exc:
         detail = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
         raise WorkspaceError(f"unreadable {what} {path}: {detail}") from exc
+
+
+def _read(what: str, path: Path, decode):
+    """``decode`` of the bytes of ``path``; raises WorkspaceError naming
+    the file if it cannot be read or does not hold a ``what``."""
+    with _unreadable(what, path):
+        return decode(path.read_bytes())
+
+
+def _network_version(data: bytes) -> str:
+    version = data.decode("utf-8").strip()
+    if not re.fullmatch(r"[0-9a-f]{16}", version):
+        raise ValueError(f"must hold a version of 16 lowercase hex digits, not {version[:40]!r}")
+    return version
+
+
+def _entities(store: RawStore):
+    return chain(store.systems.values(), store.hosts.values(), store.runs_on,
+                 store.out_confs.values(), store.in_confs.values(), store.correlations)
+
+
+def _whole_store_stamps(store: RawStore) -> dict[str, int]:
+    """Every source in ``store``, each stamped with the store's version."""
+    return dict.fromkeys(sorted({e.origin.source_id for e in _entities(store)}), store.version)
+
+
+def _segments_of(doc: dict) -> tuple[int, dict[str, str]]:
+    """The version and segments of a manifest document; raises ValueError
+    unless it is exactly ``{"segments": {source id: file name}, "version": n}``
+    with each file name a plain name."""
+    version, segments = doc.get("version"), doc.get("segments")
+    if (
+        doc.keys() != {"segments", "version"}
+        or type(version) is not int
+        or version < 0
+        or type(segments) is not dict
+        or not all(type(name) is str and _plain_name(name) for name in segments.values())
+    ):
+        raise ValueError(
+            'manifest must be {"segments": {source id: file name in store/}, "version": n >= 0}'
+        )
+    return version, segments
+
+
+def _plain_name(name: str) -> bool:
+    return name not in ("", ".", "..") and not any(c in name for c in "/\\\0")
+
+
+def _segment_decoder(source_id: str):
+    """The decoder of the segment of ``source_id``: ``store_from_json``,
+    refusing an entity of any other source."""
+
+    def decode(data: bytes) -> RawStore:
+        segment = store_from_json(data)
+        for entity in _entities(segment):
+            if entity.origin.source_id != source_id:
+                raise ModelError(
+                    f"segment of source {source_id!r} holds an entity of "
+                    f"{entity.origin.source_id!r}"
+                )
+        return segment
+
+    return decode
 
 
 def write_atomic(path: Path, data: bytes) -> None:
@@ -98,6 +181,10 @@ class Workspace:
     @property
     def store_path(self) -> Path:
         return self.root / "store.json"
+
+    @property
+    def segments_dir(self) -> Path:
+        return self.root / "store"
 
     @property
     def networks_dir(self) -> Path:
@@ -142,13 +229,84 @@ class Workspace:
 
     # -- store versions
 
+    @contextmanager
+    def _store_lock(self):
+        """Hold the exclusive advisory lock on ``.lock`` for the block.
+        It is not reentrant: a holder must not ask for it again."""
+        with open(self.root / ".lock", "ab") as handle:
+            fcntl.flock(handle, fcntl.LOCK_EX)
+            yield
+
     def load_store(self) -> RawStore:
-        """The current store; raises WorkspaceError if ``store.json``
-        does not hold one."""
-        return _read("store", self.store_path, store_from_json)
+        """The current store; raises WorkspaceError if ``store.json`` or
+        a segment it lists does not hold its part."""
+        return self._load_store()[0]
+
+    def _load_store(self) -> tuple[RawStore, dict[str, str] | None]:
+        """The current store and the manifest's segments it was read
+        from, None for a ``store.json`` that holds the whole store.
+
+        A listed segment can be missing because another writer replaced
+        the manifest and deleted it meanwhile; if ``store.json`` has
+        changed since, the new manifest is read once more.
+        """
+        data = _read("store", self.store_path, bytes)
+        try:
+            return self._decode_store(data)
+        except WorkspaceError as exc:
+            if not isinstance(exc.__cause__, FileNotFoundError):
+                raise
+            again = _read("store", self.store_path, bytes)
+            if again == data:
+                raise
+        return self._decode_store(again)
+
+    def _decode_store(self, data: bytes) -> tuple[RawStore, dict[str, str] | None]:
+        with _unreadable("store", self.store_path):
+            doc = json.loads(data.decode("utf-8"))
+            if type(doc) is not dict or "segments" not in doc:
+                return store_from_json(data), None
+            version, segments = _segments_of(doc)
+        parts = [
+            _read("store", self.segments_dir / name, _segment_decoder(source_id))
+            for source_id, name in segments.items()
+        ]
+        with _unreadable("store", self.store_path):  # an id in two segments
+            store = RawStore.build(
+                version,
+                [e for part in parts for e in part.systems.values()],
+                [e for part in parts for e in part.hosts.values()],
+                [e for part in parts for e in part.runs_on],
+                [e for part in parts for e in part.out_confs.values()],
+                [e for part in parts for e in part.in_confs.values()],
+                [e for part in parts for e in part.correlations],
+            )
+        return store, segments
 
     def save_store(self, store: RawStore) -> None:
-        write_atomic(self.store_path, store_to_json(store))
+        """Write a segment for every source in ``store``, then the manifest."""
+        with self._store_lock():
+            self._write_store(store, {}, _whole_store_stamps(store))
+
+    def _write_store(self, store: RawStore, kept: dict[str, str], stamps: dict[str, int]) -> None:
+        """Write the segment of each source in ``stamps``, stamped with
+        its version there, then a manifest listing those beside the
+        ``kept`` entries; then delete every other file in ``store/``."""
+        segments = dict(kept)
+        self.segments_dir.mkdir(exist_ok=True)
+        for source_id, version in stamps.items():
+            data = store_to_json(replace(store.only_source(source_id), version=version))
+            name = f"{source_id}.{hashlib.sha256(data).hexdigest()[:16]}.json"
+            write_atomic(self.segments_dir / name, data)
+            segments[source_id] = name
+        write_atomic(self.store_path, canonical_bytes({"segments": segments, "version": store.version}))
+        listed = set(segments.values())
+        for path in self.segments_dir.iterdir():
+            if path.name not in listed:
+                try:
+                    path.unlink(missing_ok=True)
+                except OSError as exc:  # the store is saved; the file is only waste
+                    logger.warning("cannot remove %s: %s", path, exc)
 
     # -- source configs
 
@@ -178,13 +336,13 @@ class Workspace:
         pointer = self.networks_dir / "LATEST"
         if not pointer.exists():
             return None
-        version = pointer.read_text(encoding="utf-8").strip()
+        version = _read("network pointer", pointer, _network_version)
         path = self.networks_dir / f"{version}.json"
         return path if path.exists() else None
 
     def latest_network_bytes(self) -> bytes | None:
         path = self.latest_network_path()
-        return None if path is None else path.read_bytes()
+        return None if path is None else _read("network", path, bytes)
 
     def latest_network(self) -> Network | None:
         """The latest published network, or None if none is published;
@@ -203,15 +361,29 @@ class Workspace:
         """
         data = read_snapshot(snapshot_path)
         snapshot = load_snapshot(snapshot_path, config, data)
-        result = commit(snapshot, self.load_store(), self.checker())
-        if isinstance(result, RawStore):
-            self._save_committed(result, [(config.source_id, result.version, data)])
+        with self._store_lock():
+            store, segments = self._load_store()
+            result = commit(snapshot, store, self.checker())
+            if isinstance(result, RawStore):
+                self._save_committed(result, segments, [(config.source_id, result.version, data)])
         return result
 
-    def _save_committed(self, store: RawStore, archives: list[tuple[str, int, bytes]]) -> None:
-        """Save ``store``, then archive each committed snapshot, given as
-        (source id, store version it made, bytes)."""
-        self.save_store(store)
+    def _save_committed(
+        self,
+        store: RawStore,
+        segments: dict[str, str] | None,
+        archives: list[tuple[str, int, bytes]],
+    ) -> None:
+        """Save ``store``, loaded from the manifest ``segments``, then
+        archive each committed snapshot, given as (source id, store
+        version it made, bytes). Only the committed sources' segments
+        are written, each stamped with its last commit's version; a
+        whole-store ``store.json`` (``segments`` None) is rewritten as
+        one segment per source."""
+        stamps = {source_id: version for source_id, version, _ in archives}
+        if segments is None:
+            stamps = {**_whole_store_stamps(store), **stamps}
+        self._write_store(store, segments or {}, stamps)
         self.snapshots_dir.mkdir(exist_ok=True)
         for source_id, version, data in archives:
             write_atomic(self.snapshots_dir / f"{source_id}__v{version:06d}.jsonl", data)
@@ -265,58 +437,61 @@ class SnapshotWatcher:
         return ledger
 
     def _save_ledger(self) -> None:
-        write_atomic(self.workspace.ledger_path, _json_bytes(self._ledger))
+        write_atomic(self.workspace.ledger_path, canonical_bytes(self._ledger))
 
     def poll_once(self) -> list[tuple[str, str]]:
         """One scan pass; returns (filename, outcome) per processed file.
 
         Each new or changed file is read once, and those bytes are
         digested, committed and archived. Files commit in name order
-        against one load of the store, which is then saved once. The
+        against one load of the store; then the segment of each
+        committed source is written, and the manifest after them. The
         archives and the ledger follow, and if anything committed, the
         store just saved is reconstructed and published without being
         read again. The ledger advances only after the save succeeds.
+        The workspace's store lock is held from the load to the save.
         """
         ws = self.workspace
         outcomes: list[tuple[str, str]] = []
         ledgered: dict[str, str] = {}
         archives: list[tuple[str, int, bytes]] = []
-        store = checker = None
-        for path in sorted(self.directory.glob("*.jsonl")):
-            try:
-                data = read_snapshot(path)
-            except IngestError as exc:  # e.g. removed since the scan; retried
-                logger.warning("skipping %s: %s", path.name, exc)
-                outcomes.append((path.name, "load-error"))
-                continue
-            digest = hashlib.sha256(data).hexdigest()
-            if self._ledger.get(path.name) == digest:
-                continue
-            try:
-                config = ws.get_source(path.name.split("__", 1)[0])
-            except (WorkspaceError, IngestError) as exc:  # missing or broken config
-                logger.warning("skipping %s: %s", path.name, exc)
-                outcomes.append((path.name, "no-source-config"))
-                continue
-            ledgered[path.name] = digest
-            try:
-                snapshot = load_snapshot(path, config, data)
-            except IngestError as exc:
-                logger.warning("skipping %s: %s", path.name, exc)
-                outcomes.append((path.name, "load-error"))
-                continue
-            if store is None:
-                store, checker = ws.load_store(), ws.checker()
-            result = commit(snapshot, store, checker)
-            if isinstance(result, ConformanceReport):
-                logger.warning("rejected %s: %d findings", path.name, len(result.findings))
-                outcomes.append((path.name, "rejected"))
-                continue
-            store = result
-            archives.append((config.source_id, store.version, data))
-            outcomes.append((path.name, "committed"))
-        if archives:
-            ws._save_committed(store, archives)
+        store = segments = checker = None
+        with ws._store_lock():  # from the load to the save
+            for path in sorted(self.directory.glob("*.jsonl")):
+                try:
+                    data = read_snapshot(path)
+                except IngestError as exc:  # e.g. removed since the scan; retried
+                    logger.warning("skipping %s: %s", path.name, exc)
+                    outcomes.append((path.name, "load-error"))
+                    continue
+                digest = hashlib.sha256(data).hexdigest()
+                if self._ledger.get(path.name) == digest:
+                    continue
+                try:
+                    config = ws.get_source(path.name.split("__", 1)[0])
+                except (WorkspaceError, IngestError) as exc:  # missing or broken config
+                    logger.warning("skipping %s: %s", path.name, exc)
+                    outcomes.append((path.name, "no-source-config"))
+                    continue
+                ledgered[path.name] = digest
+                try:
+                    snapshot = load_snapshot(path, config, data)
+                except IngestError as exc:
+                    logger.warning("skipping %s: %s", path.name, exc)
+                    outcomes.append((path.name, "load-error"))
+                    continue
+                if store is None:
+                    (store, segments), checker = ws._load_store(), ws.checker()
+                result = commit(snapshot, store, checker)
+                if isinstance(result, ConformanceReport):
+                    logger.warning("rejected %s: %d findings", path.name, len(result.findings))
+                    outcomes.append((path.name, "rejected"))
+                    continue
+                store = result
+                archives.append((config.source_id, store.version, data))
+                outcomes.append((path.name, "committed"))
+            if archives:
+                ws._save_committed(store, segments, archives)
         if ledgered:
             self._ledger.update(ledgered)
             self._save_ledger()

@@ -1,9 +1,11 @@
 import json
+import shutil
 
 import pytest
 from click.testing import CliRunner
 
 from netloom.cli import main
+from netloom.model import store_to_json
 from netloom.workspace import SnapshotWatcher, Workspace
 
 
@@ -197,7 +199,8 @@ def _edited(good, change):
     return json.dumps(doc).encode()
 
 
-# Each entry turns the bytes of a valid store.json into broken ones.
+# Each entry turns the bytes of a valid whole store, as a legacy
+# store.json or as one source's segment, into broken ones.
 BROKEN_STORES = {
     "not-utf8": lambda good: b"\xff\xfe",
     "not-json": lambda good: good[: len(good) // 2],
@@ -210,23 +213,90 @@ BROKEN_STORES = {
         good, lambda doc: doc["systems"][0].update(simple_props=[])
     ),
     "dict-systems": lambda good: _edited(good, lambda doc: doc.update(systems={})),
-    "directory": None,  # a store.json that cannot be read at all
+    "directory": None,  # a file that cannot be read at all
 }
+
+
+def break_file(path, broken):
+    """Replace ``path`` by what ``broken`` makes of its bytes, or by a
+    directory; returns the bytes written, or None."""
+    if broken is None:
+        path.unlink()
+        path.mkdir()
+        return None
+    bad = broken(path.read_bytes())
+    assert bad != path.read_bytes()
+    path.write_bytes(bad)
+    return bad
+
+
+def segment_path(workspace, source_id="srca"):
+    manifest = json.loads((workspace / "store.json").read_bytes())
+    return workspace / "store" / manifest["segments"][source_id]
 
 
 @pytest.mark.parametrize("broken", BROKEN_STORES.values(), ids=BROKEN_STORES.keys())
 @pytest.mark.parametrize("command", ["ingest", "check", "infer", "watch"])
 def test_malformed_store_exit_one(runner, tmp_path, workspace, command, broken):
+    # A legacy store.json, which holds the whole store.
     assert ingest_sample(runner, tmp_path, workspace).exit_code == 0
     store_path = workspace / "store.json"
-    if broken is None:
-        store_path.unlink()
-        store_path.mkdir()
-        bad = None
-    else:
-        bad = broken(store_path.read_bytes())
-        assert bad != store_path.read_bytes()
-        store_path.write_bytes(bad)
+    legacy = store_to_json(Workspace.load(workspace).load_store())
+    shutil.rmtree(workspace / "store")
+    store_path.write_bytes(legacy)
+    bad = break_file(store_path, broken)
+    assert_unreadable_store(runner, tmp_path, workspace, command, store_path)
+    assert store_path.is_dir() if bad is None else store_path.read_bytes() == bad
+
+
+@pytest.mark.parametrize("broken", BROKEN_STORES.values(), ids=BROKEN_STORES.keys())
+@pytest.mark.parametrize("command", ["ingest", "check", "infer", "watch"])
+def test_malformed_segment_exit_one(runner, tmp_path, workspace, command, broken):
+    assert ingest_sample(runner, tmp_path, workspace).exit_code == 0
+    manifest = (workspace / "store.json").read_bytes()
+    path = segment_path(workspace)
+    bad = break_file(path, broken)
+    assert_unreadable_store(runner, tmp_path, workspace, command, path)
+    assert path.is_dir() if bad is None else path.read_bytes() == bad
+    assert (workspace / "store.json").read_bytes() == manifest
+
+
+# Each entry turns a valid manifest document, listing the segment of
+# srca, into a broken one; the file the message names: the manifest, or
+# the segment the broken manifest lists.
+BROKEN_MANIFESTS = {
+    "list-segments": (lambda doc: doc.update(segments=[]), "store.json"),
+    "str-version": (lambda doc: doc.update(version="1"), "store.json"),
+    "extra-key": (lambda doc: doc.update(systems=[]), "store.json"),
+    "int-file-name": (lambda doc: doc["segments"].update(srca=1), "store.json"),
+    "name-with-slash": (lambda doc: doc["segments"].update(srca="../store.json"), "store.json"),
+    "name-dot-dot": (lambda doc: doc["segments"].update(srca=".."), "store.json"),
+    "missing-segment": (
+        lambda doc: doc["segments"].update(srca="srca.0000000000000000.json"),
+        "store/srca.0000000000000000.json",
+    ),
+    # srca's segment listed as srcb's: it holds another source's entities.
+    "other-source": (lambda doc: doc.update(segments={"srcb": doc["segments"]["srca"]}), None),
+}
+
+
+@pytest.mark.parametrize("change, named", BROKEN_MANIFESTS.values(), ids=BROKEN_MANIFESTS.keys())
+@pytest.mark.parametrize("command", ["ingest", "check", "infer", "watch"])
+def test_malformed_manifest_exit_one(runner, tmp_path, workspace, command, change, named):
+    assert ingest_sample(runner, tmp_path, workspace).exit_code == 0
+    store_path = workspace / "store.json"
+    segment = segment_path(workspace)
+    segment_bytes = segment.read_bytes()
+    bad = break_file(store_path, lambda good: _edited(good, change))
+    named = segment if named is None else workspace / named
+    assert_unreadable_store(runner, tmp_path, workspace, command, named)
+    assert store_path.read_bytes() == bad
+    assert segment.read_bytes() == segment_bytes
+
+
+def assert_unreadable_store(runner, tmp_path, workspace, command, path):
+    """``command`` exits 1 with one line naming the unreadable store file
+    ``path``, and writes no ledger."""
     cfg, snap, drop = tmp_path / "srca.json", tmp_path / "s.jsonl", tmp_path / "drop"
     write_snapshot(snap, sample_records("2"))
     drop.mkdir()
@@ -240,9 +310,8 @@ def test_malformed_store_exit_one(runner, tmp_path, workspace, command, broken):
     result = runner.invoke(main, args)
     assert result.exit_code == 1
     assert isinstance(result.exception, SystemExit)
-    assert result.output.startswith(f"unreadable store {store_path}: ")
+    assert result.output.startswith(f"unreadable store {path}: ")
     assert result.output.count("\n") == 1
-    assert store_path.is_dir() if bad is None else store_path.read_bytes() == bad
     assert not (workspace / "watch_ledger.json").exists()
 
 
@@ -316,6 +385,26 @@ def test_malformed_network_exit_one(runner, tmp_path, workspace, head, tail, bro
     assert result.exit_code == 1
     assert isinstance(result.exception, SystemExit)
     assert result.output.startswith(f"unreadable network {path}: ")
+    assert result.output.count("\n") == 1
+
+
+# A networks/LATEST that cannot be read, or does not name a version.
+BROKEN_POINTERS = {"directory": None, "not-utf8": b"\xff\xfe", "escapes": b"../store"}
+
+
+@pytest.mark.parametrize("pointer", BROKEN_POINTERS.values(), ids=BROKEN_POINTERS.keys())
+@pytest.mark.parametrize(
+    "head, tail", [(["export"], []), (["query", "search"], ["erp"])], ids=["export", "search"]
+)
+def test_unreadable_latest_pointer_exit_one(runner, tmp_path, workspace, head, tail, pointer):
+    assert ingest_sample(runner, tmp_path, workspace).exit_code == 0
+    assert runner.invoke(main, ["infer", str(workspace)]).exit_code == 0
+    latest = workspace / "networks" / "LATEST"
+    break_file(latest, None if pointer is None else lambda good: pointer)
+    result = runner.invoke(main, [*head, str(workspace), *tail])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.output.startswith(f"unreadable network pointer {latest}: ")
     assert result.output.count("\n") == 1
 
 

@@ -1,19 +1,23 @@
+import gc
 import hashlib
 import json
 import random
+import sys
+import threading
 from pathlib import Path
 
 import pytest
 
 import netloom.workspace as workspace_mod
 from netloom.ingest import IngestError
-from netloom.model import RawStore
+from netloom.model import RawStore, store_to_json
 from netloom.network import emit
 from netloom.reconstruct import reconstruct
 from netloom.workspace import SnapshotWatcher, Workspace, write_atomic
 
 from generators import make_scenario
 from helpers import store_from_sources
+from test_format import SOURCES, STORE_SHA256
 
 
 def fail_replace(self, target):
@@ -138,10 +142,18 @@ def test_one_poll_of_many_files_equals_sequential_ingests(tmp_path, seed):
     assert file_bytes(ws.networks_dir) == file_bytes(batch.networks_dir)
 
 
+def listed_segments(ws: Workspace) -> set[str]:
+    return set(json.loads(ws.store_path.read_bytes())["segments"].values())
+
+
 def test_poll_loads_and_saves_the_store_once(tmp_path, monkeypatch):
     sources, files = mixed_drop(7)
     ws = Workspace.init(tmp_path / "ws")
     register_sources(ws, sources, tmp_path)
+    # A segment for every source, so the poll has all of them to load.
+    old = {"kind": "system", "id": "old", "name": "Old", "type": "application"}
+    ws.save_store(store_from_sources({src: [old] for src in sources}))
+    assert len(listed_segments(ws)) == len(sources)
     drop = tmp_path / "drop"
     drop.mkdir()
     for name, data in files.items():
@@ -160,10 +172,12 @@ def test_poll_loads_and_saves_the_store_once(tmp_path, monkeypatch):
     for name in calls:
         monkeypatch.setattr(workspace_mod, name, counting(name))
     outcomes = SnapshotWatcher(ws, drop).poll_once()
-    committed = sum(1 for _, o in outcomes if o == "committed")
-    assert committed >= 3
-    assert calls == {"store_from_json": 1, "store_to_json": 1}
-    assert ws.load_store().version == committed
+    committed = [name.split("__", 1)[0] for name, o in outcomes if o == "committed"]
+    # One decode per loaded segment, one encode per committed source,
+    # however many of its files committed.
+    assert len(committed) > len(set(committed)) >= 2
+    assert calls == {"store_from_json": len(sources), "store_to_json": len(set(committed))}
+    assert ws.load_store().version == len(sources) + len(committed)
 
 
 def test_failed_save_leaves_workspace_and_ledger_for_next_poll(tmp_path, monkeypatch):
@@ -181,11 +195,11 @@ def test_failed_save_leaves_workspace_and_ledger_for_next_poll(tmp_path, monkeyp
         (drop / name).write_bytes(files[name])
     before = file_bytes(ws.root)
 
-    def fail_save(self, store):
+    def fail_save(self, store, kept, stamps):
         raise OSError("disk full")
 
     with monkeypatch.context() as patch:
-        patch.setattr(Workspace, "save_store", fail_save)
+        patch.setattr(Workspace, "_write_store", fail_save)
         with pytest.raises(OSError, match="disk full"):
             watcher.poll_once()
     assert file_bytes(ws.root) == before
@@ -226,3 +240,199 @@ def test_poll_digests_commits_and_archives_the_bytes_it_read(tmp_path, monkeypat
     monkeypatch.undo()
     assert watcher.poll_once() == [("srca__one.jsonl", "committed")]
     assert set(ws.load_store().systems) == {"srca/s2"}
+
+
+def test_crash_before_the_manifest_keeps_the_previous_store(tmp_path, monkeypatch):
+    sources, files = mixed_drop(9)
+    ws = Workspace.init(tmp_path / "ws")
+    register_sources(ws, sources, tmp_path)
+    drop = tmp_path / "drop"
+    drop.mkdir()
+    first = min(name for name, data in files.items() if b"ghost" not in data and data != b"{nope\n")
+    rest = sorted(set(files) - {first})
+    (drop / first).write_bytes(files[first])
+    watcher = SnapshotWatcher(ws, drop)
+    assert watcher.poll_once() == [(first, "committed")]
+    for name in rest:
+        (drop / name).write_bytes(files[name])
+    store = ws.load_store()
+    ledger, networks = ws.ledger_path.read_bytes(), file_bytes(ws.networks_dir)
+    real_write = workspace_mod.write_atomic
+
+    def crash_at_manifest(path, data):
+        # The process dies after the segments are written, before the
+        # manifest is replaced.
+        if path == ws.store_path:
+            raise OSError("killed")
+        real_write(path, data)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(workspace_mod, "write_atomic", crash_at_manifest)
+        with pytest.raises(OSError, match="killed"):
+            watcher.poll_once()
+    orphans = {p.name for p in ws.segments_dir.iterdir()} - listed_segments(ws)
+    assert orphans
+    assert ws.load_store().version == store.version
+    assert ws.load_store().content_digest() == store.content_digest()
+    assert ws.ledger_path.read_bytes() == ledger
+    assert file_bytes(ws.networks_dir) == networks
+
+    outcomes = watcher.poll_once()
+    assert [name for name, _ in outcomes] == rest
+    assert ws.load_store().version == 1 + sum(1 for _, o in outcomes if o == "committed")
+    assert {p.name for p in ws.segments_dir.iterdir()} == listed_segments(ws)
+    assert watcher.poll_once() == []
+
+
+def test_legacy_whole_store_loads_and_the_next_commit_segments_it(tmp_path):
+    ws = Workspace.init(tmp_path / "ws")
+    golden = store_from_sources(SOURCES)
+    data = store_to_json(golden)
+    assert hashlib.sha256(data).hexdigest() == STORE_SHA256
+    ws.store_path.write_bytes(data)
+    for path in ws.segments_dir.iterdir():
+        path.unlink()
+    ws.segments_dir.rmdir()
+    loaded = ws.load_store()
+    assert loaded.version == golden.version
+    assert loaded.content_digest() == golden.content_digest()
+
+    register_sources(ws, ["srcc"], tmp_path)
+    snap = tmp_path / "srcc.jsonl"
+    snap.write_bytes(snapshot_bytes([{"kind": "system", "id": "s1", "name": "New", "type": "application"}]))
+    assert isinstance(ws.ingest(ws.get_source("srcc"), snap), RawStore)
+
+    manifest = json.loads(ws.store_path.read_bytes())
+    assert manifest["version"] == golden.version + 1
+    assert manifest["segments"].keys() == {"srca", "srcb", "srcc"}
+    assert {p.name for p in ws.segments_dir.iterdir()} == set(manifest["segments"].values())
+    store = ws.load_store()
+    for src in SOURCES:
+        assert store.only_source(src).content_digest() == golden.only_source(src).content_digest()
+    assert set(store.only_source("srcc").systems) == {"srcc/s1"}
+
+
+def test_segments_are_named_by_digest_and_stamped_with_their_commit(tmp_path):
+    ws = Workspace.init(tmp_path / "ws")
+    register_sources(ws, ["srca", "srcb"], tmp_path)
+    for src in ("srca", "srcb"):
+        snap = tmp_path / f"{src}.jsonl"
+        snap.write_bytes(snapshot_bytes([{"kind": "system", "id": "s", "name": src, "type": "app"}]))
+        ws.ingest(ws.get_source(src), snap)
+    manifest = json.loads(ws.store_path.read_bytes())
+    assert manifest["version"] == 2
+    for src, version in (("srca", 1), ("srcb", 2)):
+        name = manifest["segments"][src]
+        data = (ws.segments_dir / name).read_bytes()
+        assert name == f"{src}.{hashlib.sha256(data).hexdigest()[:16]}.json"
+        assert json.loads(data)["version"] == version
+        assert data == store_to_json(RawStore.build(version, ws.load_store().only_source(src).systems.values()))
+
+
+def test_committing_poll_leaves_no_cyclic_garbage(tmp_path):
+    sources, files = mixed_drop(10)
+    ws = Workspace.init(tmp_path / "ws")
+    register_sources(ws, sources, tmp_path)
+    drop = tmp_path / "drop"
+    drop.mkdir()
+    clean = sorted(n for n, d in files.items() if b"ghost" not in d and d != b"{nope\n")
+    (drop / clean[0]).write_bytes(files[clean[0]])
+    watcher = SnapshotWatcher(ws, drop)
+    assert watcher.poll_once() == [(clean[0], "committed")]
+    for name in clean[1:]:
+        (drop / name).write_bytes(files[name])
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        outcomes = watcher.poll_once()
+        garbage = gc.collect()
+    finally:
+        if enabled:
+            gc.enable()
+    assert outcomes == [(name, "committed") for name in clean[1:]]
+    assert garbage == 0
+
+
+def test_indented_ledger_still_loads(tmp_path):
+    ws = Workspace.init(tmp_path / "ws")
+    register_sources(ws, ["srca"], tmp_path)
+    drop = tmp_path / "drop"
+    drop.mkdir()
+    data = snapshot_bytes([{"kind": "system", "id": "s1", "name": "ERP", "type": "application"}])
+    (drop / "srca__one.jsonl").write_bytes(data)
+    ledger = {"srca__one.jsonl": hashlib.sha256(data).hexdigest()}
+    ws.ledger_path.write_text(json.dumps(ledger, indent=2, sort_keys=True) + "\n")
+    watcher = SnapshotWatcher(ws, drop)
+    assert watcher.poll_once() == []
+    (drop / "srca__two.jsonl").write_bytes(data)
+    assert watcher.poll_once() == [("srca__two.jsonl", "committed")]
+    assert ws.ledger_path.read_bytes() == (
+        json.dumps({**ledger, "srca__two.jsonl": ledger["srca__one.jsonl"]},
+                   sort_keys=True, separators=(",", ":")) + "\n"
+    ).encode()
+
+
+def test_a_second_writer_waits_for_the_save_in_flight(tmp_path, monkeypatch):
+    ws = Workspace.init(tmp_path / "ws")
+    register_sources(ws, ["srca", "srcb"], tmp_path)
+    snaps = {}
+    for src in ("srca", "srcb"):
+        snaps[src] = tmp_path / f"{src}.jsonl"
+        snaps[src].write_bytes(
+            snapshot_bytes([{"kind": "system", "id": "s", "name": src, "type": "application"}])
+        )
+    other = threading.Thread(target=ws.ingest, args=(ws.get_source("srca"), snaps["srca"]))
+    real_write = workspace_mod.write_atomic
+
+    def start_other_writer(path, data):
+        # The other writer starts once this save has written its segment,
+        # before it replaces the manifest, and gets half a second.
+        if path == ws.store_path and other.ident is None:
+            other.start()
+            other.join(timeout=0.5)
+        real_write(path, data)
+
+    monkeypatch.setattr(workspace_mod, "write_atomic", start_other_writer)
+    ws.ingest(ws.get_source("srcb"), snaps["srcb"])
+    other.join(timeout=30)
+    assert not other.is_alive()
+    store = ws.load_store()
+    assert store.version == 2
+    assert set(store.systems) == {"srca/s", "srcb/s"}
+    assert {p.name for p in ws.segments_dir.iterdir()} == listed_segments(ws)
+
+
+def test_concurrent_ingests_lose_no_commit(tmp_path):
+    ws = Workspace.init(tmp_path / "ws")
+    sources = [f"src{i}" for i in range(6)]
+    register_sources(ws, sources, tmp_path)
+    rounds = 5
+    failures = []
+
+    def writer(src):
+        try:
+            for n in range(rounds):
+                snap = tmp_path / f"{src}-{n}.jsonl"
+                snap.write_bytes(snapshot_bytes(
+                    [{"kind": "system", "id": "s", "name": f"{src} {n}", "type": "application"}]))
+                assert isinstance(ws.ingest(ws.get_source(src), snap), RawStore)
+        except BaseException as exc:  # reported by the main thread
+            failures.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=writer, args=(src,)) for src in sources]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert failures == []
+    store = ws.load_store()
+    assert store.version == len(sources) * rounds
+    assert {s.name for s in store.systems.values()} == {f"{src} {rounds - 1}" for src in sources}
+    assert {p.name for p in ws.segments_dir.iterdir()} == listed_segments(ws)
