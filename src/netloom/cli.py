@@ -15,7 +15,7 @@ from .conformance import ConformanceReport, SchemaError
 from .datalog import ProgramError, parse_program
 from .ingest import IngestError, load_snapshot
 from .model import CANONICAL_JSON
-from .network import GRAPH_FORMATS, EmitError, Network, export_graph, export_json
+from .network import GRAPH_FORMATS, Network, export_graph, export_json
 from .query import build_index, search as run_search, traverse as run_traverse
 from .reconstruct import ReconstructionError
 from .workspace import SnapshotWatcher, Workspace, WorkspaceError
@@ -139,7 +139,7 @@ def infer(workspace, rules):
     except WorkspaceError as exc:
         _fail(EXIT_ENVIRONMENT, str(exc))
         return
-    except (ProgramError, ReconstructionError, EmitError) as exc:
+    except (ProgramError, ReconstructionError) as exc:
         _fail(EXIT_VALIDATION, str(exc))
         return
     _emit_json({"version": network.version, **network.counts()})

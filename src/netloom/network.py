@@ -20,14 +20,9 @@ from dataclasses import dataclass, field
 from typing import Any, Iterable, Sequence
 from xml.sax.saxutils import escape, quoteattr
 
-from .model import CANONICAL_JSON, canonical_bytes, canonical_decoder, content_id
-from .reconstruct import Reconstruction, flow_id_for
+from .model import CANONICAL_JSON, canonical_bytes, canonical_decoder
 
 BUILTIN_SPACES = ("business-process", "integration")
-
-
-class EmitError(Exception):
-    """An internal invariant of the network model was violated."""
 
 
 @dataclass(frozen=True)
@@ -39,9 +34,11 @@ class ComplexPropertyView:
 
 @dataclass(frozen=True)
 class Participant:
-    """One merged system. ``complex_props`` are sorted by (kind, digest) and
-    ``origins`` are sorted, as ``merge_properties`` builds them and as
-    ``parse_network`` reads them; the export writes them as held."""
+    """One equivalence class of systems, built by ``reconstruct`` from the
+    class's ``merge_properties`` result. ``complex_props`` are sorted by
+    (kind, digest) and ``origins`` are sorted, as ``reconstruct`` builds
+    them and as ``parse_network`` reads them; the export writes them as
+    held."""
 
     id: str
     label: str
@@ -53,8 +50,10 @@ class Participant:
 
 @dataclass(frozen=True)
 class MessageFlow:
-    """A flow within one space. ``origins`` are sorted, as ``reconstruct``
-    builds them and as ``parse_network`` reads them."""
+    """A flow within one space, built by ``reconstruct`` from the matched
+    configuration pairs of one pair of classes and one interface.
+    ``origins`` are sorted, as ``reconstruct`` builds them and as
+    ``parse_network`` reads them."""
 
     id: str
     source: str
@@ -102,9 +101,6 @@ class Network:
     def participants(self) -> dict[str, Participant]:
         return {p.id: p for s in self.spaces for p in s.participants}
 
-    def flows(self) -> dict[str, MessageFlow]:
-        return {f.id: f for s in self.spaces for f in s.flows}
-
     def counts(self) -> dict[str, int]:
         return {
             "participants": sum(len(s.participants) for s in self.spaces),
@@ -113,88 +109,14 @@ class Network:
         }
 
 
-def emit(recon: Reconstruction) -> Network:
-    """Assemble the client-facing network from reconstruction output.
-
-    One participant per merged system, placed in its space; flows and
-    links are lifted with deterministic content-derived ids. Built-in
-    spaces are always present. Any dangling or cross-space-inconsistent
-    reference is an internal invariant breach and fails hard.
-    """
-    participants = []
-    participant_space: dict[str, str] = {}
-    for m in recon.merged:
-        props = {k: v for k, v in m.simple_props.items() if k != "space"}
-        participant = Participant(
-            id=m.canonical_id,
-            label=m.name,
-            space=m.space,
-            props=props,
-            complex_props=tuple(
-                ComplexPropertyView(cp.kind, cp.digest, cp.payload)
-                for cp in m.complex_props
-            ),
-            origins=tuple((o.source_id, o.object_id) for o in m.origins),
-        )
-        participants.append(participant)
-        participant_space[m.canonical_id] = m.space
-
-    flows = []
-    flow_space: dict[str, str] = {}
-    for f in recon.flows:
-        for endpoint in (f.source_class, f.target_class):
-            if endpoint not in participant_space:
-                raise EmitError(f"flow endpoint {endpoint!r} has no participant")
-        src_space = participant_space[f.source_class]
-        tgt_space = participant_space[f.target_class]
-        if src_space != tgt_space:
-            raise EmitError(
-                f"flow {f.source_class!r} -> {f.target_class!r} crosses spaces "
-                f"({src_space!r} vs {tgt_space!r})"
-            )
-        fid = flow_id_for(f.source_class, f.target_class, f.interface)
-        flows.append(
-            MessageFlow(
-                id=fid,
-                source=f.source_class,
-                target=f.target_class,
-                interface=f.interface.label(),
-                origins=tuple((o.source_id, o.object_id) for o in f.origins),
-            )
-        )
-        flow_space[fid] = src_space
-
-    links = []
-    for l in recon.links:
-        for endpoint in (l.left, l.right):
-            if endpoint not in participant_space:
-                raise EmitError(f"link endpoint {endpoint!r} has no participant")
-        links.append(
-            ParticipantLink(
-                content_id("pl", l.left, l.right, l.kind), l.left, l.right, l.kind
-            )
-        )
-
-    flow_links = []
-    for fl in recon.flow_links:
-        for endpoint in (fl.left_flow, fl.right_flow):
-            if endpoint not in flow_space:
-                raise EmitError(f"flow link endpoint {endpoint!r} has no flow")
-        if flow_space[fl.left_flow] == flow_space[fl.right_flow]:
-            raise EmitError(
-                f"flow link ({fl.left_flow!r}, {fl.right_flow!r}) must bridge "
-                "different spaces"
-            )
-        flow_links.append(
-            MessageFlowLink(
-                content_id("fl", fl.left_flow, fl.right_flow, fl.kind),
-                fl.left_flow,
-                fl.right_flow,
-                fl.kind,
-            )
-        )
-
-    return build_fragment(participants, flows, links, flow_links)
+def emit(recon) -> Network:
+    """Assemble the client-facing network from a ``Reconstruction``: its
+    participants, flows and links, already lifted and checked by
+    ``reconstruct``, placed in their spaces. Built-in spaces are always
+    present."""
+    return build_fragment(
+        recon.participants, recon.flows, recon.participant_links, recon.flow_links
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,14 @@
-"""Built-in inference rules and the post-passes that assemble a network.
+"""Built-in inference rules and the lift of their output to a network.
 
 The rule program finds system and host equivalences (key match on
 normalized name + kind across sources, propagated per Fig-style
 runs_on joins), matches outbound against inbound configurations to
 derive message flows, and maps correlation records to cross-space
-links. The post-passes lift rule output to canonical ids: partitions
-read off the closed equivalence rows, property merging with
-trust-ranked conflict resolution, flow deduplication, and link
-resolution.
+links. ``reconstruct`` lifts the closed rules straight to the network's
+entities under canonical ids: partitions read off the closed
+equivalence rows, one participant per class with its properties merged
+(conflicts go to the smaller source id), one flow per pair of classes
+and interface, and links between resolved endpoints.
 
 Everything here is a pure function of one store version, so the result
 is independent of the order in which snapshots were loaded.
@@ -30,6 +31,13 @@ from .model import (
     SystemEntity,
     content_id,
     to_facts,
+)
+from .network import (
+    ComplexPropertyView,
+    MessageFlow,
+    MessageFlowLink,
+    Participant,
+    ParticipantLink,
 )
 
 
@@ -144,42 +152,23 @@ class MergedSystem:
     simple_props: dict[str, str]
     conflicts: tuple[PropertyConflict, ...]
     complex_props: tuple[ComplexProperty, ...]
-    host_classes: tuple[str, ...]
     origins: tuple[Origin, ...]
-
-
-@dataclass(frozen=True)
-class ReconstructedFlow:
-    source_class: str
-    target_class: str
-    interface: InterfaceRef
-    supporting: tuple[tuple[str, str], ...]  # (out_conf id, in_conf id)
-    origins: tuple[Origin, ...]
-
-
-@dataclass(frozen=True)
-class LiftedLink:
-    left: str
-    right: str
-    kind: str
-    left_space: str
-    right_space: str
-
-
-@dataclass(frozen=True)
-class FlowLink:
-    left_flow: str
-    right_flow: str
-    kind: str
 
 
 @dataclass(frozen=True)
 class Reconstruction:
+    """The closed rules lifted to network entities, plus the evidence
+    the export leaves out: ``conflicts`` maps a participant id to the
+    property values that lost (non-empty only), and ``supporting`` maps
+    a flow id to its sorted (out_conf id, in_conf id) pairs."""
+
     classes: EquivalenceClassSet
-    merged: tuple[MergedSystem, ...]
-    flows: tuple[ReconstructedFlow, ...]
-    links: tuple[LiftedLink, ...]
-    flow_links: tuple[FlowLink, ...]
+    participants: tuple[Participant, ...]
+    flows: tuple[MessageFlow, ...]
+    participant_links: tuple[ParticipantLink, ...]
+    flow_links: tuple[MessageFlowLink, ...]
+    conflicts: dict[str, tuple[PropertyConflict, ...]]
+    supporting: dict[str, tuple[tuple[str, str], ...]]
 
 
 def flow_id_for(source_class: str, target_class: str, interface: InterfaceRef) -> str:
@@ -196,8 +185,6 @@ def _sorted_origins(origins: Iterable[Origin]) -> tuple[Origin, ...]:
 def merge_properties(
     members: Sequence[SystemEntity],
     trust: Mapping[str, int] | None = None,
-    runs_on_hosts: Mapping[str, Iterable[str]] | None = None,
-    host_rep=None,
 ) -> MergedSystem:
     """Merge one equivalence class of systems into a single node.
 
@@ -241,12 +228,6 @@ def merge_properties(
             by_digest.setdefault((cp.kind, cp.digest), cp)
     complex_props = tuple(by_digest[k] for k in sorted(by_digest))
 
-    host_classes: set[str] = set()
-    if runs_on_hosts is not None:
-        for m in ordered:
-            for host_id in runs_on_hosts.get(m.id, ()):
-                host_classes.add(host_rep(host_id) if host_rep else host_id)
-
     return MergedSystem(
         canonical_id=rep.id,
         member_ids=tuple(m.id for m in ordered),
@@ -261,18 +242,19 @@ def merge_properties(
             )
         ),
         complex_props=complex_props,
-        host_classes=tuple(sorted(host_classes)),
         origins=_sorted_origins(m.origin for m in ordered),
     )
 
 
 def reconstruct(store: RawStore, extra_rules: Program | None = None) -> Reconstruction:
-    """Run the inference program over the store and lift the results.
+    """Run the inference program over the store and lift the results to
+    network entities.
 
     ``extra_rules`` may extend every derived predicate but must not
-    define rules for the raw-fact predicates. The output is fully
-    sorted, so equal stores produce identical reconstructions no matter
-    how or in what order they were loaded.
+    define rules for the raw-fact predicates. A flow between different
+    spaces, or a link within one, raises ``ReconstructionError``. The
+    output is fully sorted, so equal stores produce identical
+    reconstructions no matter how or in what order they were loaded.
     """
     program = builtin_program()
     if extra_rules is not None:
@@ -288,27 +270,60 @@ def reconstruct(store: RawStore, extra_rules: Program | None = None) -> Reconstr
     host_classes, host_rep = _classes(store.hosts, idb.get("equiv_host", ()))
     classes = EquivalenceClassSet(sys_classes, host_classes, sys_rep, host_rep)
 
-    runs_on_hosts: dict[str, list[str]] = {}
-    for r in store.runs_on:
-        if r.host_id in store.hosts:
-            runs_on_hosts.setdefault(r.system_id, []).append(r.host_id)
-
-    merged = tuple(
-        merge_properties(
-            [store.systems[m] for m in members],
-            runs_on_hosts=runs_on_hosts,
-            host_rep=classes.host_rep,
+    participants: list[Participant] = []
+    conflicts: dict[str, tuple[PropertyConflict, ...]] = {}
+    space_of: dict[str, str] = {}
+    for rep, members in sorted(classes.systems.items()):
+        merged = merge_properties([store.systems[m] for m in members])
+        participants.append(
+            Participant(
+                id=rep,
+                label=merged.name,
+                space=merged.space,
+                props={k: v for k, v in merged.simple_props.items() if k != "space"},
+                complex_props=tuple(
+                    ComplexPropertyView(cp.kind, cp.digest, cp.payload)
+                    for cp in merged.complex_props
+                ),
+                origins=tuple((o.source_id, o.object_id) for o in merged.origins),
+            )
         )
-        for members in classes.systems.values()
-    )
-    merged = tuple(sorted(merged, key=lambda m: m.canonical_id))
+        space_of[rep] = merged.space
+        if merged.conflicts:
+            conflicts[rep] = merged.conflicts
+
+    # Links whose endpoints do not resolve in this store version are
+    # stale or garbage evidence and contribute nothing; resolvable links
+    # that fail the cross-space invariant are real data errors, reported
+    # for the first such link in sorted order.
+    link_rows: set[tuple] = set()
+    flow_rows: set[tuple] = set()
+    for left, right, kind in idb.get("participant_link", ()):
+        left_is_flow = isinstance(left, str) and left.startswith("flow:")
+        right_is_flow = isinstance(right, str) and right.startswith("flow:")
+        if left_is_flow != right_is_flow:
+            continue
+        if left_is_flow:
+            flow_rows.add((left, right, kind))
+        elif left in store.systems and right in store.systems:
+            link_rows.add((classes.system_rep(left), classes.system_rep(right), kind))
+    participant_links = []
+    for lc, rc, kind in sorted(link_rows):
+        if space_of[lc] == space_of[rc]:
+            raise ReconstructionError(
+                f"participant link ({lc!r}, {rc!r}, {kind!r}) must bridge "
+                f"different spaces, both are in {space_of[lc]!r}"
+            )
+        participant_links.append(
+            ParticipantLink(content_id("pl", lc, rc, kind), lc, rc, kind)
+        )
 
     # Flows: group matched configuration pairs by canonical endpoints
     # and interface; each group keeps its supporting evidence. A config
     # whose owner vanished in a later reload of another source carries
     # no liftable evidence and is skipped, so one shrinking source never
     # wedges the pipeline.
-    grouped: dict[tuple, dict] = {}
+    grouped: dict[tuple, tuple[set, list]] = {}
     for out_id, in_id in idb.get("conf_match", ()):
         oc = store.out_confs.get(out_id)
         ic = store.in_confs.get(in_id)
@@ -324,57 +339,52 @@ def reconstruct(store: RawStore, extra_rules: Program | None = None) -> Reconstr
             classes.system_rep(ic.owner_system_id),
             oc.interface,
         )
-        bucket = grouped.setdefault(key, {"supporting": set(), "origins": []})
-        bucket["supporting"].add((out_id, in_id))
-        bucket["origins"].extend((oc.origin, ic.origin))
-    flows = tuple(
-        ReconstructedFlow(
-            source_class=key[0],
-            target_class=key[1],
-            interface=key[2],
-            supporting=tuple(sorted(bucket["supporting"])),
-            origins=_sorted_origins(bucket["origins"]),
-        )
-        for key, bucket in sorted(
-            grouped.items(),
-            key=lambda kv: (kv[0][0], kv[0][1], kv[0][2].name, kv[0][2].namespace, kv[0][2].operation),
-        )
-    )
-    flow_ids = {flow_id_for(f.source_class, f.target_class, f.interface) for f in flows}
-
-    # Links whose endpoints do not resolve in this store version are
-    # stale or garbage evidence and contribute nothing; resolvable links
-    # that fail the cross-space invariant are real data errors.
-    space_of: dict[str, str] = {m.canonical_id: m.space for m in merged}
-    links: set[LiftedLink] = set()
-    flow_links: set[FlowLink] = set()
-    for left, right, kind in idb.get("participant_link", ()):
-        left_is_flow = isinstance(left, str) and left.startswith("flow:")
-        right_is_flow = isinstance(right, str) and right.startswith("flow:")
-        if left_is_flow != right_is_flow:
-            continue
-        if left_is_flow:
-            if left in flow_ids and right in flow_ids:
-                flow_links.add(FlowLink(left, right, kind))
-            continue
-        if left not in store.systems or right not in store.systems:
-            continue
-        lc = classes.system_rep(left)
-        rc = classes.system_rep(right)
-        ls, rs = space_of[lc], space_of[rc]
-        if ls == rs:
+        pairs, origins = grouped.setdefault(key, (set(), []))
+        pairs.add((out_id, in_id))
+        origins.extend((oc.origin, ic.origin))
+    flows = []
+    supporting: dict[str, tuple[tuple[str, str], ...]] = {}
+    flow_space: dict[str, str] = {}
+    for (source, target, iface), (pairs, origins) in sorted(
+        grouped.items(),
+        key=lambda kv: (kv[0][0], kv[0][1], kv[0][2].name, kv[0][2].namespace, kv[0][2].operation),
+    ):
+        if space_of[source] != space_of[target]:
             raise ReconstructionError(
-                f"participant link ({lc!r}, {rc!r}, {kind!r}) must bridge "
-                f"different spaces, both are in {ls!r}"
+                f"flow {source!r} -> {target!r} crosses spaces "
+                f"({space_of[source]!r} vs {space_of[target]!r})"
             )
-        links.add(LiftedLink(lc, rc, kind, ls, rs))
+        fid = flow_id_for(source, target, iface)
+        flows.append(
+            MessageFlow(
+                id=fid,
+                source=source,
+                target=target,
+                interface=iface.label(),
+                origins=tuple(sorted({(o.source_id, o.object_id) for o in origins})),
+            )
+        )
+        supporting[fid] = tuple(sorted(pairs))
+        flow_space[fid] = space_of[source]
+
+    flow_links = []
+    for left, right, kind in sorted(
+        r for r in flow_rows if r[0] in flow_space and r[1] in flow_space
+    ):
+        if flow_space[left] == flow_space[right]:
+            raise ReconstructionError(
+                f"flow link ({left!r}, {right!r}) must bridge different spaces"
+            )
+        flow_links.append(
+            MessageFlowLink(content_id("fl", left, right, kind), left, right, kind)
+        )
 
     return Reconstruction(
         classes=classes,
-        merged=merged,
-        flows=flows,
-        links=tuple(sorted(links, key=lambda l: (l.left, l.right, l.kind))),
-        flow_links=tuple(
-            sorted(flow_links, key=lambda l: (l.left_flow, l.right_flow, l.kind))
-        ),
+        participants=tuple(participants),
+        flows=tuple(flows),
+        participant_links=tuple(participant_links),
+        flow_links=tuple(flow_links),
+        conflicts=conflicts,
+        supporting=supporting,
     )

@@ -62,7 +62,7 @@ from .ingest import (
 )
 from .model import ModelError, RawStore, canonical_bytes, store_from_json, store_to_json
 from .network import Network, emit, export_json, parse_network
-from .reconstruct import reconstruct
+from .reconstruct import ReconstructionError, reconstruct
 
 logger = logging.getLogger(__name__)
 
@@ -409,7 +409,9 @@ class SnapshotWatcher:
     identical file is a no-op while changed content is picked up again.
     Per-file failures are logged and do not stop the loop. A file whose
     source is not registered is not ledgered, so it is retried on every
-    poll until its source config is registered and parses.
+    poll until its source config is registered and parses. A committed
+    store that does not lift (``ReconstructionError``) is logged and not
+    published; the next poll that commits something publishes again.
     """
 
     def __init__(self, workspace: Workspace, directory: str | Path):
@@ -496,8 +498,12 @@ class SnapshotWatcher:
             self._ledger.update(ledgered)
             self._save_ledger()
         if archives:
-            network = ws._infer(store)
-            logger.info("published network %s", network.version)
+            try:
+                network = ws._infer(store)
+            except ReconstructionError as exc:  # committed, but does not lift
+                logger.warning("not published: %s", exc)
+            else:
+                logger.info("published network %s", network.version)
         return outcomes
 
     def run(self, interval: float, cycles: int = 0) -> None:

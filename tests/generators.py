@@ -10,6 +10,7 @@ import random
 from dataclasses import dataclass, field
 
 from netloom.datalog import _format_term
+from netloom.model import InterfaceRef
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +154,7 @@ class Scenario:
     source_records: dict[str, list[dict]]  # source id -> snapshot records
     canonical_ids: dict[int, str]  # system index -> expected canonical id
     host_canonical_ids: dict[int, str]
-    true_edges: set[tuple]  # (canonical src, canonical tgt, interface name)
+    true_edges: set[tuple]  # (canonical src, canonical tgt, interface label)
     class_members: dict[int, set[str]]  # system index -> engine ids
     systems: list[dict] = field(default_factory=list)
     flows: list[dict] = field(default_factory=list)
@@ -293,7 +294,12 @@ def make_scenario(
     canonical = {i: min(engine_ids[i]) for i in range(n_systems)}
     host_canonical = {i: min(host_engine_ids[i]) for i in range(n_systems)}
     true_edges = {
-        (canonical[f["src"]], canonical[f["tgt"]], f["iface"]) for f in flows
+        (
+            canonical[f["src"]],
+            canonical[f["tgt"]],
+            InterfaceRef(f["iface"], f["namespace"], f["operation"]).label(),
+        )
+        for f in flows
     }
     return Scenario(
         source_records=records,

@@ -161,10 +161,7 @@ def test_criterion_3_reconstruction_round_trip():
             store = store_from_sources(scenario.source_records)
             recon = reconstruct(store)
             elapsed = time.perf_counter() - started
-            got = {
-                (f.source_class, f.target_class, f.interface.name)
-                for f in recon.flows
-            }
+            got = {(f.source, f.target, f.interface) for f in recon.flows}
             missing = scenario.true_edges - got
             spurious = got - scenario.true_edges
             assert not missing and not spurious, (

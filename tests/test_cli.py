@@ -1,11 +1,13 @@
 import json
+import logging
 import shutil
 
 import pytest
 from click.testing import CliRunner
 
 from netloom.cli import main
-from netloom.model import store_to_json
+from netloom.model import InterfaceRef, store_to_json
+from netloom.reconstruct import flow_id_for
 from netloom.workspace import SnapshotWatcher, Workspace
 
 
@@ -34,6 +36,43 @@ def sample_records(tag=""):
          "interface_name": "orders", "receiver_address": "http://x/orders"},
         {"kind": "in_conf", "id": "ic", "owner_system_id": "crm",
          "interface_name": "orders", "endpoint_address": "HTTP://X:80/orders/"},
+    ]
+
+
+def cross_space_records(tag=""):
+    """An integration system whose outbound config matches an inbound
+    config of a business-process system: the flow crosses spaces."""
+    return [
+        {"kind": "system", "id": "a", "name": f"App{tag}", "type": "application"},
+        {"kind": "system", "id": "p", "name": "Proc", "type": "process",
+         "space": "business-process"},
+        {"kind": "out_conf", "id": "o1", "owner_system_id": "a",
+         "interface_name": "x", "receiver_address": "http://1"},
+        {"kind": "in_conf", "id": "i1", "owner_system_id": "p",
+         "interface_name": "x", "endpoint_address": "http://1"},
+    ]
+
+
+def same_space_flow_link_records():
+    """Two integration flows bridged by a correlation: the flow link
+    does not cross spaces."""
+    first = flow_id_for("srca/a", "srca/b", InterfaceRef("one"))
+    second = flow_id_for("srca/b", "srca/a", InterfaceRef("two"))
+    return [
+        {"kind": "system", "id": "a", "name": "App A", "type": "application"},
+        {"kind": "system", "id": "b", "name": "App B", "type": "application"},
+        {"kind": "out_conf", "id": "o1", "owner_system_id": "a",
+         "interface_name": "one", "receiver_address": "http://1"},
+        {"kind": "in_conf", "id": "i1", "owner_system_id": "b",
+         "interface_name": "one", "endpoint_address": "http://1"},
+        {"kind": "out_conf", "id": "o2", "owner_system_id": "b",
+         "interface_name": "two", "receiver_address": "http://2"},
+        {"kind": "in_conf", "id": "i2", "owner_system_id": "a",
+         "interface_name": "two", "endpoint_address": "http://2"},
+        {"kind": "correlation", "id": "c1",
+         "left_space": "integration", "left_id": first,
+         "right_space": "integration", "right_id": second,
+         "link_kind": "related"},
     ]
 
 
@@ -475,6 +514,25 @@ class TestInferCommand:
         assert result.exit_code == 0
         assert json.loads(result.output)["participants"] == 1
 
+    @pytest.mark.parametrize(
+        "records, message",
+        [
+            (cross_space_records(), "'srca/a' -> 'srca/p' crosses spaces"),
+            (same_space_flow_link_records(), "must bridge different spaces"),
+        ],
+        ids=["cross-space-flow", "same-space-flow-link"],
+    )
+    def test_store_that_does_not_lift_exit_two_with_one_line(
+        self, runner, tmp_path, workspace, records, message
+    ):
+        assert ingest_sample(runner, tmp_path, workspace, records).exit_code == 0
+        result = runner.invoke(main, ["infer", str(workspace)])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert len(result.stderr.splitlines()) == 1
+        assert message in result.stderr
+        assert Workspace.load(workspace).latest_network_bytes() is None
+
 
 class TestExportCommand:
     def test_json_byte_stable(self, runner, tmp_path, workspace):
@@ -678,6 +736,40 @@ class TestWatch:
         )
         assert result.exit_code == 0
         assert ws.load_store().version == 1
+
+    def test_store_that_does_not_lift_is_logged_and_not_published(
+        self, tmp_path, runner, workspace, caplog
+    ):
+        ws = Workspace.load(workspace)
+        assert ingest_sample(runner, tmp_path, workspace).exit_code == 0
+        assert runner.invoke(main, ["infer", str(workspace)]).exit_code == 0
+        latest = ws.latest_network_bytes()
+        drop = tmp_path / "drop"
+        drop.mkdir()
+        write_snapshot(drop / "srca__1.jsonl", cross_space_records())
+        args = ["watch", str(workspace), str(drop), "--interval", "0", "--cycles", "1"]
+        caplog.set_level(logging.INFO)
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0, result.output
+        warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+        assert len(warnings) == 1
+        assert "crosses spaces" in warnings[0]
+        # Committed and ledgered, as ingest + infer would leave it.
+        assert ws.load_store().version == 2
+        assert len(json.loads(ws.ledger_path.read_text())) == 1
+        assert ws.latest_network_bytes() == latest
+
+        # The file is ledgered, so a second watch finds nothing to do.
+        caplog.clear()
+        assert runner.invoke(main, args).exit_code == 0
+        assert ws.latest_network_bytes() == latest
+
+        # A fixing snapshot commits and publishes again.
+        write_snapshot(drop / "srca__2.jsonl", sample_records("v2"))
+        assert runner.invoke(main, args).exit_code == 0
+        assert ws.load_store().version == 3
+        assert not [r for r in caplog.records if r.levelno == logging.WARNING]
+        assert ws.latest_network_bytes() not in (None, latest)
 
     def test_watch_stops_on_malformed_schema_and_retries_later(self, tmp_path, runner, workspace):
         ws = Workspace.load(workspace)

@@ -8,13 +8,12 @@ import pytest
 
 from netloom.network import (
     BUILTIN_SPACES,
-    EmitError,
     emit,
     export_graph,
     export_json,
     parse_network,
 )
-from netloom.reconstruct import reconstruct
+from netloom.reconstruct import ReconstructionError, reconstruct
 
 from generators import make_scenario
 from helpers import store_from_sources
@@ -247,9 +246,9 @@ class TestExportGraph:
             {"kind": "in_conf", "id": "i1", "owner_system_id": "p",
              "interface_name": "x", "endpoint_address": "http://1"},
         ]
-        recon = reconstruct(store_from_sources({"srca": records}))
-        with pytest.raises(EmitError, match="crosses spaces"):
-            emit(recon)
+        store = store_from_sources({"srca": records})
+        with pytest.raises(ReconstructionError, match="'srca/a' -> 'srca/p' crosses spaces"):
+            reconstruct(store)
 
     def test_participant_links_render_dashed(self):
         records = [

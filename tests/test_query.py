@@ -198,7 +198,7 @@ class TestTraverse:
         index = build_index(self.chain_network())
         fragment = traverse(index, "srca/a", 1)
         assert sorted(fragment.participants()) == ["srca/a", "srca/b"]
-        flows = list(fragment.flows().values())
+        flows = [f for s in fragment.spaces for f in s.flows]
         assert len(flows) == 1
         assert (flows[0].source, flows[0].target) == ("srca/a", "srca/b")
 

@@ -7,11 +7,14 @@ import pytest
 from netloom.datalog import evaluate, parse_program, stratify
 from netloom.model import (
     ComplexProperty,
+    InterfaceRef,
     Origin,
     RawStore,
     SystemEntity,
+    content_id,
     to_facts,
 )
+from netloom.network import MessageFlowLink
 from netloom.reconstruct import (
     ReconstructionError,
     builtin_program,
@@ -207,10 +210,10 @@ class TestReconstruct:
         store = store_from_sources({"srca": records_a, "srcb": records_b})
         recon = reconstruct(store)
 
-        erp = next(m for m in recon.merged if m.name == "ERP")
-        assert erp.member_ids == ("srca/erp", "srcb/erp")
-        assert erp.simple_props["desc"] == "ERP"
-        assert erp.simple_props["owner"] == "ops"
+        erp = next(p for p in recon.participants if p.label == "ERP")
+        assert recon.classes.systems[erp.id] == ("srca/erp", "srcb/erp")
+        assert erp.props["desc"] == "ERP"
+        assert erp.props["owner"] == "ops"
         assert len(erp.complex_props) == 1
 
     def test_new_source_adds_second_distinct_flow(self):
@@ -221,10 +224,10 @@ class TestReconstruct:
         store = store_from_sources({"srca": records_a, "srcb": records_b})
         recon = reconstruct(store)
 
-        erp_id = next(m.canonical_id for m in recon.merged if m.name == "ERP")
-        outgoing = [f for f in recon.flows if f.source_class == erp_id]
+        erp_id = next(p.id for p in recon.participants if p.label == "ERP")
+        outgoing = [f for f in recon.flows if f.source == erp_id]
         assert len(outgoing) == 2
-        assert {f.interface.name for f in outgoing} == {"if-a", "if-b"}
+        assert {f.interface for f in outgoing} == {"if-a", "if-b"}
 
     def test_scattered_scenario_recovers_ground_truth(self):
         rng = random.Random(42)
@@ -232,10 +235,7 @@ class TestReconstruct:
             scenario = make_scenario(rng, n_systems=15, n_flows=25, n_sources=3)
             store = store_from_sources(scenario.source_records)
             recon = reconstruct(store)
-            got = {
-                (f.source_class, f.target_class, f.interface.name)
-                for f in recon.flows
-            }
+            got = {(f.source, f.target, f.interface) for f in recon.flows}
             assert got == scenario.true_edges  # precision = recall = 1.0
 
     def test_equivalence_classes_match_manifest(self):
@@ -273,22 +273,23 @@ class TestReconstruct:
         recon = reconstruct(store)
         assert len(recon.flows) == 1
         flow = recon.flows[0]
-        assert flow.source_class == "srca/a"
-        assert flow.target_class == "srcb/b"
-        assert flow.supporting == (("srca/oc", "srcb/ic"),)
+        assert flow.source == "srca/a"
+        assert flow.target == "srcb/b"
+        assert recon.supporting == {flow.id: (("srca/oc", "srcb/ic"),)}
 
     def test_flow_lifting_soundness(self):
         rng = random.Random(44)
         scenario = make_scenario(rng, n_systems=10, n_flows=18, n_sources=2)
         store = store_from_sources(scenario.source_records)
         recon = reconstruct(store)
+        assert set(recon.supporting) == {f.id for f in recon.flows}
         for flow in recon.flows:
-            assert flow.supporting
-            for out_id, in_id in flow.supporting:
+            assert recon.supporting[flow.id]
+            for out_id, in_id in recon.supporting[flow.id]:
                 oc = store.out_confs[out_id]
                 ic = store.in_confs[in_id]
-                assert recon.classes.system_rep(oc.owner_system_id) == flow.source_class
-                assert recon.classes.system_rep(ic.owner_system_id) == flow.target_class
+                assert recon.classes.system_rep(oc.owner_system_id) == flow.source
+                assert recon.classes.system_rep(ic.owner_system_id) == flow.target
 
     def test_duplicate_snapshot_under_new_source_id_same_classes(self):
         records = [
@@ -296,9 +297,9 @@ class TestReconstruct:
             {"kind": "system", "id": "s2", "name": "CRM", "type": "application"},
         ]
         store = store_from_sources({"srca": records})
-        baseline = len(reconstruct(store).merged)
+        baseline = len(reconstruct(store).participants)
         duplicated = store_from_sources({"srca": records, "srcb": records})
-        assert len(reconstruct(duplicated).merged) == baseline
+        assert len(reconstruct(duplicated).participants) == baseline
 
     def test_merge_idempotence_at_fixpoint(self):
         rng = random.Random(45)
@@ -320,13 +321,13 @@ class TestReconstruct:
              "serial": "777"},
         ]
         store = store_from_sources({"srca": records_a, "srcb": records_b})
-        assert len(reconstruct(store).merged) == 2
+        assert len(reconstruct(store).participants) == 2
         extra = parse_program(
             'equiv_sys(A, B) :- prop(A, "serial", S), prop(B, "serial", S).'
         )
         recon = reconstruct(store, extra_rules=extra)
-        assert len(recon.merged) == 1
-        assert recon.merged[0].member_ids == ("srca/x", "srcb/y")
+        assert len(recon.participants) == 1
+        assert recon.classes.systems == {"srca/x": ("srca/x", "srcb/y")}
 
     def test_classes_through_ids_outside_the_store_match_union_find(self):
         # Extra rules pair store entities with ids the store lacks. The
@@ -374,10 +375,11 @@ class TestReconstruct:
         ]
         store = store_from_sources({"srca": records_a, "srcb": records_b})
         recon = reconstruct(store)
-        assert len(recon.links) == 1
-        link = recon.links[0]
+        assert len(recon.participant_links) == 1
+        link = recon.participant_links[0]
         assert link.kind == "implemented-by"
-        assert {link.left_space, link.right_space} == {"integration", "business-process"}
+        space = {p.id: p.space for p in recon.participants}
+        assert {space[link.left], space[link.right]} == {"integration", "business-process"}
 
     def test_same_name_cross_space_link(self):
         records = [
@@ -387,11 +389,9 @@ class TestReconstruct:
         ]
         store = store_from_sources({"srca": records})
         recon = reconstruct(store)
-        assert any(l.kind == "same-name" for l in recon.links)
+        assert any(l.kind == "same-name" for l in recon.participant_links)
 
     def test_correlation_between_flows_lifts_to_flow_link(self):
-        from netloom.model import InterfaceRef
-
         # An integration flow and a business-process flow, bridged by a
         # correlation that names the derived flow ids.
         integration_flow_id = flow_id_for("srca/a", "srca/b", InterfaceRef("wire"))
@@ -418,8 +418,11 @@ class TestReconstruct:
         ]
         recon = reconstruct(store_from_sources({"srca": records}))
         assert recon.flow_links == (
-            __import__("netloom.reconstruct", fromlist=["FlowLink"]).FlowLink(
-                business_flow_id, integration_flow_id, "realized-by"
+            MessageFlowLink(
+                content_id("fl", business_flow_id, integration_flow_id, "realized-by"),
+                business_flow_id,
+                integration_flow_id,
+                "realized-by",
             ),
         )
 
@@ -433,7 +436,7 @@ class TestReconstruct:
         ]
         recon = reconstruct(store_from_sources({"srca": records}))
         assert recon.flow_links == ()
-        assert recon.links == ()
+        assert recon.participant_links == ()
 
     def test_stale_cross_source_references_survive_shrinking_reload(self):
         # srcb's config references srca's system; srca then reloads
@@ -455,7 +458,7 @@ class TestReconstruct:
         shrunk = commit_records(store, [records_a[1]], "srca")
         recon = reconstruct(shrunk)
         assert recon.flows == ()
-        assert {m.name for m in recon.merged} == {"Gateway", "CRM"}
+        assert {p.label for p in recon.participants} == {"Gateway", "CRM"}
 
     def test_same_space_correlation_rejected(self):
         records = [
@@ -469,6 +472,57 @@ class TestReconstruct:
         store = store_from_sources({"srca": records})
         with pytest.raises(ReconstructionError, match="bridge"):
             reconstruct(store)
+
+    def test_same_space_flow_correlation_rejected(self):
+        # Two integration flows named by one correlation: the flow link
+        # would not bridge spaces.
+        first = flow_id_for("srca/a", "srca/b", InterfaceRef("one"))
+        second = flow_id_for("srca/b", "srca/a", InterfaceRef("two"))
+        records = [
+            {"kind": "system", "id": "a", "name": "App A", "type": "application"},
+            {"kind": "system", "id": "b", "name": "App B", "type": "application"},
+            {"kind": "out_conf", "id": "o1", "owner_system_id": "a",
+             "interface_name": "one", "receiver_address": "http://1"},
+            {"kind": "in_conf", "id": "i1", "owner_system_id": "b",
+             "interface_name": "one", "endpoint_address": "http://1"},
+            {"kind": "out_conf", "id": "o2", "owner_system_id": "b",
+             "interface_name": "two", "receiver_address": "http://2"},
+            {"kind": "in_conf", "id": "i2", "owner_system_id": "a",
+             "interface_name": "two", "endpoint_address": "http://2"},
+            {"kind": "correlation", "id": "c1",
+             "left_space": "integration", "left_id": first,
+             "right_space": "integration", "right_id": second,
+             "link_kind": "related"},
+        ]
+        store = store_from_sources({"srca": records})
+        with pytest.raises(ReconstructionError, match="must bridge different spaces"):
+            reconstruct(store)
+
+    def test_conflicts_match_merge_properties_per_class(self):
+        # Oracle: every source stamps its own value of "owner" on each
+        # system it reports (some sources agree), so classes spanning
+        # sources disagree. The lift must keep exactly the conflicts
+        # merge_properties reports for each class, and only non-empty ones.
+        rng = random.Random(49)
+        seen = 0
+        for _ in range(6):
+            scenario = make_scenario(rng, n_systems=15, n_flows=10, n_sources=3)
+            records = {
+                src: [
+                    {**r, "owner": f"team-{rng.randint(0, 2)}"}
+                    if r["kind"] == "system" else r
+                    for r in recs
+                ]
+                for src, recs in scenario.source_records.items()
+            }
+            store = store_from_sources(records)
+            recon = reconstruct(store)
+            for pid, members in recon.classes.systems.items():
+                expected = merge_properties([store.systems[m] for m in members]).conflicts
+                assert recon.conflicts.get(pid, ()) == expected
+                seen += len(expected)
+            assert all(recon.conflicts.values())
+        assert seen > 0
 
     def test_hosts_merge_via_shared_hostname_and_propagation(self):
         rng = random.Random(46)
@@ -492,7 +546,8 @@ class TestReconstruct:
         start = time.perf_counter()
         recon = reconstruct(store)
         elapsed = time.perf_counter() - start
-        assert [len(m.member_ids) for m in recon.merged] == [200]
+        assert len(recon.participants) == 1
+        assert [len(ms) for ms in recon.classes.systems.values()] == [200]
         assert elapsed < 10.0
 
     def test_deterministic_output(self):
@@ -504,15 +559,11 @@ class TestReconstruct:
 
 class TestFlowIds:
     def test_stable(self):
-        from netloom.model import InterfaceRef
-
         a = flow_id_for("x", "y", InterfaceRef("if1", "urn:n", "op"))
         b = flow_id_for("x", "y", InterfaceRef("if1", "urn:n", "op"))
         assert a == b and a.startswith("flow:")
 
     def test_distinct_per_interface(self):
-        from netloom.model import InterfaceRef
-
         assert flow_id_for("x", "y", InterfaceRef("if1")) != flow_id_for(
             "x", "y", InterfaceRef("if2")
         )
