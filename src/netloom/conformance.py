@@ -221,6 +221,7 @@ class Finding:
     origin: Origin | None
     field: str
     message: str
+    target: str = ""  # the engine-wide id a DANGLING_REF does not find
 
     def to_doc(self) -> dict:
         return {
@@ -462,6 +463,7 @@ def check_batch(
                         origin,
                         ref.field,
                         f"{ref.field}={value!r} does not resolve to a {ref.target_kind}",
+                        resolved,
                     )
                 )
 

@@ -18,7 +18,8 @@ Python function as it goes: nested ``for`` loops over hash-index
 lookups, with filters, binds and negation checks inlined where their
 variables become bound. The function is compiled once for the first
 round and once more per scan of a predicate computed in the stratum,
-with that scan reading the delta.
+with that scan reading the delta. These functions are kept per
+process, so a rule is compiled again only when it leaves the cache.
 A binary predicate whose rules include both ``p(B, A) :- p(A, B).``
 and ``p(A, C) :- p(A, B), p(B, C).`` (up to variable names) is
 evaluated as disjoint classes instead: those two rules get no
@@ -31,6 +32,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import chain
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
@@ -676,11 +678,36 @@ def _closure_rules(rules: Iterable[Rule]) -> dict[str, set[Rule]]:
 _MAX_NESTED_LOOPS = 16
 
 
-def _rule_functions(rule: Rule, dynamic_preds: set[str]) -> list[tuple[str | None, Callable]]:
-    """Generate the functions that evaluate ``rule``: ``(None, run)`` for
-    the first round, then ``(pred, run)`` for each scan of a predicate in
+def _rule_functions(rule: Rule, dynamic_preds: set[str]) -> tuple[tuple[str | None, Callable], ...]:
+    """The functions that evaluate ``rule``: ``(None, run)`` for the
+    first round, then ``(pred, run)`` for each scan of a predicate in
     ``dynamic_preds``, that scan reading ``delta``. Each ``run(relations,
-    delta)`` returns the head rows as a list.
+    delta)`` returns the head rows as a list. They are generated once
+    per process for each rule and set of its scanned predicates that
+    are dynamic.
+    """
+    scanned = frozenset(
+        lit.predicate for lit in rule.body if isinstance(lit, Atom) and lit.predicate in dynamic_preds
+    )
+    return _generate_rule_functions(rule, scanned, _constant_types(rule))
+
+
+def _constant_types(rule: Rule) -> tuple[type, ...]:
+    """The type of each constant in ``rule``, in order of appearance."""
+    atoms = [rule.head, *(lit.atom if isinstance(lit, Negation) else lit for lit in rule.body)]
+    terms = chain.from_iterable(
+        (a.left, a.right) if isinstance(a, Comparison) else a.args for a in atoms
+    )
+    return tuple(type(t) for t in terms if not isinstance(t, Variable))
+
+
+@lru_cache(maxsize=256)
+def _generate_rule_functions(
+    rule: Rule, dynamic_preds: frozenset[str], constant_types: tuple[type, ...]
+) -> tuple[tuple[str | None, Callable], ...]:
+    """Generate the functions of ``_rule_functions``. ``constant_types``
+    only keys the cache: rules that compare equal but hold constants of
+    different types (``1 == True``) get functions of their own.
 
     One walk over the body schedules and emits source at once. A
     comparison or negation is emitted as soon as its variables are
@@ -820,9 +847,9 @@ def _rule_functions(rule: Rule, dynamic_preds: set[str]) -> list[tuple[str | Non
         exec(compile(f"def run(relations, delta):\n    {body}", "<datalog rule>", "exec"), ns)
         return ns.pop("run")  # so that no cycle keeps it and its namespace alive
 
-    return [(None, function(top))] + [
+    return ((None, function(top)),) + tuple(
         (pred, function([*top[:at], line, *top[at + 1 :]])) for pred, at, line in variants
-    ]
+    )
 
 
 # ---------------------------------------------------------------------------

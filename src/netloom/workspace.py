@@ -26,6 +26,14 @@ save in flight, nor overwrites its commit.
 A ``store.json`` that holds a whole store (the format before segments)
 is still read, and the next save replaces it with segments.
 
+A committing watcher poll keeps the store it saved, beside the manifest
+bytes it wrote, in one slot per process. The next poll of the same
+workspace commits against that store, without reading a segment, if
+``store.json`` still holds those bytes under the lock. Every store
+write empties the slot before it writes, so a process holds at most
+one such store. ``ingest``, ``infer`` and ``load_store`` always read
+from disk.
+
 Snapshot files picked up by the watcher are named
 ``<source_id>__<anything>.jsonl``; the prefix selects the registered
 source config.
@@ -46,6 +54,7 @@ from itertools import chain
 from pathlib import Path
 
 from .conformance import (
+    DANGLING_REF,
     CompiledChecker,
     ConformanceReport,
     compile_schema,
@@ -145,6 +154,18 @@ def _segment_decoder(source_id: str):
     return decode
 
 
+def _waits_on_other_sources(report: ConformanceReport, source_id: str) -> bool:
+    """Whether every finding of ``report`` on a snapshot of ``source_id``
+    is a DANGLING_REF to an id ``<source id>/<object id>`` of another
+    source, which a later commit of that source can add."""
+
+    def of_other_source(target: str) -> bool:
+        owner, slash, _ = target.partition("/")
+        return bool(slash) and owner not in ("", source_id)
+
+    return all(f.code == DANGLING_REF and of_other_source(f.target) for f in report.findings)
+
+
 def write_atomic(path: Path, data: bytes) -> None:
     """Replace ``path`` with ``data`` through a temporary sibling file.
 
@@ -164,6 +185,15 @@ def write_atomic(path: Path, data: bytes) -> None:
 
 def _json_bytes(doc) -> bytes:
     return (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode("utf-8")
+
+
+#: The store that the last committing ``SnapshotWatcher.poll_once`` in
+#: this process saved: (workspace root, the manifest bytes it wrote, the
+#: store, its segments), or None. The manifest names each segment by
+#: the digest of its bytes and carries the store version, so while
+#: ``store.json`` holds those bytes this is the current store. Every
+#: store write clears it first, so a process holds at most one.
+_committed: tuple[Path, bytes, RawStore, dict[str, str]] | None = None
 
 
 @dataclass(frozen=True)
@@ -288,10 +318,19 @@ class Workspace:
         with self._store_lock():
             self._write_store(store, {}, _whole_store_stamps(store))
 
-    def _write_store(self, store: RawStore, kept: dict[str, str], stamps: dict[str, int]) -> None:
+    def _write_store(
+        self, store: RawStore, kept: dict[str, str], stamps: dict[str, int]
+    ) -> tuple[bytes, dict[str, str]]:
         """Write the segment of each source in ``stamps``, stamped with
         its version there, then a manifest listing those beside the
-        ``kept`` entries; then delete every other file in ``store/``."""
+        ``kept`` entries; then delete every other file in ``store/``.
+        Returns the manifest's bytes and segments.
+
+        Every store write drops the store the last committing poll
+        held, before it writes anything, so a failed write drops it too.
+        """
+        global _committed
+        _committed = None
         segments = dict(kept)
         self.segments_dir.mkdir(exist_ok=True)
         for source_id, version in stamps.items():
@@ -299,7 +338,8 @@ class Workspace:
             name = f"{source_id}.{hashlib.sha256(data).hexdigest()[:16]}.json"
             write_atomic(self.segments_dir / name, data)
             segments[source_id] = name
-        write_atomic(self.store_path, canonical_bytes({"segments": segments, "version": store.version}))
+        manifest = canonical_bytes({"segments": segments, "version": store.version})
+        write_atomic(self.store_path, manifest)
         listed = set(segments.values())
         for path in self.segments_dir.iterdir():
             if path.name not in listed:
@@ -307,6 +347,19 @@ class Workspace:
                     path.unlink(missing_ok=True)
                 except OSError as exc:  # the store is saved; the file is only waste
                     logger.warning("cannot remove %s: %s", path, exc)
+        return manifest, segments
+
+    def _held_or_loaded_store(self) -> tuple[RawStore, dict[str, str] | None]:
+        """What ``_load_store`` returns, but without decoding a segment
+        when ``store.json`` still holds the bytes that the last
+        committing poll in this process wrote here: then the store that
+        poll saved is the current one. Call it under the store lock."""
+        global _committed
+        manifest = _read("store", self.store_path, bytes)
+        if _committed is not None and _committed[:2] == (self.root, manifest):
+            return _committed[2], _committed[3]
+        _committed = None  # stale: free it before decoding the current store
+        return self._load_store()
 
     # -- source configs
 
@@ -373,20 +426,22 @@ class Workspace:
         store: RawStore,
         segments: dict[str, str] | None,
         archives: list[tuple[str, int, bytes]],
-    ) -> None:
+    ) -> tuple[bytes, dict[str, str]]:
         """Save ``store``, loaded from the manifest ``segments``, then
         archive each committed snapshot, given as (source id, store
         version it made, bytes). Only the committed sources' segments
         are written, each stamped with its last commit's version; a
         whole-store ``store.json`` (``segments`` None) is rewritten as
-        one segment per source."""
+        one segment per source. Returns the manifest's bytes and
+        segments as written."""
         stamps = {source_id: version for source_id, version, _ in archives}
         if segments is None:
             stamps = {**_whole_store_stamps(store), **stamps}
-        self._write_store(store, segments or {}, stamps)
+        written = self._write_store(store, segments or {}, stamps)
         self.snapshots_dir.mkdir(exist_ok=True)
         for source_id, version, data in archives:
             write_atomic(self.snapshots_dir / f"{source_id}__v{version:06d}.jsonl", data)
+        return written
 
     def infer(self, extra_rules=None) -> Network:
         """Reconstruct the network from the current store and publish it."""
@@ -442,23 +497,34 @@ class SnapshotWatcher:
         write_atomic(self.workspace.ledger_path, canonical_bytes(self._ledger))
 
     def poll_once(self) -> list[tuple[str, str]]:
-        """One scan pass; returns (filename, outcome) per processed file.
+        """One scan pass; returns (filename, outcome) per processed file,
+        in name order.
 
         Each new or changed file is read once, and those bytes are
         digested, committed and archived. Files commit in name order
-        against one load of the store; then the segment of each
-        committed source is written, and the manifest after them. The
-        archives and the ledger follow, and if anything committed, the
-        store just saved is reconstructed and published without being
-        read again. The ledger advances only after the save succeeds.
-        The workspace's store lock is held from the load to the save.
+        against one load of the store; if ``store.json`` still holds
+        the manifest that the last committing poll in this process
+        wrote, the store that poll saved is used and nothing is read.
+        A file rejected only for references into other sources is not
+        ledgered: after a pass that committed something, those files
+        are tried again in name order, until a pass commits nothing,
+        and later polls try them again. A later-named file of the same
+        source that commits first supersedes such a file for good.
+        Then the segment of each committed source is written, and the
+        manifest after them. The archives and the ledger follow, and
+        if anything committed, the store just saved is reconstructed
+        and published without being read again. The ledger advances
+        only after the save succeeds. The workspace's store lock is
+        held from the load to the save.
         """
+        global _committed
         ws = self.workspace
         outcomes: list[tuple[str, str]] = []
         ledgered: dict[str, str] = {}
         archives: list[tuple[str, int, bytes]] = []
         store = segments = checker = None
         with ws._store_lock():  # from the load to the save
+            pending = []  # (path, digest, config, bytes) of each new or changed file
             for path in sorted(self.directory.glob("*.jsonl")):
                 try:
                     data = read_snapshot(path)
@@ -475,25 +541,53 @@ class SnapshotWatcher:
                     logger.warning("skipping %s: %s", path.name, exc)
                     outcomes.append((path.name, "no-source-config"))
                     continue
-                ledgered[path.name] = digest
-                try:
-                    snapshot = load_snapshot(path, config, data)
-                except IngestError as exc:
-                    logger.warning("skipping %s: %s", path.name, exc)
-                    outcomes.append((path.name, "load-error"))
-                    continue
-                if store is None:
-                    (store, segments), checker = ws._load_store(), ws.checker()
-                result = commit(snapshot, store, checker)
-                if isinstance(result, ConformanceReport):
-                    logger.warning("rejected %s: %d findings", path.name, len(result.findings))
-                    outcomes.append((path.name, "rejected"))
-                    continue
-                store = result
-                archives.append((config.source_id, store.version, data))
-                outcomes.append((path.name, "committed"))
+                pending.append((path, digest, config, data))
+            last: dict[str, str] = {}  # source id -> its last committed file
+            waiting: dict[str, ConformanceReport] = {}
+            while pending:
+                waiting = {}
+                for path, digest, config, data in pending:
+                    name, source_id = path.name, config.source_id
+                    if last.get(source_id, name) > name:
+                        logger.warning("rejected %s: superseded by %s", name, last[source_id])
+                        ledgered[name] = digest
+                        outcomes.append((name, "rejected"))
+                        continue
+                    try:
+                        snapshot = load_snapshot(path, config, data)
+                    except IngestError as exc:
+                        logger.warning("skipping %s: %s", name, exc)
+                        ledgered[name] = digest
+                        outcomes.append((name, "load-error"))
+                        continue
+                    if store is None:
+                        (store, segments), checker = ws._held_or_loaded_store(), ws.checker()
+                    result = commit(snapshot, store, checker)
+                    if isinstance(result, ConformanceReport):
+                        if _waits_on_other_sources(result, source_id):
+                            waiting[name] = result
+                            continue
+                        logger.warning("rejected %s: %d findings", name, len(result.findings))
+                        ledgered[name] = digest
+                        outcomes.append((name, "rejected"))
+                        continue
+                    ledgered[name] = digest
+                    store = result
+                    last[source_id] = name
+                    archives.append((source_id, store.version, data))
+                    outcomes.append((name, "committed"))
+                if len(waiting) == len(pending):  # this pass committed nothing
+                    break
+                pending = [item for item in pending if item[0].name in waiting]
+            for name, report in waiting.items():
+                logger.warning(
+                    "rejected %s for now: %d references into sources not committed yet",
+                    name, len(report.findings),
+                )
+                outcomes.append((name, "rejected"))
             if archives:
-                ws._save_committed(store, segments, archives)
+                manifest, segments = ws._save_committed(store, segments, archives)
+                _committed = (ws.root, manifest, store, segments)
         if ledgered:
             self._ledger.update(ledgered)
             self._save_ledger()
@@ -504,7 +598,7 @@ class SnapshotWatcher:
                 logger.warning("not published: %s", exc)
             else:
                 logger.info("published network %s", network.version)
-        return outcomes
+        return sorted(outcomes)
 
     def run(self, interval: float, cycles: int = 0) -> None:
         done = 0

@@ -1,3 +1,4 @@
+import gc
 import random
 
 import pytest
@@ -5,11 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from netloom.datalog import (
+    Atom,
     ParseError,
+    Program,
+    Rule,
     StratificationError,
     Variable,
     _closure_rules,
     _format_term,
+    _generate_rule_functions,
     evaluate,
     evaluate_naive,
     parse_program,
@@ -500,6 +505,39 @@ class TestGeneratedPlans:
         edb = {"e": {(i, (i + 1) % 7) for i in range(7)} | {(3, 0)}}
         derived = self.both(rules, edb)
         assert derived["far"] and derived["reach"]
+
+    def test_rule_functions_are_generated_once_per_process(self):
+        program = parse_program(TC_RULES + "cache_probe(X) :- path(X, X).")
+        edb = edges_to_facts([(1, 2), (2, 1)])
+        derived = evaluate(program, edb)
+        misses = _generate_rule_functions.cache_info().misses
+        assert evaluate(program, edb) == derived
+        assert _generate_rule_functions.cache_info().misses == misses
+
+    def test_rules_equal_but_for_constant_types_get_their_own_functions(self):
+        def head_constant(const):
+            rule = Rule(Atom("p", (const,)), (Atom("q", (Variable("X"),)),))
+            (row,) = evaluate(Program((rule,), {"p": 1, "q": 1}), {"q": {("a",)}})["p"]
+            return row[0]
+
+        assert Rule(Atom("p", (1,))) == Rule(Atom("p", (True,)))
+        assert type(head_constant(1)) is int
+        assert type(head_constant(True)) is bool
+
+    def test_generated_functions_hold_no_reference_cycle(self):
+        rule = parse_program("far(X, Z) :- e(X, Y), e(Y, Z), not e(X, Z), X != 7.").rules[0]
+        enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            functions = _generate_rule_functions.__wrapped__(rule, frozenset({"e"}), (int,))
+            assert len(functions) == 3
+            del functions
+            garbage = gc.collect()
+        finally:
+            if enabled:
+                gc.enable()
+        assert garbage == 0
 
     def test_random_programs_with_builtins_match_naive(self):
         for seed in range(300):

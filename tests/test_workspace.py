@@ -1,9 +1,12 @@
 import gc
 import hashlib
 import json
+import os
 import random
+import subprocess
 import sys
 import threading
+import weakref
 from pathlib import Path
 
 import pytest
@@ -436,3 +439,208 @@ def test_concurrent_ingests_lose_no_commit(tmp_path):
     assert store.version == len(sources) * rounds
     assert {s.name for s in store.systems.values()} == {f"{src} {rounds - 1}" for src in sources}
     assert {p.name for p in ws.segments_dir.iterdir()} == listed_segments(ws)
+
+
+# ---------------------------------------------------------------------------
+# The store a committing poll keeps for the next one
+
+
+def system_records(name: str) -> list[dict]:
+    return [{"kind": "system", "id": "s", "name": name, "type": "application"}]
+
+
+def count_decodes(monkeypatch) -> dict[str, int]:
+    calls = {"store_from_json": 0}
+    real = workspace_mod.store_from_json
+
+    def counting(data):
+        calls["store_from_json"] += 1
+        return real(data)
+
+    monkeypatch.setattr(workspace_mod, "store_from_json", counting)
+    return calls
+
+
+def batch_build(tmp_path: Path, steps: list[tuple[str, list[dict]]]) -> Workspace:
+    """A fresh workspace with one ``Workspace.ingest`` per (source,
+    records) step, in order, then one ``infer``."""
+    batch = Workspace.init(tmp_path / "batch")
+    register_sources(batch, sorted({src for src, _ in steps}), tmp_path)
+    for n, (src, records) in enumerate(steps):
+        snap = tmp_path / "batch-in" / f"{n}.jsonl"
+        snap.parent.mkdir(exist_ok=True)
+        snap.write_bytes(snapshot_bytes(records))
+        assert isinstance(batch.ingest(batch.get_source(src), snap), RawStore)
+    batch.infer()
+    return batch
+
+
+def assert_same_workspace_bytes(ws: Workspace, batch: Workspace) -> None:
+    assert ws.store_path.read_bytes() == batch.store_path.read_bytes()
+    assert file_bytes(ws.segments_dir) == file_bytes(batch.segments_dir)
+    assert (ws.networks_dir / "LATEST").read_bytes() == (batch.networks_dir / "LATEST").read_bytes()
+    assert ws.latest_network_bytes() == batch.latest_network_bytes()
+
+
+def watched_workspace(tmp_path: Path, sources) -> tuple[Workspace, SnapshotWatcher]:
+    ws = Workspace.init(tmp_path / "ws")
+    register_sources(ws, sources, tmp_path)
+    drop = tmp_path / "drop"
+    drop.mkdir()
+    return ws, SnapshotWatcher(ws, drop)
+
+
+def drop_and_poll(watcher: SnapshotWatcher, name: str, records: list[dict]) -> list:
+    (watcher.directory / name).write_bytes(snapshot_bytes(records))
+    return watcher.poll_once()
+
+
+def test_poll_after_a_committing_poll_decodes_no_segment(tmp_path, monkeypatch):
+    ws, watcher = watched_workspace(tmp_path, ["srca", "srcb", "srcc"])
+    for src in ("srca", "srcb"):
+        snap = tmp_path / f"{src}.jsonl"
+        snap.write_bytes(snapshot_bytes(system_records(src)))
+        ws.ingest(ws.get_source(src), snap)
+    calls = count_decodes(monkeypatch)
+    # The ingests wrote the store last, so the first poll reads it.
+    assert drop_and_poll(watcher, "srca__1.jsonl", system_records("a1")) == [("srca__1.jsonl", "committed")]
+    assert calls["store_from_json"] == 2
+    assert drop_and_poll(watcher, "srcc__1.jsonl", system_records("c1")) == [("srcc__1.jsonl", "committed")]
+    assert drop_and_poll(watcher, "srcb__1.jsonl", system_records("b1")) == [("srcb__1.jsonl", "committed")]
+    assert calls["store_from_json"] == 2
+
+    batch = batch_build(tmp_path, [
+        ("srca", system_records("srca")), ("srcb", system_records("srcb")),
+        ("srca", system_records("a1")), ("srcc", system_records("c1")),
+        ("srcb", system_records("b1")),
+    ])
+    assert_same_workspace_bytes(ws, batch)
+
+
+def ingest_in_this_process(root: Path, config: Path, snap: Path) -> None:
+    ws = Workspace.load(root)
+    assert isinstance(ws.ingest(ws.register_source(config), snap), RawStore)
+
+
+def ingest_in_a_cli_process(root: Path, config: Path, snap: Path) -> None:
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    subprocess.run(
+        [sys.executable, "-m", "netloom.cli", "ingest", str(root), "--source-config", str(config), str(snap)],
+        check=True, capture_output=True, env=env, timeout=120,
+    )
+
+
+@pytest.mark.parametrize("other_writer", [ingest_in_this_process, ingest_in_a_cli_process])
+def test_poll_after_another_writer_commits_against_its_store(tmp_path, monkeypatch, other_writer):
+    ws, watcher = watched_workspace(tmp_path, ["srca"])
+    assert drop_and_poll(watcher, "srca__1.jsonl", system_records("a1")) == [("srca__1.jsonl", "committed")]
+    config = tmp_path / "srcb-config.json"
+    config.write_text(json.dumps({"source_id": "srcb", "source_type": "t"}))
+    snap = tmp_path / "srcb.jsonl"
+    snap.write_bytes(snapshot_bytes(system_records("b1")))
+    other_writer(ws.root, config, snap)
+
+    calls = count_decodes(monkeypatch)
+    assert drop_and_poll(watcher, "srca__2.jsonl", system_records("a2")) == [("srca__2.jsonl", "committed")]
+    assert calls["store_from_json"] == 2  # both segments, read from disk
+    assert set(ws.load_store().systems) == {"srca/s", "srcb/s"}
+    batch = batch_build(tmp_path, [
+        ("srca", system_records("a1")), ("srcb", system_records("b1")), ("srca", system_records("a2")),
+    ])
+    assert_same_workspace_bytes(ws, batch)
+
+
+def test_failed_manifest_write_drops_the_held_store(tmp_path, monkeypatch):
+    ws, watcher = watched_workspace(tmp_path, ["srca", "srcb"])
+    assert drop_and_poll(watcher, "srca__1.jsonl", system_records("a1")) == [("srca__1.jsonl", "committed")]
+    assert workspace_mod._committed is not None
+    real_write = workspace_mod.write_atomic
+
+    def fail_on_manifest(path, data):
+        if path == ws.store_path:
+            raise OSError("disk full")
+        real_write(path, data)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(workspace_mod, "write_atomic", fail_on_manifest)
+        with pytest.raises(OSError, match="disk full"):
+            drop_and_poll(watcher, "srcb__1.jsonl", system_records("b1"))
+    assert workspace_mod._committed is None
+
+    calls = count_decodes(monkeypatch)
+    assert watcher.poll_once() == [("srcb__1.jsonl", "committed")]
+    assert calls["store_from_json"] == 1  # the srca segment, read from disk
+    batch = batch_build(tmp_path, [("srca", system_records("a1")), ("srcb", system_records("b1"))])
+    assert_same_workspace_bytes(ws, batch)
+
+
+def test_a_store_write_in_another_workspace_frees_the_held_store(tmp_path):
+    _, watcher = watched_workspace(tmp_path, ["srca"])
+    assert drop_and_poll(watcher, "srca__1.jsonl", system_records("a1")) == [("srca__1.jsonl", "committed")]
+    held = weakref.ref(workspace_mod._committed[2])
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        Workspace.init(tmp_path / "other")
+        assert held() is None
+    finally:
+        if enabled:
+            gc.enable()
+
+
+# ---------------------------------------------------------------------------
+# References into a source that commits later
+
+
+A_RECORDS = [
+    {"kind": "system", "id": "a", "name": "ERP", "type": "application"},
+    {"kind": "runs_on", "id": "r", "system_id": "a", "host_id": "srcb/H"},
+]
+B_RECORDS = [{"kind": "host", "id": "H", "hostname": "erp-host.example.net"}]
+
+
+@pytest.mark.parametrize("polls", [
+    [["srca__1.jsonl"], ["srcb__1.jsonl"]],
+    [["srca__1.jsonl", "srcb__1.jsonl"]],
+    [["srcb__1.jsonl"], ["srca__1.jsonl"]],
+], ids=["srca-poll-first", "one-poll", "srcb-poll-first"])
+def test_reference_into_a_later_source_commits_in_every_drop_order(tmp_path, polls):
+    ws, watcher = watched_workspace(tmp_path, ["srca", "srcb"])
+    records = {"srca__1.jsonl": A_RECORDS, "srcb__1.jsonl": B_RECORDS}
+    for names in polls:
+        for name in names:
+            (watcher.directory / name).write_bytes(snapshot_bytes(records[name]))
+        watcher.poll_once()
+    assert watcher.poll_once() == []
+    assert json.loads(ws.ledger_path.read_text()).keys() == set(records)
+    batch = batch_build(tmp_path, [("srcb", B_RECORDS), ("srca", A_RECORDS)])
+    assert_same_workspace_bytes(ws, batch)
+
+
+def test_reference_into_a_missing_source_is_retried_but_not_ledgered(tmp_path):
+    ws, watcher = watched_workspace(tmp_path, ["srca", "srcb"])
+    assert drop_and_poll(watcher, "srca__1.jsonl", A_RECORDS) == [("srca__1.jsonl", "rejected")]
+    assert not ws.ledger_path.exists()
+    assert watcher.poll_once() == [("srca__1.jsonl", "rejected")]
+    assert ws.load_store().version == 0
+    # A reference into the file's own source is final, as before.
+    own = [{**A_RECORDS[1], "host_id": "H"}]
+    assert drop_and_poll(watcher, "srca__2.jsonl", own) == [
+        ("srca__1.jsonl", "rejected"), ("srca__2.jsonl", "rejected"),
+    ]
+    assert json.loads(ws.ledger_path.read_text()).keys() == {"srca__2.jsonl"}
+
+
+def test_later_file_of_the_same_source_supersedes_a_waiting_one(tmp_path):
+    ws, watcher = watched_workspace(tmp_path, ["srca", "srcb"])
+    assert drop_and_poll(watcher, "srca__1.jsonl", A_RECORDS) == [("srca__1.jsonl", "rejected")]
+    newer = [{**A_RECORDS[0], "name": "ERP 2"}]
+    assert drop_and_poll(watcher, "srca__2.jsonl", newer) == [
+        ("srca__1.jsonl", "rejected"), ("srca__2.jsonl", "committed"),
+    ]
+    assert json.loads(ws.ledger_path.read_text()).keys() == {"srca__1.jsonl", "srca__2.jsonl"}
+    # srcb resolves srca__1's reference, but srca__2 is the later file.
+    assert drop_and_poll(watcher, "srcb__1.jsonl", B_RECORDS) == [("srcb__1.jsonl", "committed")]
+    batch = batch_build(tmp_path, [("srca", newer), ("srcb", B_RECORDS)])
+    assert_same_workspace_bytes(ws, batch)
