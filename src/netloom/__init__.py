@@ -3,9 +3,7 @@
 from .conformance import (
     CompiledChecker,
     ConformanceReport,
-    SchemaSpec,
     check_batch,
-    compile_schema,
     default_schema_doc,
     load_schema,
     parse_schema,
@@ -24,7 +22,6 @@ __all__ = [
     "Network",
     "Program",
     "RawStore",
-    "SchemaSpec",
     "Snapshot",
     "SnapshotWatcher",
     "SourceConfig",
@@ -33,7 +30,6 @@ __all__ = [
     "build_index",
     "check_batch",
     "commit",
-    "compile_schema",
     "default_schema_doc",
     "emit",
     "evaluate",

@@ -1,19 +1,20 @@
 """Schema-compiled conformance checking for incoming raw records.
 
-A SchemaSpec declares, per record kind, the typed fields, referential
-constraints, and uniqueness constraints. Compiling a schema yields a
-checker that holds, per kind, the field specs in name order; each
-record's declared fields are checked in that order, one finding per
-violation, and fields the schema does not declare are ignored. A batch
-is accepted only when the report is empty; checking never mutates
-anything.
+A schema document declares, per record kind, the typed fields,
+referential constraints, and uniqueness constraints. ``parse_schema``
+(``load_schema`` for a file) checks the document and builds its
+``CompiledChecker`` in one walk: per kind, the field specs in name
+order, the refs, and the key and unique constraints. Each record's
+declared fields are checked in that order, one finding per violation,
+and fields the schema does not declare are ignored. A batch is accepted
+only when the report is empty; checking never mutates anything.
 """
 
 from __future__ import annotations
 
 import json
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
@@ -41,7 +42,7 @@ _FIELD_TYPES = ("string", "integer", "enum", "mapping", "list")
 
 
 class SchemaError(Exception):
-    """The schema itself is malformed; raised at compile time."""
+    """The schema itself is malformed; raised while parsing it."""
 
 
 @dataclass(frozen=True)
@@ -53,24 +54,6 @@ class FieldSpec:
     key: bool = False
 
 
-@dataclass(frozen=True)
-class RefSpec:
-    field: str
-    target_kind: str
-
-
-@dataclass(frozen=True)
-class KindSpec:
-    fields: tuple[FieldSpec, ...]
-    refs: tuple[RefSpec, ...] = ()
-    unique: tuple[tuple[str, ...], ...] = ()
-
-
-@dataclass(frozen=True)
-class SchemaSpec:
-    kinds: dict[str, KindSpec] = field(default_factory=dict)
-
-
 _SHAPE_NAMES = {Mapping: "an object", list: "a list", str: "a string", bool: "true or false"}
 
 
@@ -80,54 +63,79 @@ def _shaped(value: Any, expected: type, where: str) -> Any:
     return value
 
 
-def parse_schema(doc: Any) -> SchemaSpec:
-    """Parse the JSON schema document shape into a SchemaSpec.
+@dataclass(frozen=True)
+class CompiledChecker:
+    """Per record kind, its checks as ``(specs, refs, constraints)``: the
+    field specs in name order, the refs as ``(field, target kind)``
+    pairs, and the key and unique constraints as ``(label, fields)``
+    pairs."""
+
+    kinds: dict[str, tuple]
+
+
+def _field_spec(kind: str, name: str, fdoc: Any) -> FieldSpec:
+    where = f"{kind}.{name}"
+    fdoc = _shaped(fdoc, Mapping, where)
+    type_text = _shaped(fdoc.get("type", "string"), str, f"{where}.type")
+    enum_values: tuple[str, ...] = ()
+    if type_text.startswith("enum(") and type_text.endswith(")"):
+        enum_values = tuple(v.strip() for v in type_text[5:-1].split(",") if v.strip())
+        type_text = "enum"
+    spec = FieldSpec(
+        name=name,
+        type=type_text,
+        enum_values=enum_values,
+        required=_shaped(fdoc.get("required", False), bool, f"{where}.required"),
+        key=_shaped(fdoc.get("key", False), bool, f"{where}.key"),
+    )
+    if spec.type not in _FIELD_TYPES:
+        raise SchemaError(f"{where}: unknown field type {spec.type!r}")
+    if spec.type == "enum" and not spec.enum_values:
+        raise SchemaError(f"{where}: enum must declare values")
+    if spec.key and not spec.required:
+        raise SchemaError(f"{where}: key field must be required")
+    if spec.key and spec.type in ("mapping", "list"):
+        raise SchemaError(f"{where}: key field must be scalar")
+    return spec
+
+
+def parse_schema(doc: Any) -> CompiledChecker:
+    """The checker for a JSON schema document, in one walk over it.
 
     Raises SchemaError, naming the offending part, for a document of any
-    other shape."""
+    other shape, and for unknown field types, empty enums, key fields
+    that are not required or not scalar, refs to undeclared kinds, and
+    refs or unique constraints over undeclared fields."""
     kinds_doc = doc.get("kinds") if isinstance(doc, Mapping) else None
     if not isinstance(kinds_doc, Mapping):
         raise SchemaError('schema document must have a "kinds" mapping')
-    kinds: dict[str, KindSpec] = {}
+    kinds: dict[str, tuple] = {}
     for kind, spec in kinds_doc.items():
         spec = _shaped(spec, Mapping, f"kind {kind}")
-        specs = []
-        for name, fdoc in _shaped(spec.get("fields", {}), Mapping, f"{kind}.fields").items():
-            fdoc = _shaped(fdoc, Mapping, f"{kind}.{name}")
-            type_text = _shaped(fdoc.get("type", "string"), str, f"{kind}.{name}.type")
-            enum_values: tuple[str, ...] = ()
-            if type_text.startswith("enum(") and type_text.endswith(")"):
-                enum_values = tuple(
-                    v.strip() for v in type_text[5:-1].split(",") if v.strip()
-                )
-                type_text = "enum"
-            specs.append(
-                FieldSpec(
-                    name=name,
-                    type=type_text,
-                    enum_values=enum_values,
-                    required=_shaped(fdoc.get("required", False), bool, f"{kind}.{name}.required"),
-                    key=_shaped(fdoc.get("key", False), bool, f"{kind}.{name}.key"),
-                )
-            )
-        refs = tuple(
-            RefSpec(f, _shaped(target, str, f"{kind}.refs.{f}"))
-            for f, target in _shaped(spec.get("refs", {}), Mapping, f"{kind}.refs").items()
-        )
-        unique = tuple(
-            tuple(
-                _shaped(f, str, f"{kind}.unique field")
-                for f in _shaped(u, list, f"{kind}.unique entry")
-            )
-            for u in _shaped(spec.get("unique", []), list, f"{kind}.unique")
-        )
-        kinds[kind] = KindSpec(tuple(specs), refs, unique)
-    return SchemaSpec(kinds)
+        fields_doc = _shaped(spec.get("fields", {}), Mapping, f"{kind}.fields")
+        specs = {name: _field_spec(kind, name, fdoc) for name, fdoc in fields_doc.items()}
+        refs = []
+        for name, target in _shaped(spec.get("refs", {}), Mapping, f"{kind}.refs").items():
+            target = _shaped(target, str, f"{kind}.refs.{name}")
+            if name not in specs:
+                raise SchemaError(f"{kind}: ref field {name!r} is not declared")
+            if target not in kinds_doc:
+                raise SchemaError(f"{kind}.{name}: ref target kind {target!r} is not declared")
+            refs.append((name, target))
+        key_fields = tuple(sorted(name for name, f in specs.items() if f.key))
+        constraints = [("key", key_fields)] if key_fields else []
+        for entry in _shaped(spec.get("unique", []), list, f"{kind}.unique"):
+            for name in _shaped(entry, list, f"{kind}.unique entry"):
+                if _shaped(name, str, f"{kind}.unique field") not in specs:
+                    raise SchemaError(f"{kind}: unique field {name!r} is not declared")
+            constraints.append(("unique", tuple(entry)))
+        kinds[kind] = (tuple(specs[n] for n in sorted(specs)), tuple(refs), tuple(constraints))
+    return CompiledChecker(kinds)
 
 
-def load_schema(path: str | Path) -> SchemaSpec:
-    """Read and parse a schema file; raises SchemaError when it is not
-    UTF-8 JSON of the schema shape."""
+def load_schema(path: str | Path) -> CompiledChecker:
+    """The checker for a schema file; raises SchemaError when it is not
+    UTF-8 JSON of a valid schema."""
     try:
         doc = json.loads(Path(path).read_bytes().decode("utf-8"))
     except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
@@ -279,61 +287,6 @@ def _validate_value(spec: FieldSpec, value: Any) -> tuple[str, str] | None:
     return None
 
 
-@dataclass(frozen=True)
-class _CompiledKind:
-    """One kind's checks, fixed at compile time: its field specs in name
-    order, its refs, and its key and unique constraints as
-    ``(label, fields)`` pairs."""
-
-    specs: tuple[FieldSpec, ...]
-    refs: tuple[RefSpec, ...]
-    constraints: tuple[tuple[str, tuple[str, ...]], ...]
-
-
-@dataclass(frozen=True)
-class CompiledChecker:
-    kinds: dict[str, _CompiledKind]
-
-
-def compile_schema(schema: SchemaSpec) -> CompiledChecker:
-    """Compile a schema into an immutable checker.
-
-    Raises SchemaError for refs to undeclared kinds, key fields that are
-    not required, empty enums, unknown field types, and constraints over
-    undeclared fields.
-    """
-    kinds: dict[str, _CompiledKind] = {}
-    for kind, spec in schema.kinds.items():
-        declared = {f.name for f in spec.fields}
-        for f in spec.fields:
-            if f.type not in _FIELD_TYPES:
-                raise SchemaError(f"{kind}.{f.name}: unknown field type {f.type!r}")
-            if f.type == "enum" and not f.enum_values:
-                raise SchemaError(f"{kind}.{f.name}: enum must declare values")
-            if f.key and not f.required:
-                raise SchemaError(f"{kind}.{f.name}: key field must be required")
-            if f.key and f.type in ("mapping", "list"):
-                raise SchemaError(f"{kind}.{f.name}: key field must be scalar")
-        for ref in spec.refs:
-            if ref.field not in declared:
-                raise SchemaError(f"{kind}: ref field {ref.field!r} is not declared")
-            if ref.target_kind not in schema.kinds:
-                raise SchemaError(
-                    f"{kind}.{ref.field}: ref target kind {ref.target_kind!r} is not declared"
-                )
-        for combo in spec.unique:
-            for fname in combo:
-                if fname not in declared:
-                    raise SchemaError(f"{kind}: unique field {fname!r} is not declared")
-        key_fields = tuple(sorted(f.name for f in spec.fields if f.key))
-        constraints = [("key", key_fields)] if key_fields else []
-        constraints.extend(("unique", combo) for combo in spec.unique)
-        kinds[kind] = _CompiledKind(
-            tuple(sorted(spec.fields, key=lambda f: f.name)), spec.refs, tuple(constraints)
-        )
-    return CompiledChecker(kinds)
-
-
 def resolve_ref(value: str, source_id: str) -> str:
     """Resolve a reference value to an engine-wide id.
 
@@ -391,8 +344,8 @@ def check_batch(
                 Finding(MALFORMED_RECORD, "", origin, "kind", "record has no kind")
             )
             continue
-        compiled = checker.kinds.get(rec.kind)
-        if compiled is None:
+        checks = checker.kinds.get(rec.kind)
+        if checks is None:
             findings.append(
                 Finding(UNKNOWN_KIND, rec.kind, origin, "kind", f"unknown record kind {rec.kind!r}")
             )
@@ -400,7 +353,8 @@ def check_batch(
 
         # Unknown fields never yield a finding, so walking the declared
         # fields alone gives every field finding, in name order.
-        for spec in compiled.specs:
+        specs, refs, constraints = checks
+        for spec in specs:
             value = rec.fields.get(spec.name)
             if value is None:
                 if spec.required:
@@ -429,7 +383,7 @@ def check_batch(
             seen_object_ids[origin.object_id] = rec.kind
 
         # Duplicate identity within the batch.
-        for label, combo in compiled.constraints:
+        for label, combo in constraints:
             values = tuple(rec.fields.get(f) for f in combo)
             if any(v is None for v in values):
                 continue
@@ -450,19 +404,19 @@ def check_batch(
 
         # Referential integrity against existing union batch.
         source_id = origin.source_id if origin else ""
-        for ref in compiled.refs:
-            value = rec.fields.get(ref.field)
+        for ref_field, target_kind in refs:
+            value = rec.fields.get(ref_field)
             if not isinstance(value, str) or not value:
                 continue
             resolved = resolve_ref(value, source_id)
-            if resolved not in ref_pools.get(ref.target_kind, set()):
+            if resolved not in ref_pools.get(target_kind, set()):
                 findings.append(
                     Finding(
                         DANGLING_REF,
                         rec.kind,
                         origin,
-                        ref.field,
-                        f"{ref.field}={value!r} does not resolve to a {ref.target_kind}",
+                        ref_field,
+                        f"{ref_field}={value!r} does not resolve to a {target_kind}",
                         resolved,
                     )
                 )

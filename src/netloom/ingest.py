@@ -288,16 +288,17 @@ def _split_props(rec: RawRecord, consumed: tuple[str, ...]):
     return simple, complexes
 
 
-def build_entities(snapshot: Snapshot):
-    """Turn a conformance-checked snapshot into typed entities."""
+def build_entities(snapshot: Snapshot) -> list:
+    """Turn a conformance-checked snapshot into typed entities, one per
+    record of a built-in kind, in record order."""
     sid = snapshot.source_id
-    systems, hosts, runs, outs, ins, corrs = [], [], [], [], [], []
+    entities = []
     for rec in snapshot.records:
         engine_id = f"{sid}/{rec.origin.object_id}"
         f = rec.fields
         if rec.kind == "system":
             simple, complexes = _split_props(rec, _IDENTITY_FIELDS["system"])
-            systems.append(
+            entities.append(
                 SystemEntity.create(
                     engine_id,
                     f["name"],
@@ -314,11 +315,11 @@ def build_entities(snapshot: Snapshot):
             # canonical JSON strings so nothing is dropped.
             for cp in complexes:
                 simple[cp.kind] = CANONICAL_JSON.encode(cp.payload)
-            hosts.append(
+            entities.append(
                 HostEntity.create(engine_id, f["hostname"], rec.origin, simple)
             )
         elif rec.kind == "runs_on":
-            runs.append(
+            entities.append(
                 RunsOn(
                     resolve_ref(f["system_id"], sid),
                     resolve_ref(f["host_id"], sid),
@@ -326,7 +327,7 @@ def build_entities(snapshot: Snapshot):
                 )
             )
         elif rec.kind == "out_conf":
-            outs.append(
+            entities.append(
                 OutgoingConfiguration(
                     engine_id,
                     resolve_ref(f["owner_system_id"], sid),
@@ -341,7 +342,7 @@ def build_entities(snapshot: Snapshot):
                 )
             )
         elif rec.kind == "in_conf":
-            ins.append(
+            entities.append(
                 IncomingConfiguration(
                     engine_id,
                     resolve_ref(f["owner_system_id"], sid),
@@ -356,7 +357,7 @@ def build_entities(snapshot: Snapshot):
                 )
             )
         elif rec.kind == "correlation":
-            corrs.append(
+            entities.append(
                 CorrelationHint(
                     f["left_space"],
                     resolve_ref(f["left_id"], sid),
@@ -366,7 +367,7 @@ def build_entities(snapshot: Snapshot):
                     rec.origin,
                 )
             )
-    return systems, hosts, runs, outs, ins, corrs
+    return entities
 
 
 def commit(
@@ -377,19 +378,12 @@ def commit(
     Conformance runs against the store as it will look after the
     source's old entities are dropped, so an accepted batch can never
     leave dangling references behind. On findings the store is untouched
-    and the report is returned instead.
+    and the report is returned instead. Otherwise the new store, one
+    version up, is built from that store's entities followed by the
+    snapshot's (``build_entities``).
     """
     base = store.without_source(snapshot.source_id)
     report = check_batch(checker, snapshot.records, base)
     if not report.ok:
         return report
-    systems, hosts, runs, outs, ins, corrs = build_entities(snapshot)
-    return RawStore.build(
-        store.version + 1,
-        [*base.systems.values(), *systems],
-        [*base.hosts.values(), *hosts],
-        [*base.runs_on, *runs],
-        [*base.out_confs.values(), *outs],
-        [*base.in_confs.values(), *ins],
-        [*base.correlations, *corrs],
-    )
+    return RawStore.build(store.version + 1, [*base.entities(), *build_entities(snapshot)])

@@ -6,6 +6,11 @@ projects the whole store onto a fact base (predicate name -> set of
 argument tuples) so rule programs can run over it. The merge and emit
 stages read entities from the store itself, not from facts.
 
+``RawStore.build`` makes a store from one stream of entities, filing
+each into its collection by class, and ``RawStore.entities`` streams
+them back out; every other way of making a store (commit, selecting one
+source's entities, decoding) goes through that pair.
+
 A store is persisted one segment per source (``RawStore.only_source``;
 the workspace keeps the files). ``store_to_json`` writes a store or a
 segment with the one canonical encoder, ``CANONICAL_JSON``, straight
@@ -24,7 +29,7 @@ import itertools
 import json
 import typing
 from dataclasses import dataclass, field, fields, is_dataclass
-from typing import Any, Iterable, Mapping
+from typing import Any, Iterable, Iterator, Mapping
 
 #: The fact vocabulary emitted by to_facts. Rule files must not define
 #: rules for these predicates.
@@ -286,6 +291,18 @@ def _sort_correlations(items: Iterable[CorrelationHint]) -> tuple[CorrelationHin
     )
 
 
+#: Each collection of a store, in the order ``RawStore`` holds them,
+#: with the entity class of its items.
+_STORE_COLLECTIONS = {
+    "systems": SystemEntity,
+    "hosts": HostEntity,
+    "runs_on": RunsOn,
+    "out_confs": OutgoingConfiguration,
+    "in_confs": IncomingConfiguration,
+    "correlations": CorrelationHint,
+}
+
+
 @dataclass(frozen=True)
 class RawStore:
     """An immutable, versioned snapshot of everything discovered so far."""
@@ -303,20 +320,19 @@ class RawStore:
         return RawStore()
 
     @staticmethod
-    def build(
-        version: int,
-        systems: Iterable[SystemEntity] = (),
-        hosts: Iterable[HostEntity] = (),
-        runs_on: Iterable[RunsOn] = (),
-        out_confs: Iterable[OutgoingConfiguration] = (),
-        in_confs: Iterable[IncomingConfiguration] = (),
-        correlations: Iterable[CorrelationHint] = (),
-    ) -> "RawStore":
+    def build(version: int, entities: Iterable = ()) -> "RawStore":
+        """The store at ``version`` holding ``entities``, each filed into
+        its collection by class. Keyed collections are sorted by id, and
+        an id used twice raises ModelError; runs_on and correlations are
+        sorted by content."""
+        filed = {cls: [] for cls in _STORE_COLLECTIONS.values()}
+        for e in entities:
+            filed[type(e)].append(e)
         all_ids: set[str] = set()
 
-        def keyed(entities):
+        def keyed(cls):
             out = {}
-            for e in sorted(entities, key=lambda x: x.id):
+            for e in sorted(filed[cls], key=lambda x: x.id):
                 if e.id in all_ids:
                     raise ModelError(f"duplicate entity id {e.id}")
                 all_ids.add(e.id)
@@ -325,41 +341,31 @@ class RawStore:
 
         return RawStore(
             version=version,
-            systems=keyed(systems),
-            hosts=keyed(hosts),
-            runs_on=_sort_runs_on(runs_on),
-            out_confs=keyed(out_confs),
-            in_confs=keyed(in_confs),
-            correlations=_sort_correlations(correlations),
+            systems=keyed(SystemEntity),
+            hosts=keyed(HostEntity),
+            runs_on=_sort_runs_on(filed[RunsOn]),
+            out_confs=keyed(OutgoingConfiguration),
+            in_confs=keyed(IncomingConfiguration),
+            correlations=_sort_correlations(filed[CorrelationHint]),
+        )
+
+    def entities(self) -> Iterator:
+        """Every entity of the store, collection by collection in the
+        order ``_STORE_COLLECTIONS`` names them."""
+        return itertools.chain(
+            self.systems.values(), self.hosts.values(), self.runs_on,
+            self.out_confs.values(), self.in_confs.values(), self.correlations,
         )
 
     def without_source(self, source_id: str) -> "RawStore":
-        return self._select(source_id, False)
+        return RawStore.build(
+            self.version, (e for e in self.entities() if e.origin.source_id != source_id)
+        )
 
     def only_source(self, source_id: str) -> "RawStore":
         """The entities ``source_id`` contributed, at this store's version."""
-        return self._select(source_id, True)
-
-    def _select(self, source_id: str, inside: bool) -> "RawStore":
-        """The entities whose source is ``source_id`` (``inside``) or is
-        any other (not ``inside``), in the order this store holds them."""
-
-        def keep(entities: dict):
-            return {
-                k: v for k, v in entities.items() if (v.origin.source_id == source_id) is inside
-            }
-
-        def keep_all(items: tuple):
-            return tuple(x for x in items if (x.origin.source_id == source_id) is inside)
-
-        return RawStore(
-            version=self.version,
-            systems=keep(self.systems),
-            hosts=keep(self.hosts),
-            runs_on=keep_all(self.runs_on),
-            out_confs=keep(self.out_confs),
-            in_confs=keep(self.in_confs),
-            correlations=keep_all(self.correlations),
+        return RawStore.build(
+            self.version, (e for e in self.entities() if e.origin.source_id == source_id)
         )
 
     def ids_by_kind(self) -> dict[str, set[str]]:
@@ -433,18 +439,6 @@ def to_facts(store: RawStore) -> dict[str, set[tuple]]:
 # Store persistence (canonical JSON)
 
 
-#: Each collection of a store document, in the order ``RawStore`` holds
-#: them, with the entity class of its items.
-_STORE_COLLECTIONS = {
-    "systems": SystemEntity,
-    "hosts": HostEntity,
-    "runs_on": RunsOn,
-    "out_confs": OutgoingConfiguration,
-    "in_confs": IncomingConfiguration,
-    "correlations": CorrelationHint,
-}
-
-
 def _collections(store: RawStore) -> dict:
     """The store's collections as written: each keyed collection as the
     list of its entities, which RawStore keeps sorted by id."""
@@ -461,10 +455,10 @@ def store_from_json(data: bytes) -> RawStore:
     version = doc["version"]
     if type(version) is not int or version < 0:
         raise ModelError(f"store version must be an integer >= 0, not {version!r}")
-    collections = {}
+    collections = []
     for name, cls in _STORE_COLLECTIONS.items():
         items = doc[name]
         if type(items) is not list:
             raise ModelError(f"store {name} must be a list, not {type(items).__name__}")
-        collections[name] = map(canonical_decoder(cls), items)
-    return RawStore.build(version, **collections)
+        collections.append(map(canonical_decoder(cls), items))
+    return RawStore.build(version, itertools.chain.from_iterable(collections))

@@ -144,10 +144,7 @@ class PropertyConflict:
 
 @dataclass(frozen=True)
 class MergedSystem:
-    canonical_id: str
-    member_ids: tuple[str, ...]
     name: str
-    kind: str
     space: str
     simple_props: dict[str, str]
     conflicts: tuple[PropertyConflict, ...]
@@ -186,7 +183,8 @@ def merge_properties(
     members: Sequence[SystemEntity],
     trust: Mapping[str, int] | None = None,
 ) -> MergedSystem:
-    """Merge one equivalence class of systems into a single node.
+    """Merge one equivalence class of systems into a single node, named
+    after its member with the smallest id.
 
     Simple properties are unioned; conflicting values are resolved by
     higher trust rank, then lexicographically smaller source id, and the
@@ -198,7 +196,6 @@ def merge_properties(
         raise ReconstructionError("cannot merge an empty member list")
     trust = trust or {}
     ordered = sorted(members, key=lambda m: m.id)
-    rep = ordered[0]
 
     candidates: dict[str, list[tuple]] = {}
     for m in ordered:
@@ -229,10 +226,7 @@ def merge_properties(
     complex_props = tuple(by_digest[k] for k in sorted(by_digest))
 
     return MergedSystem(
-        canonical_id=rep.id,
-        member_ids=tuple(m.id for m in ordered),
-        name=rep.name,
-        kind=rep.kind,
+        name=ordered[0].name,
         space=merged_props.get("space", DEFAULT_SPACE),
         simple_props=merged_props,
         conflicts=tuple(

@@ -57,7 +57,6 @@ from .conformance import (
     DANGLING_REF,
     CompiledChecker,
     ConformanceReport,
-    compile_schema,
     default_schema_doc,
     load_schema,
 )
@@ -105,14 +104,17 @@ def _network_version(data: bytes) -> str:
     return version
 
 
-def _entities(store: RawStore):
-    return chain(store.systems.values(), store.hosts.values(), store.runs_on,
-                 store.out_confs.values(), store.in_confs.values(), store.correlations)
+def _ledger_of(data: bytes) -> dict[str, str]:
+    ledger = json.loads(data.decode("utf-8"))
+    # JSON object keys are always strings, so only the values need a check.
+    if type(ledger) is not dict or not all(type(v) is str for v in ledger.values()):
+        raise ValueError("must be an object of file names to digests")
+    return ledger
 
 
 def _whole_store_stamps(store: RawStore) -> dict[str, int]:
     """Every source in ``store``, each stamped with the store's version."""
-    return dict.fromkeys(sorted({e.origin.source_id for e in _entities(store)}), store.version)
+    return dict.fromkeys(sorted({e.origin.source_id for e in store.entities()}), store.version)
 
 
 def _segments_of(doc: dict) -> tuple[int, dict[str, str]]:
@@ -143,7 +145,7 @@ def _segment_decoder(source_id: str):
 
     def decode(data: bytes) -> RawStore:
         segment = store_from_json(data)
-        for entity in _entities(segment):
+        for entity in segment.entities():
             if entity.origin.source_id != source_id:
                 raise ModelError(
                     f"segment of source {source_id!r} holds an entity of "
@@ -255,7 +257,7 @@ class Workspace:
     # -- schema / checker
 
     def checker(self) -> CompiledChecker:
-        return compile_schema(load_schema(self.schema_path))
+        return load_schema(self.schema_path)
 
     # -- store versions
 
@@ -302,15 +304,7 @@ class Workspace:
             for source_id, name in segments.items()
         ]
         with _unreadable("store", self.store_path):  # an id in two segments
-            store = RawStore.build(
-                version,
-                [e for part in parts for e in part.systems.values()],
-                [e for part in parts for e in part.hosts.values()],
-                [e for part in parts for e in part.runs_on],
-                [e for part in parts for e in part.out_confs.values()],
-                [e for part in parts for e in part.in_confs.values()],
-                [e for part in parts for e in part.correlations],
-            )
+            store = RawStore.build(version, chain.from_iterable(p.entities() for p in parts))
         return store, segments
 
     def save_store(self, store: RawStore) -> None:
@@ -478,20 +472,7 @@ class SnapshotWatcher:
         """The ledger on disk, or an empty one; raises WorkspaceError if
         ``watch_ledger.json`` is not a JSON object of strings to strings."""
         path = self.workspace.ledger_path
-        if not path.exists():
-            return {}
-        try:
-            ledger = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, ValueError) as exc:  # ValueError: JSONDecodeError, UnicodeDecodeError
-            raise WorkspaceError(f"unreadable ledger {path}: {exc}") from exc
-        # JSON object keys are always strings, so only the values need a check.
-        if not isinstance(ledger, dict) or not all(
-            isinstance(v, str) for v in ledger.values()
-        ):
-            raise WorkspaceError(
-                f"unreadable ledger {path}: must be an object of file names to digests"
-            )
-        return ledger
+        return _read("ledger", path, _ledger_of) if path.exists() else {}
 
     def _save_ledger(self) -> None:
         write_atomic(self.workspace.ledger_path, canonical_bytes(self._ledger))

@@ -4,12 +4,12 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping
 
-from netloom.conformance import compile_schema, default_schema_doc, parse_schema
+from netloom.conformance import default_schema_doc, parse_schema
 from netloom.datalog import parse_program
 from netloom.ingest import RawRecord, Snapshot, commit
 from netloom.model import Origin, RawStore
 
-CHECKER = compile_schema(parse_schema(default_schema_doc()))
+CHECKER = parse_schema(default_schema_doc())
 
 
 def snapshot_of(records: list[dict], src: str) -> Snapshot:

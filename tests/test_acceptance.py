@@ -10,7 +10,7 @@ import random
 import sys
 import time
 
-from netloom.conformance import FINDING_CODES, check_batch, compile_schema, parse_schema
+from netloom.conformance import FINDING_CODES, check_batch, parse_schema
 from netloom.datalog import evaluate, evaluate_naive, parse_program
 from netloom.model import RawStore, to_facts
 from netloom.network import emit, export_json
@@ -274,7 +274,7 @@ def test_criterion_5_merge_semantics():
 
 def test_criterion_6_conformance_gate():
     rng = random.Random(66)
-    checker = compile_schema(parse_schema(conformance_fixtures.schema_with_enum()))
+    checker = parse_schema(conformance_fixtures.schema_with_enum())
     base = conformance_fixtures.valid_batch(10)
     try:
         clean = check_batch(checker, base, RawStore.empty())

@@ -208,7 +208,12 @@ class TestIngestCommand:
         assert result.exit_code == 1
 
 
-BROKEN_SCHEMAS = ['{"kinds": {"system": []}}', '{"kinds": {', b"\xff\xfe"]
+BROKEN_SCHEMAS = [
+    '{"kinds": {"system": []}}',
+    '{"kinds": {',
+    b"\xff\xfe",
+    '{"kinds": {"system": {"fields": {"t": {"type": "enum()"}}}}}',
+]
 
 
 @pytest.mark.parametrize("schema", BROKEN_SCHEMAS)

@@ -14,7 +14,6 @@ from netloom.conformance import (
     UNKNOWN_KIND,
     SchemaError,
     check_batch,
-    compile_schema,
     default_schema_doc,
     load_schema,
     parse_schema,
@@ -31,7 +30,7 @@ def rec(kind, fields, src="srca", obj=None):
 
 
 def make_checker(doc=None):
-    return compile_schema(parse_schema(doc or default_schema_doc()))
+    return parse_schema(doc or default_schema_doc())
 
 
 def valid_batch(n_systems=10, src="srca"):
@@ -131,7 +130,7 @@ class TestCompile:
 
         path = tmp_path / "schema.json"
         path.write_text(json.dumps(default_schema_doc()))
-        checker = compile_schema(load_schema(path))
+        checker = load_schema(path)
         assert "system" in checker.kinds
 
 
@@ -167,6 +166,27 @@ class TestSchemaShape:
         with pytest.raises(SchemaError):
             load_schema(path)
 
+    @pytest.mark.parametrize(
+        "kind_doc, message",
+        [
+            ({"fields": {"t": {"type": "enum()"}}}, r"system\.t: enum must declare values"),
+            ({"fields": {"t": {"type": "float"}}}, r"system\.t: unknown field type 'float'"),
+            (
+                {"fields": {"id": {"type": "mapping", "required": True, "key": True}}},
+                r"system\.id: key field must be scalar",
+            ),
+            (
+                {"fields": {"id": {"type": "list", "required": True, "key": True}}},
+                r"system\.id: key field must be scalar",
+            ),
+            ({"refs": {"host_id": "system"}}, r"system: ref field 'host_id' is not declared"),
+            ({"unique": [["name"]]}, r"system: unique field 'name' is not declared"),
+        ],
+    )
+    def test_invalid_schema_raises_schema_error(self, kind_doc, message):
+        with pytest.raises(SchemaError, match=message):
+            make_checker({"kinds": {"system": kind_doc}})
+
 
 class TestCheckBatch:
     def test_missing_required_field(self):
@@ -192,7 +212,7 @@ class TestCheckBatch:
 
         existing = RawStore.build(
             1,
-            systems=[
+            [
                 SystemEntity.create(
                     "srcb/s9", "Other", "application", Origin("srcb", "s9", "", 0)
                 )
@@ -300,8 +320,10 @@ FIELD_VALUES = {
 REF_VALUES = ["o1", "o2", "h0", "s1", "srcb/s1", "srca/h0", "flow:f", "ghost", "", 4]
 EXISTING = RawStore.build(
     1,
-    systems=[SystemEntity.create("srcb/s1", "Other", "application", Origin("srcb", "s1", "", 0))],
-    hosts=[HostEntity.create("srca/h0", "h0.net", Origin("srca", "h0", "", 0))],
+    [
+        SystemEntity.create("srcb/s1", "Other", "application", Origin("srcb", "s1", "", 0)),
+        HostEntity.create("srca/h0", "h0.net", Origin("srca", "h0", "", 0)),
+    ],
 )
 EXISTING_IDS = {"system": {"srcb/s1"}, "host": {"srca/h0"}}
 
@@ -368,7 +390,7 @@ class TestReferenceChecker:
         accepted = 0
         for _ in range(2500):
             doc = random_schema_doc(rng)
-            checker = compile_schema(parse_schema(doc))
+            checker = parse_schema(doc)
             batch = [random_record(rng, doc) for _ in range(rng.randint(1, 12))]
             report = check_batch(checker, batch, EXISTING)
             got = [(f.code, f.kind, f.field, f.message) for f in report.findings]

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from netloom.conformance import DANGLING_REF, compile_schema, default_schema_doc, parse_schema
+from netloom.conformance import DANGLING_REF, default_schema_doc, parse_schema
 from netloom.ingest import (
     IngestError,
     RawRecord,
@@ -17,7 +17,7 @@ from netloom.ingest import (
 from netloom.model import Origin, RawStore
 
 
-CHECKER = compile_schema(parse_schema(default_schema_doc()))
+CHECKER = parse_schema(default_schema_doc())
 
 
 def write_jsonl(path, records):

@@ -87,13 +87,13 @@ def random_store(rng: random.Random) -> RawStore:
                 Origin(s.origin.source_id, "c0", "", 0),
             )
         )
-    return RawStore.build(1, systems, hosts, runs, outs, ins, corrs)
+    return RawStore.build(1, [*systems, *hosts, *runs, *outs, *ins, *corrs])
 
 
 class TestToFacts:
     def test_system_projection(self):
         s = SystemEntity.create("srca/s1", "ERP", "application", origin())
-        store = RawStore.build(1, systems=[s])
+        store = RawStore.build(1, [s])
         facts = to_facts(store)
         assert ("srca/s1", "ERP", "application") in facts["system"]
         assert ("srca/s1", "srca", "o1") in facts["origin"]
@@ -223,6 +223,24 @@ class TestStorePersistence:
             assert s.origin.source_id != "srca"
         kept_b = {k for k, v in store.systems.items() if v.origin.source_id == "srcb"}
         assert set(trimmed.systems) == kept_b
+
+    def test_build_files_entities_by_class_in_any_order(self):
+        rng = random.Random(17)
+        for _ in range(30):
+            store = random_store(rng)
+            data = store_to_json(store)
+            entities = list(store.entities())
+            rng.shuffle(entities)
+            assert store_to_json(RawStore.build(store.version, entities)) == data
+            for src in ("srca", "srcb"):
+                parts = [*store.without_source(src).entities(), *store.only_source(src).entities()]
+                assert store_to_json(RawStore.build(store.version, parts)) == data
+
+    def test_build_refuses_an_id_used_twice(self):
+        s = SystemEntity.create("srca/x", "ERP", "application", origin())
+        h = HostEntity.create("srca/x", "erp.net", origin())
+        with pytest.raises(ModelError, match="duplicate entity id srca/x"):
+            RawStore.build(1, [s, h])
 
     def test_hostname_normalized_lowercase(self):
         h = HostEntity.create("srca/h1", "  Web01.EXAMPLE.net ", origin())
