@@ -13,7 +13,7 @@ from .ingest import Snapshot, SourceConfig, commit, load_snapshot, normalize_add
 from .model import RawStore, to_facts
 from .network import Network, emit, export_graph, export_json, parse_network
 from .query import build_index, search, traverse
-from .reconstruct import builtin_program, merge_properties, reconstruct
+from .reconstruct import builtin_program, host_classes, merge_properties, reconstruct
 from .workspace import SnapshotWatcher, Workspace
 
 __all__ = [
@@ -36,6 +36,7 @@ __all__ = [
     "evaluate_naive",
     "export_graph",
     "export_json",
+    "host_classes",
     "load_schema",
     "load_snapshot",
     "merge_properties",

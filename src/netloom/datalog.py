@@ -143,6 +143,30 @@ class Program:
                 merged.append(rule)
         return Program(tuple(merged), arities)
 
+    def slice(self, predicates: Iterable[str]) -> Program:
+        """The rules that ``predicates`` depend on: those whose heads lie
+        in their dependency cone, followed through positive and negated
+        body atoms alike. Evaluating the slice derives the same rows of
+        ``predicates`` as the whole program. ``arities`` is kept whole,
+        so an EDB is checked against the same arities either way."""
+        by_head: dict[str, list[Rule]] = {}
+        for rule in self.rules:
+            by_head.setdefault(rule.head.predicate, []).append(rule)
+        cone: set[str] = set()
+        frontier = list(predicates)
+        while frontier:
+            pred = frontier.pop()
+            if pred in cone:
+                continue
+            cone.add(pred)
+            for rule in by_head.get(pred, ()):
+                for lit in rule.body:
+                    if isinstance(lit, Negation):
+                        lit = lit.atom
+                    if isinstance(lit, Atom):
+                        frontier.append(lit.predicate)
+        return Program(tuple(r for r in self.rules if r.head.predicate in cone), self.arities)
+
 
 def _format_term(t: Term) -> str:
     if isinstance(t, Variable):

@@ -8,8 +8,9 @@ stages read entities from the store itself, not from facts.
 
 ``RawStore.build`` makes a store from one stream of entities, filing
 each into its collection by class, and ``RawStore.entities`` streams
-them back out; every other way of making a store (commit, selecting one
-source's entities, decoding) goes through that pair.
+them back out; commit and decoding go through that pair. Selecting
+sources (``without_source``, ``only_source``) filters a store's sorted
+collections in place of a rebuild.
 
 A store is persisted one segment per source (``RawStore.only_source``;
 the workspace keeps the files). ``store_to_json`` writes a store or a
@@ -27,9 +28,10 @@ import functools
 import hashlib
 import itertools
 import json
+import operator
 import typing
-from dataclasses import dataclass, field, fields, is_dataclass
-from typing import Any, Iterable, Iterator, Mapping
+from dataclasses import dataclass, field, fields, is_dataclass, replace
+from typing import Any, Callable, Iterable, Iterator, Mapping
 
 #: The fact vocabulary emitted by to_facts. Rule files must not define
 #: rules for these predicates.
@@ -332,7 +334,7 @@ class RawStore:
 
         def keyed(cls):
             out = {}
-            for e in sorted(filed[cls], key=lambda x: x.id):
+            for e in sorted(filed[cls], key=operator.attrgetter("id")):
                 if e.id in all_ids:
                     raise ModelError(f"duplicate entity id {e.id}")
                 all_ids.add(e.id)
@@ -357,16 +359,25 @@ class RawStore:
             self.out_confs.values(), self.in_confs.values(), self.correlations,
         )
 
+    def _where(self, keep: Callable[[Any], bool]) -> "RawStore":
+        """The entities for which ``keep`` holds, at this store's version.
+        Each collection is filtered in its sorted order, and a subset of
+        unique ids has none twice, so nothing is sorted or checked."""
+
+        def kept(items):
+            if isinstance(items, dict):
+                return {k: e for k, e in items.items() if keep(e)}
+            return tuple(e for e in items if keep(e))
+
+        return replace(self, **{name: kept(getattr(self, name)) for name in _STORE_COLLECTIONS})
+
     def without_source(self, source_id: str) -> "RawStore":
-        return RawStore.build(
-            self.version, (e for e in self.entities() if e.origin.source_id != source_id)
-        )
+        """The entities of every source but ``source_id``."""
+        return self._where(lambda e: e.origin.source_id != source_id)
 
     def only_source(self, source_id: str) -> "RawStore":
         """The entities ``source_id`` contributed, at this store's version."""
-        return RawStore.build(
-            self.version, (e for e in self.entities() if e.origin.source_id == source_id)
-        )
+        return self._where(lambda e: e.origin.source_id == source_id)
 
     def ids_by_kind(self) -> dict[str, set[str]]:
         def origin_ids(items):

@@ -4,11 +4,14 @@ The rule program finds system and host equivalences (key match on
 normalized name + kind across sources, propagated per Fig-style
 runs_on joins), matches outbound against inbound configurations to
 derive message flows, and maps correlation records to cross-space
-links. ``reconstruct`` lifts the closed rules straight to the network's
-entities under canonical ids: partitions read off the closed
-equivalence rows, one participant per class with its properties merged
-(conflicts go to the smaller source id), one flow per pair of classes
-and interface, and links between resolved endpoints.
+links. ``reconstruct`` evaluates only the slice of the program that
+the lift reads (``equiv_sys``, ``conf_match`` and ``participant_link``)
+and lifts it straight to the network's entities under canonical ids:
+partitions read off the closed equivalence rows, one participant per
+class with its properties merged (conflicts go to the smaller source
+id), one flow per pair of classes and interface, and links between
+resolved endpoints. Host classes are derived apart, on demand, by
+``host_classes``.
 
 Everything here is a pure function of one store version, so the result
 is independent of the order in which snapshots were loaded.
@@ -17,10 +20,10 @@ is independent of the order in which snapshots were loaded.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Mapping, Sequence
 
-from .datalog import Program, evaluate, parse_program
+from .datalog import Program, evaluate, parse_program, stratify
 from .model import (
     ComplexProperty,
     DEFAULT_SPACE,
@@ -93,20 +96,47 @@ def builtin_program() -> Program:
     return parse_program(BUILTIN_RULES)
 
 
+def _program(extra_rules: Program | None) -> Program:
+    """The built-in program merged with ``extra_rules``. The merged
+    program is stratified whole, so rules that fail do so even where no
+    slice of it would evaluate them."""
+    program = builtin_program()
+    if extra_rules is not None:
+        bad = sorted(extra_rules.head_predicates() & EDB_PREDICATES)
+        if bad:
+            raise ReconstructionError(
+                f"extra rules may not redefine raw predicates: {', '.join(bad)}"
+            )
+        program = program.union(extra_rules)
+        stratify(program)
+    return program
+
+
 @dataclass(frozen=True)
 class EquivalenceClassSet:
-    """A partition per entity kind with a canonical representative."""
+    """A partition per entity kind with a canonical representative.
+
+    Host classes are read by no export byte. They are derived on first
+    read, by ``host_classes`` over the store and rules held here."""
 
     systems: dict[str, tuple[str, ...]]  # canonical id -> sorted members
-    hosts: dict[str, tuple[str, ...]]
-    _system_rep: dict[str, str] = field(default_factory=dict, repr=False)
-    _host_rep: dict[str, str] = field(default_factory=dict, repr=False)
+    _system_rep: dict[str, str] = field(repr=False)
+    _store: RawStore = field(compare=False, repr=False)
+    _extra_rules: Program | None = field(compare=False, repr=False)
 
     def system_rep(self, entity_id: str) -> str:
         return self._system_rep[entity_id]
 
+    @cached_property
+    def _hosts(self) -> tuple[dict[str, tuple[str, ...]], dict[str, str]]:
+        return host_classes(self._store, self._extra_rules)
+
+    @property
+    def hosts(self) -> dict[str, tuple[str, ...]]:
+        return self._hosts[0]
+
     def host_rep(self, entity_id: str) -> str:
-        return self._host_rep[entity_id]
+        return self._hosts[1][entity_id]
 
 
 def _classes(
@@ -131,6 +161,17 @@ def _classes(
         if key not in classes:
             classes[key] = tuple(sorted(group))
     return classes, rep
+
+
+def host_classes(
+    store: RawStore, extra_rules: Program | None = None
+) -> tuple[dict[str, tuple[str, ...]], dict[str, str]]:
+    """The classes that the closed ``equiv_host`` rows make of the
+    store's hosts, keyed by their smallest member, and each host's key.
+    Evaluates only the slice of the program that ``equiv_host`` depends
+    on; ``reconstruct`` derives no ``equiv_host`` row itself."""
+    idb = evaluate(_program(extra_rules).slice({"equiv_host"}), to_facts(store))
+    return _classes(store.hosts, idb.get("equiv_host", ()))
 
 
 @dataclass(frozen=True)
@@ -245,24 +286,18 @@ def reconstruct(store: RawStore, extra_rules: Program | None = None) -> Reconstr
     network entities.
 
     ``extra_rules`` may extend every derived predicate but must not
-    define rules for the raw-fact predicates. A flow between different
-    spaces, or a link within one, raises ``ReconstructionError``. The
-    output is fully sorted, so equal stores produce identical
-    reconstructions no matter how or in what order they were loaded.
+    define rules for the raw-fact predicates. Only the rules that the
+    lifted predicates depend on are evaluated, so ``equiv_host`` and
+    ``flow`` are derived only when an extra rule for one of those reads
+    them. A flow between different spaces, or a link within one,
+    raises ``ReconstructionError``. The output is fully sorted, so equal
+    stores produce identical reconstructions no matter how or in what
+    order they were loaded.
     """
-    program = builtin_program()
-    if extra_rules is not None:
-        bad = sorted(extra_rules.head_predicates() & EDB_PREDICATES)
-        if bad:
-            raise ReconstructionError(
-                f"extra rules may not redefine raw predicates: {', '.join(bad)}"
-            )
-        program = program.union(extra_rules)
-
-    idb = evaluate(program, to_facts(store))
+    lifted = {"equiv_sys", "conf_match", "participant_link"}
+    idb = evaluate(_program(extra_rules).slice(lifted), to_facts(store))
     sys_classes, sys_rep = _classes(store.systems, idb.get("equiv_sys", ()))
-    host_classes, host_rep = _classes(store.hosts, idb.get("equiv_host", ()))
-    classes = EquivalenceClassSet(sys_classes, host_classes, sys_rep, host_rep)
+    classes = EquivalenceClassSet(sys_classes, sys_rep, store, extra_rules)
 
     participants: list[Participant] = []
     conflicts: dict[str, tuple[PropertyConflict, ...]] = {}

@@ -343,13 +343,13 @@ class Workspace:
                     logger.warning("cannot remove %s: %s", path, exc)
         return manifest, segments
 
-    def _held_or_loaded_store(self) -> tuple[RawStore, dict[str, str] | None]:
+    def _held_or_loaded_store(self, manifest: bytes) -> tuple[RawStore, dict[str, str] | None]:
         """What ``_load_store`` returns, but without decoding a segment
-        when ``store.json`` still holds the bytes that the last
-        committing poll in this process wrote here: then the store that
-        poll saved is the current one. Call it under the store lock."""
+        when ``manifest``, the bytes just read from ``store.json``, are
+        the bytes that the last committing poll in this process wrote
+        here: then the store that poll saved is the current one. Call it
+        under the store lock."""
         global _committed
-        manifest = _read("store", self.store_path, bytes)
         if _committed is not None and _committed[:2] == (self.root, manifest):
             return _committed[2], _committed[3]
         _committed = None  # stale: free it before decoding the current store
@@ -467,6 +467,9 @@ class SnapshotWatcher:
         self.workspace = workspace
         self.directory = Path(directory)
         self._ledger: dict[str, str] = self._load_ledger()
+        # name -> (digest, source config, store.json bytes) of each file
+        # that the last poll left waiting on other sources
+        self._waiting: dict[str, tuple[str, SourceConfig, bytes]] = {}
 
     def _load_ledger(self) -> dict[str, str]:
         """The ledger on disk, or an empty one; raises WorkspaceError if
@@ -489,7 +492,10 @@ class SnapshotWatcher:
         A file rejected only for references into other sources is not
         ledgered: after a pass that committed something, those files
         are tried again in name order, until a pass commits nothing,
-        and later polls try them again. A later-named file of the same
+        and later polls try them again. While such a file, its source
+        config and ``store.json`` are all unchanged, later polls keep
+        its outcome without parsing or checking it again, and warn
+        about it only once. A later-named file of the same
         source that commits first supersedes such a file for good.
         Then the segment of each committed source is written, and the
         manifest after them. The archives and the ledger follow, and
@@ -523,8 +529,9 @@ class SnapshotWatcher:
                     outcomes.append((path.name, "no-source-config"))
                     continue
                 pending.append((path, digest, config, data))
+            manifest = _read("store", ws.store_path, bytes) if pending else b""
             last: dict[str, str] = {}  # source id -> its last committed file
-            waiting: dict[str, ConformanceReport] = {}
+            waiting: dict[str, ConformanceReport | None] = {}  # None: kept outcome
             while pending:
                 waiting = {}
                 for path, digest, config, data in pending:
@@ -534,6 +541,9 @@ class SnapshotWatcher:
                         ledgered[name] = digest
                         outcomes.append((name, "rejected"))
                         continue
+                    if not archives and self._waiting.get(name) == (digest, config, manifest):
+                        waiting[name] = None
+                        continue
                     try:
                         snapshot = load_snapshot(path, config, data)
                     except IngestError as exc:
@@ -542,7 +552,7 @@ class SnapshotWatcher:
                         outcomes.append((name, "load-error"))
                         continue
                     if store is None:
-                        (store, segments), checker = ws._held_or_loaded_store(), ws.checker()
+                        (store, segments), checker = ws._held_or_loaded_store(manifest), ws.checker()
                     result = commit(snapshot, store, checker)
                     if isinstance(result, ConformanceReport):
                         if _waits_on_other_sources(result, source_id):
@@ -561,14 +571,20 @@ class SnapshotWatcher:
                     break
                 pending = [item for item in pending if item[0].name in waiting]
             for name, report in waiting.items():
-                logger.warning(
-                    "rejected %s for now: %d references into sources not committed yet",
-                    name, len(report.findings),
-                )
+                if report is not None:
+                    logger.warning(
+                        "rejected %s for now: %d references into sources not committed yet",
+                        name, len(report.findings),
+                    )
                 outcomes.append((name, "rejected"))
             if archives:
                 manifest, segments = ws._save_committed(store, segments, archives)
                 _committed = (ws.root, manifest, store, segments)
+            self._waiting = {
+                path.name: (digest, config, manifest)
+                for path, digest, config, _ in pending
+                if path.name in waiting
+            }
         if ledgered:
             self._ledger.update(ledgered)
             self._save_ledger()

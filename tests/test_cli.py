@@ -508,6 +508,22 @@ class TestInferCommand:
         assert result.exit_code == 2
         assert "line" in result.stderr
 
+    def test_negative_cycle_the_lift_never_reads_exit_two_with_one_line(
+        self, runner, tmp_path, workspace
+    ):
+        ingest_sample(runner, tmp_path, workspace)
+        rules = tmp_path / "rules.dl"
+        rules.write_text(
+            "p(X) :- system(X, _, _), not q(X).\n"
+            "q(X) :- system(X, _, _), not p(X).\n"
+        )
+        result = runner.invoke(main, ["infer", str(workspace), "--rules", str(rules)])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert len(result.stderr.splitlines()) == 1
+        assert "negative cycle" in result.stderr
+        assert Workspace.load(workspace).latest_network_bytes() is None
+
     def test_extra_rules_applied(self, runner, tmp_path, workspace):
         ingest_sample(runner, tmp_path, workspace)
         rules = tmp_path / "rules.dl"

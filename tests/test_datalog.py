@@ -302,6 +302,40 @@ class TestFixpointProperties:
         after = evaluate(program, edges_to_facts(edges | {extra}))
         assert path_pairs(before) <= path_pairs(after)
 
+    @given(st.integers(min_value=0, max_value=10**9))
+    @settings(max_examples=60)
+    def test_slice_derives_the_same_rows_of_its_predicates(self, seed):
+        rng = random.Random(seed)
+        rules, edb = random_builtin_program(rng)
+        program = parse_program(rules)
+        preds = sorted(program.arities)
+        wanted = set(rng.sample(preds, rng.randint(1, len(preds))))
+        sliced = program.slice(wanted)
+        assert sliced.arities == program.arities
+        assert set(sliced.rules) <= set(program.rules)
+
+        def restricted(derived):
+            return {p: rows for p, rows in derived.items() if p in wanted}
+
+        expected = restricted(evaluate(program, edb))
+        assert restricted(evaluate(sliced, edb)) == expected
+        assert restricted(evaluate_naive(program, edb)) == expected
+
+    def test_slice_follows_negated_atoms_and_keeps_whole_predicates(self):
+        program = parse_program(
+            "a(X) :- b(X), not c(X).\n"
+            "c(X) :- d(X).\n"
+            "c(X) :- e(X).\n"
+            "f(X) :- a(X).\n"
+        )
+        assert program.slice({"a"}).rules == program.rules[:3]
+        assert program.slice({"c"}).rules == program.rules[1:3]
+        assert program.slice({"d", "g"}).rules == ()
+        assert program.slice(set()) == Program((), program.arities)
+        # Only the derived c(2) keeps a(2) out.
+        edb = {"b": {(1,), (2,)}, "e": {(2,)}}
+        assert evaluate(program.slice({"a"}), edb)["a"] == {(1,)}
+
     def test_determinism_across_edb_orderings(self):
         rng = random.Random(3)
         rules, facts_text = random_program_text(rng)

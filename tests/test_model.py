@@ -236,6 +236,19 @@ class TestStorePersistence:
                 parts = [*store.without_source(src).entities(), *store.only_source(src).entities()]
                 assert store_to_json(RawStore.build(store.version, parts)) == data
 
+    def test_source_filters_equal_a_build_of_the_filtered_entities(self):
+        rng = random.Random(23)
+        for _ in range(30):
+            store = random_store(rng)
+            for src in ("srca", "srcb", "srcz"):
+                for selected, keep in (
+                    (store.without_source(src), lambda e: e.origin.source_id != src),
+                    (store.only_source(src), lambda e: e.origin.source_id == src),
+                ):
+                    built = RawStore.build(store.version, filter(keep, store.entities()))
+                    assert selected == built
+                    assert store_to_json(selected) == store_to_json(built)
+
     def test_build_refuses_an_id_used_twice(self):
         s = SystemEntity.create("srca/x", "ERP", "application", origin())
         h = HostEntity.create("srca/x", "erp.net", origin())

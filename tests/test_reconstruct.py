@@ -1,10 +1,11 @@
+import importlib
 import itertools
 import random
 import time
 
 import pytest
 
-from netloom.datalog import evaluate, parse_program, stratify
+from netloom.datalog import Program, StratificationError, evaluate, parse_program, stratify
 from netloom.model import (
     ComplexProperty,
     InterfaceRef,
@@ -19,6 +20,7 @@ from netloom.reconstruct import (
     ReconstructionError,
     builtin_program,
     flow_id_for,
+    host_classes,
     merge_properties,
     reconstruct,
 )
@@ -26,6 +28,9 @@ from netloom.reconstruct import (
 from generators import make_scenario
 from helpers import commit_records, fact_base, store_from_sources
 from oracles import sym_trans_closure, union_find_classes
+
+# ``import netloom.reconstruct`` would give the re-exported function.
+reconstruct_mod = importlib.import_module("netloom.reconstruct")
 
 
 def sys_entity(src, obj, name, kind="application", props=None, complexes=(), space=None):
@@ -555,6 +560,90 @@ class TestReconstruct:
         scenario = make_scenario(rng, n_systems=10, n_flows=12, n_sources=3)
         store = store_from_sources(scenario.source_records)
         assert reconstruct(store) == reconstruct(store)
+
+
+class TestProgramSlice:
+    """``reconstruct`` evaluates only the rules that the lifted
+    predicates depend on; host classes come from their own slice."""
+
+    def test_localhost_hosts_derive_no_equiv_host_or_flow_row(self, monkeypatch):
+        records = {"srca": [], "srcb": []}
+        for i in range(800):
+            records["srca" if i % 2 else "srcb"].append(
+                {"kind": "host", "id": f"h{i}", "hostname": "localhost"}
+            )
+        records["srca"] += [
+            {"kind": "system", "id": "s", "name": "ERP", "type": "application"},
+            {"kind": "runs_on", "id": "r", "system_id": "s", "host_id": "h1"},
+        ]
+        store = store_from_sources(records)
+        derived = []
+        real = reconstruct_mod.evaluate
+
+        def recording(program, edb):
+            idb = real(program, edb)
+            derived.append(idb)
+            return idb
+
+        monkeypatch.setattr(reconstruct_mod, "evaluate", recording)
+        recon = reconstruct(store)
+        assert len(derived) == 1
+        assert not derived[0].keys() & {"equiv_host", "flow"}
+        hosts = sorted(store.hosts)
+        chain = set(zip(hosts, hosts[1:]))
+        assert recon.classes.hosts == union_find_classes(store.hosts, chain)
+        assert len(derived) == 2 and derived[1]["equiv_host"]
+
+    def test_extra_rule_reading_equiv_host_merges_systems_on_a_shared_hostname(
+        self, monkeypatch
+    ):
+        records = {
+            "srca": [
+                {"kind": "system", "id": "x", "name": "Billing", "type": "application"},
+                {"kind": "host", "id": "h", "hostname": "pay.example.net"},
+                {"kind": "runs_on", "id": "r", "system_id": "x", "host_id": "h"},
+            ],
+            "srcb": [
+                {"kind": "system", "id": "y", "name": "Payments", "type": "application"},
+                {"kind": "host", "id": "h", "hostname": "PAY.example.net"},
+                {"kind": "runs_on", "id": "r", "system_id": "y", "host_id": "h"},
+            ],
+        }
+        store = store_from_sources(records)
+        assert len(reconstruct(store).participants) == 2
+        extra = parse_program(
+            "equiv_sys(A, B) :- runs_on(A, H1), runs_on(B, H2), equiv_host(H1, H2), "
+            "system(A, _, K), system(B, _, K)."
+        )
+        recon = reconstruct(store, extra_rules=extra)
+        assert recon.classes.systems == {"srca/x": ("srca/x", "srcb/y")}
+        (merged,) = recon.participants
+        assert merged.origins == (("srca", "x"), ("srcb", "y"))
+        monkeypatch.setattr(Program, "slice", lambda self, predicates: self)
+        assert recon == reconstruct(store, extra_rules=extra)
+
+    def test_negative_cycle_outside_the_slice_still_fails(self):
+        store = store_from_sources(
+            {"srca": [{"kind": "system", "id": "s", "name": "ERP", "type": "application"}]}
+        )
+        extra = parse_program(
+            "p(X) :- system(X, _, _), not q(X).\nq(X) :- system(X, _, _), not p(X)."
+        )
+        with pytest.raises(StratificationError, match="negative cycle"):
+            reconstruct(store, extra_rules=extra)
+        with pytest.raises(StratificationError, match="negative cycle"):
+            host_classes(store, extra_rules=extra)
+
+    def test_host_classes_match_the_whole_program(self):
+        rng = random.Random(50)
+        scenario = make_scenario(rng, n_systems=12, n_flows=6, n_sources=3)
+        store = store_from_sources(scenario.source_records)
+        derived = evaluate(builtin_program(), to_facts(store))
+        pairs = {(a, b) for a, b in derived["equiv_host"] if a in store.hosts and b in store.hosts}
+        classes, rep = host_classes(store)
+        assert classes == union_find_classes(store.hosts, pairs)
+        assert classes == reconstruct(store).classes.hosts
+        assert all(rep[m] == key for key, ms in classes.items() for m in ms)
 
 
 class TestFlowIds:

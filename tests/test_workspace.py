@@ -644,3 +644,37 @@ def test_later_file_of_the_same_source_supersedes_a_waiting_one(tmp_path):
     assert drop_and_poll(watcher, "srcb__1.jsonl", B_RECORDS) == [("srcb__1.jsonl", "committed")]
     batch = batch_build(tmp_path, [("srca", newer), ("srcb", B_RECORDS)])
     assert_same_workspace_bytes(ws, batch)
+
+
+def test_a_waiting_file_is_parsed_once_per_change_not_per_poll(tmp_path, monkeypatch, caplog):
+    ws, watcher = watched_workspace(tmp_path, ["srca", "srcb"])
+    parsed = []
+    real = workspace_mod.load_snapshot
+
+    def counting(path, *args):
+        parsed.append(Path(path).name)
+        return real(path, *args)
+
+    monkeypatch.setattr(workspace_mod, "load_snapshot", counting)
+    (watcher.directory / "srca__1.jsonl").write_bytes(snapshot_bytes(A_RECORDS))
+    with caplog.at_level("WARNING", logger=workspace_mod.logger.name):
+        for _ in range(3):
+            assert watcher.poll_once() == [("srca__1.jsonl", "rejected")]
+    assert parsed == ["srca__1.jsonl"]
+    assert sum("for now" in r.getMessage() for r in caplog.records) == 1
+    # Another writer's commit changes store.json, so the file is checked again.
+    other = tmp_path / "other.jsonl"
+    other.write_bytes(snapshot_bytes(system_records("CRM")))
+    assert isinstance(ws.ingest(ws.get_source("srcb"), other), RawStore)
+    assert watcher.poll_once() == [("srca__1.jsonl", "rejected")]
+    assert parsed == ["srca__1.jsonl", "other.jsonl", "srca__1.jsonl"]
+    # Its target source arrives: the waiting file is parsed again only
+    # once that commit has changed the store, and then commits.
+    del parsed[:]
+    assert drop_and_poll(watcher, "srcb__1.jsonl", B_RECORDS) == [
+        ("srca__1.jsonl", "committed"), ("srcb__1.jsonl", "committed"),
+    ]
+    assert parsed == ["srcb__1.jsonl", "srca__1.jsonl"]
+    assert watcher.poll_once() == []
+    batch = batch_build(tmp_path, [("srcb", system_records("CRM")), ("srcb", B_RECORDS), ("srca", A_RECORDS)])
+    assert_same_workspace_bytes(ws, batch)
