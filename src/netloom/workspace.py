@@ -467,9 +467,9 @@ class SnapshotWatcher:
         self.workspace = workspace
         self.directory = Path(directory)
         self._ledger: dict[str, str] = self._load_ledger()
-        # name -> (digest, source config, store.json bytes) of each file
-        # that the last poll left waiting on other sources
-        self._waiting: dict[str, tuple[str, SourceConfig, bytes]] = {}
+        # name -> (digest, source config, store.json bytes, checker) of
+        # each file that the last poll left waiting on other sources
+        self._waiting: dict[str, tuple[str, SourceConfig, bytes, CompiledChecker]] = {}
 
     def _load_ledger(self) -> dict[str, str]:
         """The ledger on disk, or an empty one; raises WorkspaceError if
@@ -493,9 +493,9 @@ class SnapshotWatcher:
         ledgered: after a pass that committed something, those files
         are tried again in name order, until a pass commits nothing,
         and later polls try them again. While such a file, its source
-        config and ``store.json`` are all unchanged, later polls keep
-        its outcome without parsing or checking it again, and warn
-        about it only once. A later-named file of the same
+        config, ``store.json`` and the schema are all unchanged, later
+        polls keep its outcome without parsing or checking it again,
+        and warn about it only once. A later-named file of the same
         source that commits first supersedes such a file for good.
         Then the segment of each committed source is written, and the
         manifest after them. The archives and the ledger follow, and
@@ -541,7 +541,9 @@ class SnapshotWatcher:
                         ledgered[name] = digest
                         outcomes.append((name, "rejected"))
                         continue
-                    if not archives and self._waiting.get(name) == (digest, config, manifest):
+                    if checker is None and name in self._waiting:
+                        checker = ws.checker()
+                    if not archives and self._waiting.get(name) == (digest, config, manifest, checker):
                         waiting[name] = None
                         continue
                     try:
@@ -552,7 +554,9 @@ class SnapshotWatcher:
                         outcomes.append((name, "load-error"))
                         continue
                     if store is None:
-                        (store, segments), checker = ws._held_or_loaded_store(manifest), ws.checker()
+                        store, segments = ws._held_or_loaded_store(manifest)
+                    if checker is None:
+                        checker = ws.checker()
                     result = commit(snapshot, store, checker)
                     if isinstance(result, ConformanceReport):
                         if _waits_on_other_sources(result, source_id):
@@ -581,7 +585,7 @@ class SnapshotWatcher:
                 manifest, segments = ws._save_committed(store, segments, archives)
                 _committed = (ws.root, manifest, store, segments)
             self._waiting = {
-                path.name: (digest, config, manifest)
+                path.name: (digest, config, manifest, checker)
                 for path, digest, config, _ in pending
                 if path.name in waiting
             }

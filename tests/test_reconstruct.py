@@ -634,17 +634,6 @@ class TestProgramSlice:
         with pytest.raises(StratificationError, match="negative cycle"):
             host_classes(store, extra_rules=extra)
 
-    def test_host_classes_match_the_whole_program(self):
-        rng = random.Random(50)
-        scenario = make_scenario(rng, n_systems=12, n_flows=6, n_sources=3)
-        store = store_from_sources(scenario.source_records)
-        derived = evaluate(builtin_program(), to_facts(store))
-        pairs = {(a, b) for a, b in derived["equiv_host"] if a in store.hosts and b in store.hosts}
-        classes, rep = host_classes(store)
-        assert classes == union_find_classes(store.hosts, pairs)
-        assert classes == reconstruct(store).classes.hosts
-        assert all(rep[m] == key for key, ms in classes.items() for m in ms)
-
 
 class TestFlowIds:
     def test_stable(self):

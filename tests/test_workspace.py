@@ -678,3 +678,13 @@ def test_a_waiting_file_is_parsed_once_per_change_not_per_poll(tmp_path, monkeyp
     assert watcher.poll_once() == []
     batch = batch_build(tmp_path, [("srcb", system_records("CRM")), ("srcb", B_RECORDS), ("srca", A_RECORDS)])
     assert_same_workspace_bytes(ws, batch)
+
+
+def test_a_schema_edit_retries_a_waiting_file(tmp_path):
+    ws, watcher = watched_workspace(tmp_path, ["srca", "srcb"])
+    assert drop_and_poll(watcher, "srca__1.jsonl", A_RECORDS) == [("srca__1.jsonl", "rejected")]
+    assert watcher.poll_once() == [("srca__1.jsonl", "rejected")]
+    doc = json.loads(ws.schema_path.read_text())
+    del doc["kinds"]["runs_on"]["refs"]["host_id"]
+    ws.schema_path.write_text(json.dumps(doc))
+    assert watcher.poll_once() == [("srca__1.jsonl", "committed")]
