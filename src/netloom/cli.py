@@ -211,8 +211,8 @@ def query_traverse(workspace, start, depth, follow_links, spaces):
 @main.command()
 @click.argument("workspace", type=click.Path())
 @click.argument("directory", type=click.Path())
-@click.option("--interval", type=float, default=2.0, show_default=True)
-@click.option("--cycles", type=int, default=0,
+@click.option("--interval", type=click.FloatRange(min=0), default=2.0, show_default=True)
+@click.option("--cycles", type=click.IntRange(min=0), default=0,
               help="Stop after N polls (0 = run forever).")
 def watch(workspace, directory, interval, cycles):
     """Continuously ingest snapshot files dropped into a directory.

@@ -140,7 +140,7 @@ class Origin:
             raise ModelError(f"captured_at must be an integer >= 0, not {self.captured_at!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class InterfaceRef:
     name: str
     namespace: str = ""
@@ -391,9 +391,6 @@ class RawStore:
             "runs_on": origin_ids(self.runs_on),
             "correlation": origin_ids(self.correlations),
         }
-
-    def content_equal(self, other: "RawStore") -> bool:
-        return self.content_digest() == other.content_digest()
 
     def content_digest(self) -> str:
         blob = CANONICAL_JSON.encode(_collections(self))

@@ -34,11 +34,10 @@ class ComplexPropertyView:
 
 @dataclass(frozen=True)
 class Participant:
-    """One equivalence class of systems, built by ``reconstruct`` from the
-    class's ``merge_properties`` result. ``complex_props`` are sorted by
-    (kind, digest) and ``origins`` are sorted, as ``reconstruct`` builds
-    them and as ``parse_network`` reads them; the export writes them as
-    held."""
+    """One equivalence class of systems, built by ``merge_properties``
+    for ``reconstruct``. ``complex_props`` are sorted by (kind, digest)
+    and ``origins`` are sorted, as ``merge_properties`` builds them and
+    as ``parse_network`` reads them; the export writes them as held."""
 
     id: str
     label: str

@@ -7,11 +7,12 @@ derive message flows, and maps correlation records to cross-space
 links. ``reconstruct`` evaluates only the slice of the program that
 the lift reads (``equiv_sys``, ``conf_match`` and ``participant_link``)
 and lifts it straight to the network's entities under canonical ids:
-partitions read off the closed equivalence rows, one participant per
-class with its properties merged (conflicts go to the smaller source
-id), one flow per pair of classes and interface, and links between
-resolved endpoints. Host classes are derived apart, on demand, by
-``host_classes``.
+a partition read off the closed equivalence rows, keyed by each class's
+smallest member; one participant per class, which ``merge_properties``
+builds with its losing property values beside it (conflicts go to the
+smaller source id); one flow per pair of classes and interface; and
+links between resolved endpoints. Host classes are derived apart, on
+demand, by ``host_classes``, as the same kind of partition.
 
 Everything here is a pure function of one store version, so the result
 is independent of the order in which snapshots were loaded.
@@ -25,11 +26,9 @@ from typing import Iterable, Mapping, Sequence
 
 from .datalog import Program, evaluate, parse_program, stratify
 from .model import (
-    ComplexProperty,
     DEFAULT_SPACE,
     EDB_PREDICATES,
     InterfaceRef,
-    Origin,
     RawStore,
     SystemEntity,
     content_id,
@@ -114,62 +113,52 @@ def _program(extra_rules: Program | None) -> Program:
 
 @dataclass(frozen=True)
 class EquivalenceClassSet:
-    """A partition per entity kind with a canonical representative.
+    """The system partition, keyed by each class's smallest member and
+    holding its members sorted.
 
-    Host classes are read by no export byte. They are derived on first
-    read, by ``host_classes`` over the store and rules held here."""
+    Host classes are read by no export byte; ``hosts`` derives them on
+    first read, by ``host_classes``. The store and rules held for that
+    are the bridge the benchmark's tracer reads classes through, until
+    it reads ``host_classes`` itself (ROADMAP item 2)."""
 
-    systems: dict[str, tuple[str, ...]]  # canonical id -> sorted members
-    _system_rep: dict[str, str] = field(repr=False)
+    systems: dict[str, tuple[str, ...]]
     _store: RawStore = field(compare=False, repr=False)
     _extra_rules: Program | None = field(compare=False, repr=False)
 
-    def system_rep(self, entity_id: str) -> str:
-        return self._system_rep[entity_id]
-
     @cached_property
-    def _hosts(self) -> tuple[dict[str, tuple[str, ...]], dict[str, str]]:
+    def hosts(self) -> dict[str, tuple[str, ...]]:
         return host_classes(self._store, self._extra_rules)
 
-    @property
-    def hosts(self) -> dict[str, tuple[str, ...]]:
-        return self._hosts[0]
 
-    def host_rep(self, entity_id: str) -> str:
-        return self._hosts[1][entity_id]
-
-
-def _classes(
-    members: Iterable[str], rows: Iterable[tuple]
-) -> tuple[dict[str, tuple[str, ...]], dict[str, str]]:
+def _classes(members: Iterable[str], rows: Iterable[tuple]) -> dict[str, tuple[str, ...]]:
     """Partition ``members`` by the rows of an equivalence predicate.
 
     The built-in rules close ``equiv_sys`` and ``equiv_host`` under
     symmetry and transitivity, also through ids outside ``members``, so
     a member's class is itself plus its partners among ``members``.
     Returns the classes, keyed by their smallest member and holding
-    their members sorted, and each member's key.
+    their members sorted.
     """
     partners = {m: {m} for m in members}
     for a, b in rows:
         if a in partners and b in partners:
             partners[a].add(b)
     classes: dict[str, tuple[str, ...]] = {}
-    rep: dict[str, str] = {}
-    for m, group in partners.items():
-        rep[m] = key = min(group)
+    for group in partners.values():
+        key = min(group)
         if key not in classes:
             classes[key] = tuple(sorted(group))
-    return classes, rep
+    return classes
 
 
 def host_classes(
     store: RawStore, extra_rules: Program | None = None
-) -> tuple[dict[str, tuple[str, ...]], dict[str, str]]:
+) -> dict[str, tuple[str, ...]]:
     """The classes that the closed ``equiv_host`` rows make of the
-    store's hosts, keyed by their smallest member, and each host's key.
-    Evaluates only the slice of the program that ``equiv_host`` depends
-    on; ``reconstruct`` derives no ``equiv_host`` row itself."""
+    store's hosts, keyed by their smallest member and holding their
+    members sorted. Evaluates only the slice of the program that
+    ``equiv_host`` depends on; ``reconstruct`` derives no ``equiv_host``
+    row itself."""
     idb = evaluate(_program(extra_rules).slice({"equiv_host"}), to_facts(store))
     return _classes(store.hosts, idb.get("equiv_host", ()))
 
@@ -181,16 +170,6 @@ class PropertyConflict:
     winner_source: str
     loser_value: str
     loser_source: str
-
-
-@dataclass(frozen=True)
-class MergedSystem:
-    name: str
-    space: str
-    simple_props: dict[str, str]
-    conflicts: tuple[PropertyConflict, ...]
-    complex_props: tuple[ComplexProperty, ...]
-    origins: tuple[Origin, ...]
 
 
 @dataclass(frozen=True)
@@ -215,23 +194,20 @@ def flow_id_for(source_class: str, target_class: str, interface: InterfaceRef) -
     )
 
 
-def _sorted_origins(origins: Iterable[Origin]) -> tuple[Origin, ...]:
-    unique = {(o.source_id, o.object_id): o for o in origins}
-    return tuple(unique[k] for k in sorted(unique))
-
-
 def merge_properties(
     members: Sequence[SystemEntity],
     trust: Mapping[str, int] | None = None,
-) -> MergedSystem:
-    """Merge one equivalence class of systems into a single node, named
-    after its member with the smallest id.
+) -> tuple[Participant, tuple[PropertyConflict, ...]]:
+    """Merge one equivalence class of systems into a single participant,
+    with the id and name of its member with the smallest id, and the
+    property values that lost.
 
     Simple properties are unioned; conflicting values are resolved by
     higher trust rank, then lexicographically smaller source id, and the
-    losing values are kept in ``conflicts``. Complex properties deduplicate by digest;
-    same-kind payloads with different digests are all retained. The
-    result does not depend on member order.
+    losing values are returned sorted beside the participant. The merged
+    ``space`` property becomes the participant's space. Complex
+    properties deduplicate by digest; same-kind payloads with different
+    digests are all retained. The result does not depend on member order.
     """
     if not members:
         raise ReconstructionError("cannot merge an empty member list")
@@ -260,24 +236,21 @@ def merge_properties(
                 PropertyConflict(key, winner[2], winner[1], loser[2], loser[1])
             )
 
-    by_digest: dict[tuple[str, str], ComplexProperty] = {}
+    payloads: dict[tuple[str, str], object] = {}
     for m in ordered:
         for cp in m.complex_props:
-            by_digest.setdefault((cp.kind, cp.digest), cp)
-    complex_props = tuple(by_digest[k] for k in sorted(by_digest))
+            payloads.setdefault((cp.kind, cp.digest), cp.payload)
 
-    return MergedSystem(
-        name=ordered[0].name,
-        space=merged_props.get("space", DEFAULT_SPACE),
-        simple_props=merged_props,
-        conflicts=tuple(
-            sorted(
-                conflicts,
-                key=lambda c: (c.key, c.loser_source, c.loser_value),
-            )
-        ),
-        complex_props=complex_props,
-        origins=_sorted_origins(m.origin for m in ordered),
+    participant = Participant(
+        id=ordered[0].id,
+        label=ordered[0].name,
+        space=merged_props.pop("space", DEFAULT_SPACE),
+        props=merged_props,
+        complex_props=tuple(ComplexPropertyView(*k, payloads[k]) for k in sorted(payloads)),
+        origins=tuple(sorted({(m.origin.source_id, m.origin.object_id) for m in ordered})),
+    )
+    return participant, tuple(
+        sorted(conflicts, key=lambda c: (c.key, c.loser_source, c.loser_value))
     )
 
 
@@ -296,30 +269,12 @@ def reconstruct(store: RawStore, extra_rules: Program | None = None) -> Reconstr
     """
     lifted = {"equiv_sys", "conf_match", "participant_link"}
     idb = evaluate(_program(extra_rules).slice(lifted), to_facts(store))
-    sys_classes, sys_rep = _classes(store.systems, idb.get("equiv_sys", ()))
-    classes = EquivalenceClassSet(sys_classes, sys_rep, store, extra_rules)
-
-    participants: list[Participant] = []
-    conflicts: dict[str, tuple[PropertyConflict, ...]] = {}
-    space_of: dict[str, str] = {}
-    for rep, members in sorted(classes.systems.items()):
-        merged = merge_properties([store.systems[m] for m in members])
-        participants.append(
-            Participant(
-                id=rep,
-                label=merged.name,
-                space=merged.space,
-                props={k: v for k, v in merged.simple_props.items() if k != "space"},
-                complex_props=tuple(
-                    ComplexPropertyView(cp.kind, cp.digest, cp.payload)
-                    for cp in merged.complex_props
-                ),
-                origins=tuple((o.source_id, o.object_id) for o in merged.origins),
-            )
-        )
-        space_of[rep] = merged.space
-        if merged.conflicts:
-            conflicts[rep] = merged.conflicts
+    systems = _classes(store.systems, idb.get("equiv_sys", ()))
+    rep = {m: key for key, ms in systems.items() for m in ms}
+    merged = [merge_properties([store.systems[m] for m in systems[key]]) for key in sorted(systems)]
+    participants = tuple(p for p, _ in merged)
+    conflicts = {p.id: c for p, c in merged if c}
+    space_of = {p.id: p.space for p in participants}
 
     # Links whose endpoints do not resolve in this store version are
     # stale or garbage evidence and contribute nothing; resolvable links
@@ -335,7 +290,7 @@ def reconstruct(store: RawStore, extra_rules: Program | None = None) -> Reconstr
         if left_is_flow:
             flow_rows.add((left, right, kind))
         elif left in store.systems and right in store.systems:
-            link_rows.add((classes.system_rep(left), classes.system_rep(right), kind))
+            link_rows.add((rep[left], rep[right], kind))
     participant_links = []
     for lc, rc, kind in sorted(link_rows):
         if space_of[lc] == space_of[rc]:
@@ -363,21 +318,15 @@ def reconstruct(store: RawStore, extra_rules: Program | None = None) -> Reconstr
             or ic.owner_system_id not in store.systems
         ):
             continue
-        key = (
-            classes.system_rep(oc.owner_system_id),
-            classes.system_rep(ic.owner_system_id),
-            oc.interface,
-        )
+        key = (rep[oc.owner_system_id], rep[ic.owner_system_id], oc.interface)
         pairs, origins = grouped.setdefault(key, (set(), []))
         pairs.add((out_id, in_id))
         origins.extend((oc.origin, ic.origin))
     flows = []
     supporting: dict[str, tuple[tuple[str, str], ...]] = {}
     flow_space: dict[str, str] = {}
-    for (source, target, iface), (pairs, origins) in sorted(
-        grouped.items(),
-        key=lambda kv: (kv[0][0], kv[0][1], kv[0][2].name, kv[0][2].namespace, kv[0][2].operation),
-    ):
+    # Keys are unique, so sorting the items compares keys only.
+    for (source, target, iface), (pairs, origins) in sorted(grouped.items()):
         if space_of[source] != space_of[target]:
             raise ReconstructionError(
                 f"flow {source!r} -> {target!r} crosses spaces "
@@ -409,8 +358,8 @@ def reconstruct(store: RawStore, extra_rules: Program | None = None) -> Reconstr
         )
 
     return Reconstruction(
-        classes=classes,
-        participants=tuple(participants),
+        classes=EquivalenceClassSet(systems, store, extra_rules),
+        participants=participants,
         flows=tuple(flows),
         participant_links=tuple(participant_links),
         flow_links=tuple(flow_links),

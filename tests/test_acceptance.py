@@ -215,19 +215,19 @@ def test_criterion_5_merge_semantics():
 
     try:
         # Simple-prop union.
-        merged = merge_properties(
+        merged, conflicts = merge_properties(
             [entity("srca", "x", {"a": "1"}), entity("srcb", "x", {"b": "2"})]
         )
-        assert merged.simple_props["a"] == "1" and merged.simple_props["b"] == "2"
-        assert merged.conflicts == ()
+        assert merged.props["a"] == "1" and merged.props["b"] == "2"
+        assert conflicts == ()
 
         # Trust-ranked conflict resolution with logged losers.
-        merged = merge_properties(
+        merged, conflicts = merge_properties(
             [entity("low", "x", {"env": "test"}), entity("high", "x", {"env": "prod"})],
             trust={"high": 5, "low": 1},
         )
-        assert merged.simple_props["env"] == "prod"
-        assert [(c.loser_value, c.loser_source) for c in merged.conflicts] == [
+        assert merged.props["env"] == "prod"
+        assert [(c.loser_value, c.loser_source) for c in conflicts] == [
             ("test", "low")
         ]
 
@@ -236,7 +236,7 @@ def test_criterion_5_merge_semantics():
         same1 = ComplexProperty.create("cfg", {"a": 1, "b": [2]}, o1)
         same2 = ComplexProperty.create("cfg", {"b": [2], "a": 1}, o2)
         other = ComplexProperty.create("cfg", {"a": 2}, o2)
-        merged = merge_properties(
+        merged, _ = merge_properties(
             [entity("srca", "x", {}, (same1,)), entity("srcb", "x", {}, (same2, other))]
         )
         assert len(merged.complex_props) == 2
@@ -265,7 +265,8 @@ def test_criterion_5_merge_semantics():
                 result = merge_properties(list(perm), trust)
                 baseline = baseline or result
                 assert result == baseline
-            assert baseline.simple_props == {k: e[2] for k, e in oracle.items()}
+            merged, _ = baseline
+            assert {**merged.props, "space": merged.space} == {k: e[2] for k, e in oracle.items()}
     except AssertionError as exc:
         report(5, "merge semantics property suite", False, str(exc)[:100])
         raise

@@ -758,6 +758,26 @@ class TestWatch:
         assert result.exit_code == 0
         assert ws.load_store().version == 1
 
+    @pytest.mark.parametrize(
+        "option, value", [("--interval", "-1"), ("--cycles", "-3")]
+    )
+    def test_watch_rejects_negative_interval_and_cycles(
+        self, tmp_path, runner, workspace, option, value
+    ):
+        ws = Workspace.load(workspace)
+        cfg = tmp_path / "srca.json"
+        write_source_config(cfg, "srca")
+        ws.register_source(cfg)
+        drop = tmp_path / "drop"
+        drop.mkdir()
+        write_snapshot(drop / "srca__one.jsonl", sample_records())
+        args = ["watch", str(workspace), str(drop), "--interval", "0", "--cycles", "1"]
+        result = runner.invoke(main, args + [option, value])
+        assert result.exit_code == 2
+        assert f"Invalid value for '{option}'" in result.output
+        # A usage error polls nothing.
+        assert ws.load_store().version == 0
+
     def test_store_that_does_not_lift_is_logged_and_not_published(
         self, tmp_path, runner, workspace, caplog
     ):

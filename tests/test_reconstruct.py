@@ -99,25 +99,25 @@ class TestMergeProperties:
     def test_disjoint_props_union_no_conflicts(self):
         a = sys_entity("srca", "s1", "ERP", props={"desc": "ERP"})
         b = sys_entity("srcb", "s1", "ERP", props={"owner": "ops"})
-        merged = merge_properties([a, b])
-        assert merged.simple_props["desc"] == "ERP"
-        assert merged.simple_props["owner"] == "ops"
-        assert merged.conflicts == ()
+        merged, conflicts = merge_properties([a, b])
+        assert merged.props["desc"] == "ERP"
+        assert merged.props["owner"] == "ops"
+        assert conflicts == ()
 
     def test_trust_rank_resolves_conflicts_and_logs_loser(self):
         a = sys_entity("prod-source", "s1", "ERP", props={"env": "prod"})
         b = sys_entity("test-source", "s1", "ERP", props={"env": "test"})
-        merged = merge_properties([a, b], trust={"prod-source": 2, "test-source": 1})
-        assert merged.simple_props["env"] == "prod"
-        assert len(merged.conflicts) == 1
-        conflict = merged.conflicts[0]
+        merged, conflicts = merge_properties([a, b], trust={"prod-source": 2, "test-source": 1})
+        assert merged.props["env"] == "prod"
+        assert len(conflicts) == 1
+        conflict = conflicts[0]
         assert (conflict.loser_value, conflict.loser_source) == ("test", "test-source")
 
     def test_tie_breaks_on_lexicographic_source(self):
         a = sys_entity("srcb", "s1", "ERP", props={"env": "b-val"})
         b = sys_entity("srca", "s1", "ERP", props={"env": "a-val"})
-        merged = merge_properties([a, b])
-        assert merged.simple_props["env"] == "a-val"
+        merged, _ = merge_properties([a, b])
+        assert merged.props["env"] == "a-val"
 
     def test_complex_props_dedup_by_digest(self):
         o1, o2 = Origin("srca", "s1", "", 0), Origin("srcb", "s1", "", 0)
@@ -126,7 +126,7 @@ class TestMergeProperties:
         different = ComplexProperty.create("deploy", {"a": [9]}, o2)
         a = sys_entity("srca", "s1", "ERP", complexes=(equal_a,))
         b = sys_entity("srcb", "s1", "ERP", complexes=(equal_b, different))
-        merged = merge_properties([a, b])
+        merged, _ = merge_properties([a, b])
         assert len(merged.complex_props) == 2
         digests = {cp.digest for cp in merged.complex_props}
         assert equal_a.digest in digests and different.digest in digests
@@ -165,7 +165,8 @@ class TestMergeProperties:
             for perm in itertools.permutations(members):
                 results.append(merge_properties(list(perm), trust))
             assert all(r == results[0] for r in results)
-            assert results[0].simple_props == expected_props
+            merged, _ = results[0]
+            assert {**merged.props, "space": merged.space} == expected_props
 
     def test_empty_member_list_rejected(self):
         with pytest.raises(ReconstructionError, match="empty"):
@@ -293,8 +294,8 @@ class TestReconstruct:
             for out_id, in_id in recon.supporting[flow.id]:
                 oc = store.out_confs[out_id]
                 ic = store.in_confs[in_id]
-                assert recon.classes.system_rep(oc.owner_system_id) == flow.source
-                assert recon.classes.system_rep(ic.owner_system_id) == flow.target
+                assert oc.owner_system_id in recon.classes.systems[flow.source]
+                assert ic.owner_system_id in recon.classes.systems[flow.target]
 
     def test_duplicate_snapshot_under_new_source_id_same_classes(self):
         records = [
@@ -349,13 +350,12 @@ class TestReconstruct:
         )
         recon = reconstruct(store, extra_rules=extra)
         derived = evaluate(builtin_program().union(extra), to_facts(store))
-        for pred, members, classes, rep in (
-            ("equiv_sys", store.systems, recon.classes.systems, recon.classes.system_rep),
-            ("equiv_host", store.hosts, recon.classes.hosts, recon.classes.host_rep),
+        for pred, members, classes in (
+            ("equiv_sys", store.systems, recon.classes.systems),
+            ("equiv_host", store.hosts, recon.classes.hosts),
         ):
             pairs = {(a, b) for a, b in derived[pred] if a in members and b in members}
             assert classes == union_find_classes(members, pairs)
-            assert all(rep(m) == key for key, ms in classes.items() for m in ms)
         tenants = sorted(s.id for s in store.systems.values() if s.kind == "tenant")
         assert len(tenants) > 2
         assert tuple(tenants) in recon.classes.systems.values()
@@ -506,8 +506,9 @@ class TestReconstruct:
     def test_conflicts_match_merge_properties_per_class(self):
         # Oracle: every source stamps its own value of "owner" on each
         # system it reports (some sources agree), so classes spanning
-        # sources disagree. The lift must keep exactly the conflicts
-        # merge_properties reports for each class, and only non-empty ones.
+        # sources disagree. Each lifted participant, in class order, and
+        # its conflicts must be what merge_properties makes of its class,
+        # with only non-empty conflicts kept.
         rng = random.Random(49)
         seen = 0
         for _ in range(6):
@@ -522,10 +523,12 @@ class TestReconstruct:
             }
             store = store_from_sources(records)
             recon = reconstruct(store)
-            for pid, members in recon.classes.systems.items():
-                expected = merge_properties([store.systems[m] for m in members]).conflicts
-                assert recon.conflicts.get(pid, ()) == expected
-                seen += len(expected)
+            classes = sorted(recon.classes.systems.items())
+            assert len(recon.participants) == len(classes)
+            for participant, (pid, members) in zip(recon.participants, classes):
+                expected = merge_properties([store.systems[m] for m in members])
+                assert (participant, recon.conflicts.get(pid, ())) == expected
+                seen += len(expected[1])
             assert all(recon.conflicts.values())
         assert seen > 0
 
