@@ -3,19 +3,24 @@
 Machine output goes to stdout (JSON or the requested graph format);
 diagnostics go to stderr. Exit codes: 0 success, 1 environment or I/O
 problems, 2 validation or rule errors.
+
+``_Main.invoke`` is the one place that maps a pipeline error to its exit
+code and one stderr line; a command catches an error only to word it.
 """
 
 from __future__ import annotations
 
+import logging
 import sys
+from pathlib import Path
 
 import click
 
-from .conformance import ConformanceReport, SchemaError
+from .conformance import ConformanceReport, SchemaError, check_batch
 from .datalog import ProgramError, parse_program
-from .ingest import IngestError, load_snapshot
+from .ingest import IngestError, load_snapshot, load_source_config
 from .model import CANONICAL_JSON
-from .network import GRAPH_FORMATS, Network, export_graph, export_json
+from .network import GRAPH_FORMATS, export_graph, export_json
 from .query import build_index, search as run_search, traverse as run_traverse
 from .reconstruct import ReconstructionError
 from .workspace import SnapshotWatcher, Workspace, WorkspaceError
@@ -40,7 +45,23 @@ def _emit_json(doc):
     click.echo(CANONICAL_JSON.encode(doc))
 
 
-@click.group()
+class _Main(click.Group):
+    """The exit-code policy: a pipeline error, or a file that cannot be
+    read or written, ends any command with its message as one stderr
+    line. Usage errors and a closed stdout keep click's own handling."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except BrokenPipeError:
+            raise
+        except (OSError, WorkspaceError, IngestError, SchemaError) as exc:
+            _fail(EXIT_ENVIRONMENT, str(exc))
+        except (ProgramError, ReconstructionError) as exc:
+            _fail(EXIT_VALIDATION, str(exc))
+
+
+@click.group(cls=_Main)
 def main():
     """Reconstruct integration networks from discovery snapshots."""
 
@@ -53,34 +74,15 @@ def init(workspace):
     _emit_json({"workspace": str(ws.root), "store_version": 0})
 
 
-def _schema_failure(ws: Workspace, exc: SchemaError):
-    _fail(EXIT_ENVIRONMENT, f"invalid schema {ws.schema_path}: {exc}")
-
-
-def _load_workspace(path) -> Workspace:
-    try:
-        return Workspace.load(path)
-    except WorkspaceError as exc:
-        _fail(EXIT_ENVIRONMENT, str(exc))
-        raise AssertionError  # unreachable
-
-
 @main.command()
 @click.argument("workspace", type=click.Path())
 @click.option("--source-config", required=True, type=click.Path())
 @click.argument("snapshot", type=click.Path())
 def ingest(workspace, source_config, snapshot):
     """Validate and commit a snapshot file."""
-    ws = _load_workspace(workspace)
-    try:
-        config = ws.register_source(source_config)
-        result = ws.ingest(config, snapshot)
-    except (IngestError, WorkspaceError) as exc:
-        _fail(EXIT_ENVIRONMENT, str(exc))
-        return
-    except SchemaError as exc:
-        _schema_failure(ws, exc)
-        return
+    ws = Workspace.load(workspace)
+    config = ws.register_source(source_config)
+    result = ws.ingest(config, snapshot)
     if isinstance(result, ConformanceReport):
         _emit_bytes(result.to_json())
         sys.exit(EXIT_VALIDATION)
@@ -93,26 +95,11 @@ def ingest(workspace, source_config, snapshot):
 @click.argument("snapshot", type=click.Path())
 def check(workspace, source_config, snapshot):
     """Validate a snapshot without committing it."""
-    from .conformance import check_batch
-    from .ingest import load_source_config
-
-    ws = _load_workspace(workspace)
-    try:
-        config = load_source_config(source_config)
-        snap = load_snapshot(snapshot, config)
-    except IngestError as exc:
-        _fail(EXIT_ENVIRONMENT, str(exc))
-        return
-    try:
-        checker = ws.checker()
-    except SchemaError as exc:
-        _schema_failure(ws, exc)
-        return
-    try:
-        store = ws.load_store().without_source(config.source_id)
-    except WorkspaceError as exc:
-        _fail(EXIT_ENVIRONMENT, str(exc))
-        return
+    ws = Workspace.load(workspace)
+    config = load_source_config(source_config)
+    snap = load_snapshot(snapshot, config)
+    checker = ws.checker()
+    store = ws.load_store().without_source(config.source_id)
     report = check_batch(checker, snap.records, store)
     _emit_bytes(report.to_json())
     sys.exit(EXIT_OK if report.ok else EXIT_VALIDATION)
@@ -124,35 +111,19 @@ def check(workspace, source_config, snapshot):
               help="Extra inference rules merged with the built-ins.")
 def infer(workspace, rules):
     """Reconstruct the network from the current store and publish it."""
-    ws = _load_workspace(workspace)
+    ws = Workspace.load(workspace)
     extra = None
     if rules is not None:
         try:
-            with open(rules, "r", encoding="utf-8") as handle:
-                extra = parse_program(handle.read())
-        except OSError as exc:
+            text = Path(rules).read_bytes().decode("utf-8")
+        except (OSError, ValueError) as exc:  # ValueError: not UTF-8
             _fail(EXIT_ENVIRONMENT, f"cannot read rules file: {exc}")
+        try:
+            extra = parse_program(text)
         except ProgramError as exc:
             _fail(EXIT_VALIDATION, f"rules error: {exc}")
-    try:
-        network = ws.infer(extra_rules=extra)
-    except WorkspaceError as exc:
-        _fail(EXIT_ENVIRONMENT, str(exc))
-        return
-    except (ProgramError, ReconstructionError) as exc:
-        _fail(EXIT_VALIDATION, str(exc))
-        return
+    network = ws.infer(extra_rules=extra)
     _emit_json({"version": network.version, **network.counts()})
-
-
-def _latest_network(ws: Workspace) -> Network:
-    try:
-        network = ws.latest_network()
-    except WorkspaceError as exc:
-        _fail(EXIT_ENVIRONMENT, str(exc))
-    if network is None:
-        _fail(EXIT_ENVIRONMENT, "no network published yet (run infer first)")
-    return network
 
 
 @main.command()
@@ -163,7 +134,7 @@ def _latest_network(ws: Workspace) -> Network:
               help="Restrict graph exports to these spaces.")
 def export(workspace, fmt, spaces):
     """Write the latest published network to stdout."""
-    network = _latest_network(_load_workspace(workspace))
+    network = Workspace.load(workspace).latest_network()
     if fmt == "json":
         _emit_bytes(export_json(network))
     else:
@@ -180,20 +151,19 @@ def query():
 @click.argument("text")
 def query_search(workspace, text):
     """Rank participants matching all query tokens."""
-    ws = _load_workspace(workspace)
-    _emit_json(run_search(build_index(_latest_network(ws)), text))
+    network = Workspace.load(workspace).latest_network()
+    _emit_json(run_search(build_index(network), text))
 
 
 @query.command("traverse")
 @click.argument("workspace", type=click.Path())
 @click.argument("start")
-@click.option("--depth", type=int, default=1, show_default=True)
+@click.option("--depth", type=click.IntRange(min=0), default=1, show_default=True)
 @click.option("--follow-links", is_flag=True, default=False)
 @click.option("--space", "spaces", multiple=True)
 def query_traverse(workspace, start, depth, follow_links, spaces):
     """Emit the neighborhood of a participant as a network fragment."""
-    ws = _load_workspace(workspace)
-    index = build_index(_latest_network(ws))
+    index = build_index(Workspace.load(workspace).latest_network())
     try:
         fragment = run_traverse(
             index, start, depth, follow_links=follow_links,
@@ -201,10 +171,6 @@ def query_traverse(workspace, start, depth, follow_links, spaces):
         )
     except KeyError as exc:
         _fail(EXIT_VALIDATION, exc.args[0])
-        return
-    except ValueError as exc:
-        _fail(EXIT_VALIDATION, str(exc))
-        return
     _emit_bytes(export_json(fragment))
 
 
@@ -221,23 +187,15 @@ def watch(workspace, directory, interval, cycles):
     once per content digest; every committed batch triggers a fresh
     inference run.
     """
-    import logging
-
     logging.basicConfig(stream=sys.stderr, level=logging.INFO,
                         format="%(levelname)s %(message)s")
-    ws = _load_workspace(workspace)
-    from pathlib import Path
-
+    ws = Workspace.load(workspace)
     if not Path(directory).is_dir():
         _fail(EXIT_ENVIRONMENT, f"watch directory {directory} does not exist")
     try:
         SnapshotWatcher(ws, directory).run(interval, cycles)
     except KeyboardInterrupt:
         click.echo("watch stopped", err=True)
-    except SchemaError as exc:
-        _schema_failure(ws, exc)
-    except WorkspaceError as exc:
-        _fail(EXIT_ENVIRONMENT, str(exc))
 
 
 if __name__ == "__main__":

@@ -134,10 +134,12 @@ def parse_schema(doc: Any) -> CompiledChecker:
 
 
 def load_schema(path: str | Path) -> CompiledChecker:
-    """The checker for a schema file; raises SchemaError when it is not
-    UTF-8 JSON of a valid schema."""
+    """The checker for a schema file; raises SchemaError when it cannot
+    be read or is not UTF-8 JSON of a valid schema."""
     try:
         doc = json.loads(Path(path).read_bytes().decode("utf-8"))
+    except OSError as exc:
+        raise SchemaError(f"cannot read: {exc}") from exc
     except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
         raise SchemaError(f"not valid JSON: {exc}") from exc
     return parse_schema(doc)

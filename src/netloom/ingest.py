@@ -203,7 +203,7 @@ def load_snapshot(
         if not isinstance(doc, dict):
             raise IngestError(f"{path}: line {lineno}: record must be a JSON object")
 
-        fields = json.loads(json.dumps(doc))  # deep copy, JSON types only
+        fields = json.loads(line)  # a copy of doc that shares no object with it
         for source_path, target in config.mapping.items():
             found, value = _dig(doc, source_path)
             if found:

@@ -57,6 +57,7 @@ from .conformance import (
     DANGLING_REF,
     CompiledChecker,
     ConformanceReport,
+    SchemaError,
     default_schema_doc,
     load_schema,
 )
@@ -257,7 +258,12 @@ class Workspace:
     # -- schema / checker
 
     def checker(self) -> CompiledChecker:
-        return load_schema(self.schema_path)
+        """The checker of ``schema.json``; raises SchemaError naming the
+        file if it cannot be read or does not hold a valid schema."""
+        try:
+            return load_schema(self.schema_path)
+        except SchemaError as exc:
+            raise SchemaError(f"invalid schema {self.schema_path}: {exc}") from exc
 
     # -- store versions
 
@@ -391,11 +397,13 @@ class Workspace:
         path = self.latest_network_path()
         return None if path is None else _read("network", path, bytes)
 
-    def latest_network(self) -> Network | None:
-        """The latest published network, or None if none is published;
-        raises WorkspaceError if its file does not hold one."""
+    def latest_network(self) -> Network:
+        """The latest published network; raises WorkspaceError if none
+        is published or its file does not hold one."""
         path = self.latest_network_path()
-        return None if path is None else _read("network", path, parse_network)
+        if path is None:
+            raise WorkspaceError("no network published yet (run infer first)")
+        return _read("network", path, parse_network)
 
     # -- pipeline steps
 

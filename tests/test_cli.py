@@ -1,3 +1,4 @@
+import errno
 import json
 import logging
 import shutil
@@ -5,6 +6,7 @@ import shutil
 import pytest
 from click.testing import CliRunner
 
+from netloom import cli
 from netloom.cli import main
 from netloom.model import InterfaceRef, store_to_json
 from netloom.reconstruct import flow_id_for
@@ -213,6 +215,7 @@ BROKEN_SCHEMAS = [
     '{"kinds": {',
     b"\xff\xfe",
     '{"kinds": {"system": {"fields": {"t": {"type": "enum()"}}}}}',
+    None,  # a directory: a schema.json that cannot be read at all
 ]
 
 
@@ -220,7 +223,9 @@ BROKEN_SCHEMAS = [
 @pytest.mark.parametrize("command", ["ingest", "check"])
 def test_malformed_schema_exit_one(runner, tmp_path, workspace, command, schema):
     schema_path = workspace / "schema.json"
-    if isinstance(schema, bytes):
+    if schema is None:
+        break_file(schema_path, None)
+    elif isinstance(schema, bytes):
         schema_path.write_bytes(schema)
     else:
         schema_path.write_text(schema)
@@ -452,6 +457,31 @@ def test_unreadable_latest_pointer_exit_one(runner, tmp_path, workspace, head, t
     assert result.output.count("\n") == 1
 
 
+def test_init_over_a_regular_file_exit_one(runner, tmp_path):
+    target = tmp_path / "afile"
+    target.write_text("kept")
+    result = runner.invoke(main, ["init", str(target)])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.stdout == ""
+    assert result.stderr.count("\n") == 1
+    assert "File exists" in result.stderr
+    assert target.read_text() == "kept"
+
+
+def test_closed_stdout_exit_one_without_a_message(runner, tmp_path, workspace, monkeypatch):
+    assert ingest_sample(runner, tmp_path, workspace).exit_code == 0
+    assert runner.invoke(main, ["infer", str(workspace)]).exit_code == 0
+
+    def closed(data):
+        raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+    monkeypatch.setattr(cli, "_emit_bytes", closed)
+    result = runner.invoke(main, ["export", str(workspace)])
+    assert result.exit_code == 1
+    assert result.stderr == ""
+
+
 class TestCheckCommand:
     def test_clean_snapshot(self, runner, tmp_path, workspace):
         cfg = tmp_path / "cfg.json"
@@ -507,6 +537,28 @@ class TestInferCommand:
         result = runner.invoke(main, ["infer", str(workspace), "--rules", str(rules)])
         assert result.exit_code == 2
         assert "line" in result.stderr
+
+    def test_rules_not_utf8_exit_one(self, runner, tmp_path, workspace):
+        rules = tmp_path / "rules.dl"
+        rules.write_bytes(b"\xff\xfe")
+        result = runner.invoke(main, ["infer", str(workspace), "--rules", str(rules)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.stdout == ""
+        assert result.stderr.startswith("cannot read rules file: ")
+        assert result.stderr.count("\n") == 1
+
+    def test_networks_not_a_directory_exit_one(self, runner, tmp_path, workspace):
+        assert ingest_sample(runner, tmp_path, workspace).exit_code == 0
+        networks = workspace / "networks"
+        networks.rmdir()
+        networks.write_text("")
+        result = runner.invoke(main, ["infer", str(workspace)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.stdout == ""
+        assert result.stderr.count("\n") == 1
+        assert str(networks) in result.stderr
 
     def test_negative_cycle_the_lift_never_reads_exit_two_with_one_line(
         self, runner, tmp_path, workspace
@@ -613,6 +665,17 @@ class TestQueryCommand:
         )
         assert result.exit_code == 2
         assert result.output == "unknown participant 'ghost'\n"
+
+    def test_traverse_negative_depth_is_a_usage_error(self, runner, tmp_path, workspace):
+        ingest_sample(runner, tmp_path, workspace)
+        runner.invoke(main, ["infer", str(workspace)])
+        result = runner.invoke(
+            main, ["query", "traverse", str(workspace), "srca/erp", "--depth", "-1"]
+        )
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert result.stdout == ""
+        assert "Invalid value for '--depth'" in result.stderr
 
 
 class TestWatch:
@@ -829,3 +892,20 @@ class TestWatch:
         ws.schema_path.write_bytes(good_schema)
         assert runner.invoke(main, args).exit_code == 0
         assert ws.load_store().version == 1
+
+    def test_watch_stops_on_unreadable_schema(self, tmp_path, runner, workspace):
+        ws = Workspace.load(workspace)
+        cfg = tmp_path / "srca.json"
+        write_source_config(cfg, "srca")
+        ws.register_source(cfg)
+        drop = tmp_path / "drop"
+        drop.mkdir()
+        write_snapshot(drop / "srca__one.jsonl", sample_records())
+        break_file(ws.schema_path, None)
+        args = ["watch", str(workspace), str(drop), "--interval", "0", "--cycles", "1"]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.stderr.startswith(f"invalid schema {ws.schema_path}: cannot read: ")
+        assert result.stderr.count("\n") == 1
+        assert ws.load_store().version == 0
