@@ -243,26 +243,6 @@ def load_snapshot(
 _IDENTITY_FIELDS = {
     "system": ("id", "name", "type", "space"),
     "host": ("id", "hostname"),
-    "runs_on": ("id", "system_id", "host_id"),
-    "out_conf": (
-        "id",
-        "owner_system_id",
-        "interface_name",
-        "interface_namespace",
-        "operation",
-        "receiver_address",
-        "adapter",
-    ),
-    "in_conf": (
-        "id",
-        "owner_system_id",
-        "interface_name",
-        "interface_namespace",
-        "operation",
-        "endpoint_address",
-        "adapter",
-    ),
-    "correlation": ("id", "left_space", "left_id", "right_space", "right_id", "link_kind"),
 }
 
 

@@ -4,7 +4,8 @@ Layout under the workspace root:
 
     schema.json              conformance schema (editable)
     sources/<source_id>.json registered source configs
-    .lock                    taken (flock) by each writer of the store
+    .lock                    taken (flock) by each reader and writer of
+                             the store
     store.json               manifest of the current raw store version:
                              {"segments": {source id: file}, "version": n}
     store/<source_id>.<16 hex digits>.json
@@ -17,14 +18,18 @@ Layout under the workspace root:
     networks/LATEST          name of the most recent version
     watch_ledger.json        processed snapshot files (name + digest)
 
-A commit writes the segments of the sources it committed, then replaces
-the manifest, then deletes the segments the manifest no longer lists; so
-a reader that goes by the manifest sees the old store or the new one.
-Writers take an exclusive ``flock`` on ``.lock`` from loading the store
-to saving it, so one writer never deletes the segments of another's
-save in flight, nor overwrites its commit.
-A ``store.json`` that holds a whole store (the format before segments)
-is still read, and the next save replaces it with segments.
+A commit archives the snapshots it committed, writes the segments of
+their sources, then replaces the manifest, then deletes the segments the
+manifest no longer lists. A commit that fails before the manifest is
+replaced removes its archives again.
+
+Every reader and writer of the store (``load_store``, ``ingest``,
+``infer``, ``save_store`` and ``SnapshotWatcher.poll_once``) holds one
+exclusive ``flock`` on ``.lock``, from reading ``store.json`` to its last
+write, publishing included. So no reader sees a segment deleted under
+it, no writer overwrites another's commit, and no publish names an
+older store than the publish before it. ``.lock`` is opened read-only,
+so a reader needs no write access to the workspace once it exists.
 
 A committing watcher poll keeps the store it saved, beside the manifest
 bytes it wrote, in one slot per process. The next poll of the same
@@ -113,27 +118,22 @@ def _ledger_of(data: bytes) -> dict[str, str]:
     return ledger
 
 
-def _whole_store_stamps(store: RawStore) -> dict[str, int]:
-    """Every source in ``store``, each stamped with the store's version."""
-    return dict.fromkeys(sorted({e.origin.source_id for e in store.entities()}), store.version)
-
-
-def _segments_of(doc: dict) -> tuple[int, dict[str, str]]:
+def _segments_of(doc) -> tuple[int, dict[str, str]]:
     """The version and segments of a manifest document; raises ValueError
     unless it is exactly ``{"segments": {source id: file name}, "version": n}``
     with each file name a plain name."""
-    version, segments = doc.get("version"), doc.get("segments")
-    if (
-        doc.keys() != {"segments", "version"}
-        or type(version) is not int
-        or version < 0
-        or type(segments) is not dict
-        or not all(type(name) is str and _plain_name(name) for name in segments.values())
+    if not (
+        type(doc) is dict
+        and doc.keys() == {"segments", "version"}
+        and type(doc["version"]) is int
+        and doc["version"] >= 0
+        and type(doc["segments"]) is dict
+        and all(type(name) is str and _plain_name(name) for name in doc["segments"].values())
     ):
         raise ValueError(
             'manifest must be {"segments": {source id: file name in store/}, "version": n >= 0}'
         )
-    return version, segments
+    return doc["version"], doc["segments"]
 
 
 def _plain_name(name: str) -> bool:
@@ -269,42 +269,31 @@ class Workspace:
 
     @contextmanager
     def _store_lock(self):
-        """Hold the exclusive advisory lock on ``.lock`` for the block.
+        """Hold the exclusive advisory lock on ``.lock`` for the block;
+        ``flock`` needs no write access, so the file is opened read-only.
         It is not reentrant: a holder must not ask for it again."""
-        with open(self.root / ".lock", "ab") as handle:
-            fcntl.flock(handle, fcntl.LOCK_EX)
+        fd = os.open(self.root / ".lock", os.O_RDONLY | os.O_CREAT, 0o644)
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX)
             yield
+        finally:
+            os.close(fd)
 
     def load_store(self) -> RawStore:
         """The current store; raises WorkspaceError if ``store.json`` or
         a segment it lists does not hold its part."""
-        return self._load_store()[0]
+        with self._store_lock():
+            return self._load_store()[0]
 
-    def _load_store(self) -> tuple[RawStore, dict[str, str] | None]:
+    def _load_store(self) -> tuple[RawStore, dict[str, str]]:
         """The current store and the manifest's segments it was read
-        from, None for a ``store.json`` that holds the whole store.
+        from. Call it under the store lock."""
+        return self._decode_store(_read("store", self.store_path, bytes))
 
-        A listed segment can be missing because another writer replaced
-        the manifest and deleted it meanwhile; if ``store.json`` has
-        changed since, the new manifest is read once more.
-        """
-        data = _read("store", self.store_path, bytes)
-        try:
-            return self._decode_store(data)
-        except WorkspaceError as exc:
-            if not isinstance(exc.__cause__, FileNotFoundError):
-                raise
-            again = _read("store", self.store_path, bytes)
-            if again == data:
-                raise
-        return self._decode_store(again)
-
-    def _decode_store(self, data: bytes) -> tuple[RawStore, dict[str, str] | None]:
+    def _decode_store(self, data: bytes) -> tuple[RawStore, dict[str, str]]:
+        """The store and segments of the manifest bytes ``data``."""
         with _unreadable("store", self.store_path):
-            doc = json.loads(data.decode("utf-8"))
-            if type(doc) is not dict or "segments" not in doc:
-                return store_from_json(data), None
-            version, segments = _segments_of(doc)
+            version, segments = _segments_of(json.loads(data.decode("utf-8")))
         parts = [
             _read("store", self.segments_dir / name, _segment_decoder(source_id))
             for source_id, name in segments.items()
@@ -315,8 +304,9 @@ class Workspace:
 
     def save_store(self, store: RawStore) -> None:
         """Write a segment for every source in ``store``, then the manifest."""
+        sources = sorted({e.origin.source_id for e in store.entities()})
         with self._store_lock():
-            self._write_store(store, {}, _whole_store_stamps(store))
+            self._write_store(store, {}, dict.fromkeys(sources, store.version))
 
     def _write_store(
         self, store: RawStore, kept: dict[str, str], stamps: dict[str, int]
@@ -341,17 +331,17 @@ class Workspace:
         manifest = canonical_bytes({"segments": segments, "version": store.version})
         write_atomic(self.store_path, manifest)
         listed = set(segments.values())
-        for path in self.segments_dir.iterdir():
-            if path.name not in listed:
-                try:
+        try:
+            for path in self.segments_dir.iterdir():
+                if path.name not in listed:
                     path.unlink(missing_ok=True)
-                except OSError as exc:  # the store is saved; the file is only waste
-                    logger.warning("cannot remove %s: %s", path, exc)
+        except OSError as exc:  # the store is saved; what is left is only waste
+            logger.warning("cannot remove old segments of %s: %s", self.store_path, exc)
         return manifest, segments
 
-    def _held_or_loaded_store(self, manifest: bytes) -> tuple[RawStore, dict[str, str] | None]:
-        """What ``_load_store`` returns, but without decoding a segment
-        when ``manifest``, the bytes just read from ``store.json``, are
+    def _held_or_loaded_store(self, manifest: bytes) -> tuple[RawStore, dict[str, str]]:
+        """What ``_load_store`` returns, for ``manifest``, the bytes just
+        read from ``store.json``; without decoding a segment if they are
         the bytes that the last committing poll in this process wrote
         here: then the store that poll saved is the current one. Call it
         under the store lock."""
@@ -359,7 +349,7 @@ class Workspace:
         if _committed is not None and _committed[:2] == (self.root, manifest):
             return _committed[2], _committed[3]
         _committed = None  # stale: free it before decoding the current store
-        return self._load_store()
+        return self._decode_store(manifest)
 
     # -- source configs
 
@@ -426,28 +416,36 @@ class Workspace:
     def _save_committed(
         self,
         store: RawStore,
-        segments: dict[str, str] | None,
+        segments: dict[str, str],
         archives: list[tuple[str, int, bytes]],
     ) -> tuple[bytes, dict[str, str]]:
-        """Save ``store``, loaded from the manifest ``segments``, then
-        archive each committed snapshot, given as (source id, store
-        version it made, bytes). Only the committed sources' segments
-        are written, each stamped with its last commit's version; a
-        whole-store ``store.json`` (``segments`` None) is rewritten as
-        one segment per source. Returns the manifest's bytes and
-        segments as written."""
-        stamps = {source_id: version for source_id, version, _ in archives}
-        if segments is None:
-            stamps = {**_whole_store_stamps(store), **stamps}
-        written = self._write_store(store, segments or {}, stamps)
-        self.snapshots_dir.mkdir(exist_ok=True)
-        for source_id, version, data in archives:
-            write_atomic(self.snapshots_dir / f"{source_id}__v{version:06d}.jsonl", data)
-        return written
+        """Archive each committed snapshot, given as (source id, store
+        version it made, bytes), then save ``store``, loaded from the
+        manifest ``segments``. Only the committed sources' segments are
+        written, each stamped with its last commit's version. If this
+        raises, the archives written are removed again, so none names a
+        version that ``store.json`` never reached. Returns the manifest's
+        bytes and segments as written."""
+        written = []
+        try:
+            self.snapshots_dir.mkdir(exist_ok=True)
+            for source_id, version, data in archives:
+                path = self.snapshots_dir / f"{source_id}__v{version:06d}.jsonl"
+                write_atomic(path, data)
+                written.append(path)
+            stamps = {source_id: version for source_id, version, _ in archives}
+            return self._write_store(store, segments, stamps)
+        except BaseException:
+            for path in written:
+                path.unlink(missing_ok=True)
+            raise
 
     def infer(self, extra_rules=None) -> Network:
-        """Reconstruct the network from the current store and publish it."""
-        return self._infer(self.load_store(), extra_rules)
+        """Reconstruct the network from the current store and publish it,
+        both under the store lock: no commit lands between the load and
+        the publish, so the network published is of the current store."""
+        with self._store_lock():
+            return self._infer(self._load_store()[0], extra_rules)
 
     def _infer(self, store: RawStore, extra_rules=None) -> Network:
         network = emit(reconstruct(store, extra_rules=extra_rules))
@@ -505,12 +503,12 @@ class SnapshotWatcher:
         polls keep its outcome without parsing or checking it again,
         and warn about it only once. A later-named file of the same
         source that commits first supersedes such a file for good.
-        Then the segment of each committed source is written, and the
-        manifest after them. The archives and the ledger follow, and
-        if anything committed, the store just saved is reconstructed
-        and published without being read again. The ledger advances
-        only after the save succeeds. The workspace's store lock is
-        held from the load to the save.
+        Then the archives are written, the segment of each committed
+        source, and the manifest after them. The ledger follows, and if
+        anything committed, the store just saved is reconstructed and
+        published without being read again. The ledger advances only
+        after the save succeeds. The workspace's store lock is held from
+        reading ``store.json`` to the publish.
         """
         global _committed
         ws = self.workspace
@@ -518,7 +516,7 @@ class SnapshotWatcher:
         ledgered: dict[str, str] = {}
         archives: list[tuple[str, int, bytes]] = []
         store = segments = checker = None
-        with ws._store_lock():  # from the load to the save
+        with ws._store_lock():  # from the load to the publish
             pending = []  # (path, digest, config, bytes) of each new or changed file
             for path in sorted(self.directory.glob("*.jsonl")):
                 try:
@@ -597,16 +595,16 @@ class SnapshotWatcher:
                 for path, digest, config, _ in pending
                 if path.name in waiting
             }
-        if ledgered:
-            self._ledger.update(ledgered)
-            self._save_ledger()
-        if archives:
-            try:
-                network = ws._infer(store)
-            except ReconstructionError as exc:  # committed, but does not lift
-                logger.warning("not published: %s", exc)
-            else:
-                logger.info("published network %s", network.version)
+            if ledgered:
+                self._ledger.update(ledgered)
+                self._save_ledger()
+            if archives:
+                try:
+                    network = ws._infer(store)
+                except ReconstructionError as exc:  # committed, but does not lift
+                    logger.warning("not published: %s", exc)
+                else:
+                    logger.info("published network %s", network.version)
         return sorted(outcomes)
 
     def run(self, interval: float, cycles: int = 0) -> None:

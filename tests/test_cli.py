@@ -198,6 +198,16 @@ class TestIngestCommand:
         assert len(archived) == 1
         assert archived[0].name == "srca__v000001.jsonl"
 
+    def test_failed_archive_leaves_the_store_version(self, runner, tmp_path, workspace):
+        (workspace / "snapshots").rmdir()
+        (workspace / "snapshots").write_bytes(b"")
+        result = ingest_sample(runner, tmp_path, workspace)
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.output.count("\n") == 1
+        assert b'"version":0' in (workspace / "store.json").read_bytes()
+        assert list((workspace / "store").iterdir()) == []
+
     def test_uninitialized_workspace_exit_one(self, runner, tmp_path):
         cfg = tmp_path / "cfg.json"
         write_source_config(cfg, "srca")
@@ -248,8 +258,8 @@ def _edited(good, change):
     return json.dumps(doc).encode()
 
 
-# Each entry turns the bytes of a valid whole store, as a legacy
-# store.json or as one source's segment, into broken ones.
+# Each entry turns the bytes of a valid whole store, as a store.json or
+# as one source's segment, into broken ones.
 BROKEN_STORES = {
     "not-utf8": lambda good: b"\xff\xfe",
     "not-json": lambda good: good[: len(good) // 2],
@@ -287,7 +297,7 @@ def segment_path(workspace, source_id="srca"):
 @pytest.mark.parametrize("broken", BROKEN_STORES.values(), ids=BROKEN_STORES.keys())
 @pytest.mark.parametrize("command", ["ingest", "check", "infer", "watch"])
 def test_malformed_store_exit_one(runner, tmp_path, workspace, command, broken):
-    # A legacy store.json, which holds the whole store.
+    # A store.json that holds the whole store, not a manifest, broken.
     assert ingest_sample(runner, tmp_path, workspace).exit_code == 0
     store_path = workspace / "store.json"
     legacy = store_to_json(Workspace.load(workspace).load_store())
@@ -296,6 +306,17 @@ def test_malformed_store_exit_one(runner, tmp_path, workspace, command, broken):
     bad = break_file(store_path, broken)
     assert_unreadable_store(runner, tmp_path, workspace, command, store_path)
     assert store_path.is_dir() if bad is None else store_path.read_bytes() == bad
+
+
+@pytest.mark.parametrize("command", ["ingest", "check", "infer", "watch"])
+def test_whole_store_in_store_json_exit_one(runner, tmp_path, workspace, command):
+    # The format before segments: store.json must be a manifest.
+    assert ingest_sample(runner, tmp_path, workspace).exit_code == 0
+    store_path = workspace / "store.json"
+    whole = store_to_json(Workspace.load(workspace).load_store())
+    store_path.write_bytes(whole)
+    assert_unreadable_store(runner, tmp_path, workspace, command, store_path)
+    assert store_path.read_bytes() == whole
 
 
 @pytest.mark.parametrize("broken", BROKEN_STORES.values(), ids=BROKEN_STORES.keys())

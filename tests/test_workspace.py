@@ -1,3 +1,4 @@
+import fcntl
 import gc
 import hashlib
 import json
@@ -20,7 +21,6 @@ from netloom.workspace import SnapshotWatcher, Workspace, write_atomic
 
 from generators import make_scenario
 from helpers import store_from_sources
-from test_format import SOURCES, STORE_SHA256
 
 
 def fail_replace(self, target):
@@ -287,32 +287,29 @@ def test_crash_before_the_manifest_keeps_the_previous_store(tmp_path, monkeypatc
     assert watcher.poll_once() == []
 
 
-def test_legacy_whole_store_loads_and_the_next_commit_segments_it(tmp_path):
+def test_failed_manifest_write_leaves_no_archive(tmp_path, monkeypatch):
     ws = Workspace.init(tmp_path / "ws")
-    golden = store_from_sources(SOURCES)
-    data = store_to_json(golden)
-    assert hashlib.sha256(data).hexdigest() == STORE_SHA256
-    ws.store_path.write_bytes(data)
-    for path in ws.segments_dir.iterdir():
-        path.unlink()
-    ws.segments_dir.rmdir()
-    loaded = ws.load_store()
-    assert loaded.version == golden.version
-    assert loaded.content_digest() == golden.content_digest()
+    register_sources(ws, ["srca"], tmp_path)
+    drop = tmp_path / "drop"
+    drop.mkdir()
+    (drop / "srca__1.jsonl").write_bytes(snapshot_bytes(system_records("ERP")))
+    real_write = workspace_mod.write_atomic
 
-    register_sources(ws, ["srcc"], tmp_path)
-    snap = tmp_path / "srcc.jsonl"
-    snap.write_bytes(snapshot_bytes([{"kind": "system", "id": "s1", "name": "New", "type": "application"}]))
-    assert isinstance(ws.ingest(ws.get_source("srcc"), snap), RawStore)
+    def fail_on_manifest(path, data):
+        if path == ws.store_path:
+            raise OSError("disk full")
+        real_write(path, data)
 
-    manifest = json.loads(ws.store_path.read_bytes())
-    assert manifest["version"] == golden.version + 1
-    assert manifest["segments"].keys() == {"srca", "srcb", "srcc"}
-    assert {p.name for p in ws.segments_dir.iterdir()} == set(manifest["segments"].values())
-    store = ws.load_store()
-    for src in SOURCES:
-        assert store.only_source(src).content_digest() == golden.only_source(src).content_digest()
-    assert set(store.only_source("srcc").systems) == {"srcc/s1"}
+    watcher = SnapshotWatcher(ws, drop)
+    with monkeypatch.context() as patch:
+        patch.setattr(workspace_mod, "write_atomic", fail_on_manifest)
+        with pytest.raises(OSError, match="disk full"):
+            watcher.poll_once()
+    assert list(ws.snapshots_dir.iterdir()) == []
+    assert ws.load_store().version == 0
+
+    assert watcher.poll_once() == [("srca__1.jsonl", "committed")]
+    assert [p.name for p in ws.snapshots_dir.iterdir()] == ["srca__v000001.jsonl"]
 
 
 def test_segments_are_named_by_digest_and_stamped_with_their_commit(tmp_path):
@@ -587,6 +584,80 @@ def test_a_store_write_in_another_workspace_frees_the_held_store(tmp_path):
     finally:
         if enabled:
             gc.enable()
+
+
+# ---------------------------------------------------------------------------
+# Publishing under the store lock
+
+
+def in_a_thread(target, failures: list) -> threading.Thread:
+    """A thread running ``target``; whatever it raises goes to ``failures``."""
+
+    def run():
+        try:
+            target()
+        except BaseException as exc:  # reported by the main thread
+            failures.append(exc)
+
+    return threading.Thread(target=run)
+
+
+@pytest.mark.parametrize("publisher", ["infer", "poll_once"])
+def test_a_publish_holds_the_store_lock(tmp_path, monkeypatch, publisher):
+    ws, watcher = watched_workspace(tmp_path, ["srca"])
+    (watcher.directory / "srca__1.jsonl").write_bytes(snapshot_bytes(system_records("a1")))
+    locked = []
+    real = Workspace.publish_network
+
+    def publish_network(self, network):
+        # Another descriptor of .lock must not get the lock while this publishes.
+        with open(self.root / ".lock", "rb") as other:
+            try:
+                fcntl.flock(other, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            except BlockingIOError:
+                locked.append(True)
+            else:
+                locked.append(False)
+        return real(self, network)
+
+    monkeypatch.setattr(Workspace, "publish_network", publish_network)
+    if publisher == "infer":
+        ws.infer()
+    else:
+        assert watcher.poll_once() == [("srca__1.jsonl", "committed")]
+    assert locked == [True]
+
+
+def test_an_infer_of_an_older_store_never_publishes_last(tmp_path, monkeypatch):
+    ws, watcher = watched_workspace(tmp_path, ["srca"])
+    assert drop_and_poll(watcher, "srca__1.jsonl", system_records("a1")) == [("srca__1.jsonl", "committed")]
+    (watcher.directory / "srca__2.jsonl").write_bytes(snapshot_bytes(system_records("a2")))
+    failures = []
+    infer = in_a_thread(ws.infer, failures)
+    poll = in_a_thread(watcher.poll_once, failures)
+    loaded, release = threading.Event(), threading.Event()
+    real = workspace_mod.reconstruct
+
+    def reconstruct(*args, **kwargs):
+        # The infer has loaded store 1; it waits here until released.
+        if threading.current_thread() is infer:
+            loaded.set()
+            release.wait(timeout=30)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(workspace_mod, "reconstruct", reconstruct)
+    infer.start()
+    assert loaded.wait(timeout=30)
+    poll.start()
+    poll.join(timeout=1)  # time for the poll to commit store 2, if it may
+    release.set()
+    infer.join(timeout=30)
+    poll.join(timeout=30)
+    assert not infer.is_alive() and not poll.is_alive()
+    assert failures == []
+    latest = (ws.networks_dir / "LATEST").read_bytes()
+    assert ws.load_store().version == 2
+    assert latest == ws.infer().version.encode()
 
 
 # ---------------------------------------------------------------------------
