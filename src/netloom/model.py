@@ -20,11 +20,19 @@ from the entities, and ``store_from_json`` reads it back through
 and their types: each JSON object's keys are the fields of its
 dataclass, so renaming a field changes the on-disk format on both sides
 at once.
+
+Every value that netloom builds, here and in the modules above this
+one, is a frozen dataclass, a tuple, a dict or a set without back
+references, so the cyclic garbage collector never frees any of it.
+``acyclic`` marks the public calls that build a whole store or network:
+inside one the collector is paused, so it does not walk the objects
+that the call builds.
 """
 
 from __future__ import annotations
 
 import functools
+import gc
 import hashlib
 import itertools
 import json
@@ -54,6 +62,31 @@ DEFAULT_SPACE = "integration"
 
 class ModelError(Exception):
     pass
+
+
+def acyclic(fn):
+    """Run ``fn`` with the cyclic garbage collector paused.
+
+    A call that finds the collector enabled disables it and enables it
+    again when it returns or raises. A call that finds it disabled
+    leaves it alone, so nested calls and a caller who turned it off are
+    not touched, and only the call that disabled it writes its state
+    back, always as enabled: overlapping calls in two threads never
+    leave it off. A ``gc.disable()`` that another thread makes during
+    such a call is undone when the call exits.
+    """
+
+    @functools.wraps(fn)
+    def paused(*args, **kwargs):
+        if not gc.isenabled():
+            return fn(*args, **kwargs)
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            gc.enable()
+
+    return paused
 
 
 @functools.cache

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Any, Iterable, Sequence
 from xml.sax.saxutils import escape, quoteattr
 
-from .model import CANONICAL_JSON, canonical_bytes, canonical_decoder
+from .model import CANONICAL_JSON, acyclic, canonical_bytes, canonical_decoder
 
 BUILTIN_SPACES = ("business-process", "integration")
 
@@ -127,6 +127,7 @@ def export_json(network: Network) -> bytes:
     return canonical_bytes(network)
 
 
+@acyclic
 def parse_network(data: bytes) -> Network:
     """Inverse of ``export_json``: ``parse_network(export_json(n)) == n``."""
     return canonical_decoder(Network)(json.loads(data.decode("utf-8")))

@@ -31,6 +31,7 @@ from .model import (
     InterfaceRef,
     RawStore,
     SystemEntity,
+    acyclic,
     content_id,
     to_facts,
 )
@@ -151,6 +152,7 @@ def _classes(members: Iterable[str], rows: Iterable[tuple]) -> dict[str, tuple[s
     return classes
 
 
+@acyclic
 def host_classes(
     store: RawStore, extra_rules: Program | None = None
 ) -> dict[str, tuple[str, ...]]:
@@ -254,6 +256,7 @@ def merge_properties(
     )
 
 
+@acyclic
 def reconstruct(store: RawStore, extra_rules: Program | None = None) -> Reconstruction:
     """Run the inference program over the store and lift the results to
     network entities.

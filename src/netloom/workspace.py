@@ -74,7 +74,14 @@ from .ingest import (
     load_source_config,
     read_snapshot,
 )
-from .model import ModelError, RawStore, canonical_bytes, store_from_json, store_to_json
+from .model import (
+    ModelError,
+    RawStore,
+    acyclic,
+    canonical_bytes,
+    store_from_json,
+    store_to_json,
+)
 from .network import Network, emit, export_json, parse_network
 from .reconstruct import ReconstructionError, reconstruct
 
@@ -279,6 +286,7 @@ class Workspace:
         finally:
             os.close(fd)
 
+    @acyclic
     def load_store(self) -> RawStore:
         """The current store; raises WorkspaceError if ``store.json`` or
         a segment it lists does not hold its part."""
@@ -397,6 +405,7 @@ class Workspace:
 
     # -- pipeline steps
 
+    @acyclic
     def ingest(self, config: SourceConfig, snapshot_path: str | Path):
         """Load, validate, and commit one snapshot.
 
@@ -440,6 +449,7 @@ class Workspace:
                 path.unlink(missing_ok=True)
             raise
 
+    @acyclic
     def infer(self, extra_rules=None) -> Network:
         """Reconstruct the network from the current store and publish it,
         both under the store lock: no commit lands between the load and
@@ -486,6 +496,7 @@ class SnapshotWatcher:
     def _save_ledger(self) -> None:
         write_atomic(self.workspace.ledger_path, canonical_bytes(self._ledger))
 
+    @acyclic
     def poll_once(self) -> list[tuple[str, str]]:
         """One scan pass; returns (filename, outcome) per processed file,
         in name order.

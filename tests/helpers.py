@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+import gc
+from typing import Any, Callable, Iterable, Mapping
 
 from netloom.conformance import default_schema_doc, parse_schema
 from netloom.datalog import parse_program
@@ -39,6 +40,24 @@ def store_from_sources(
     for src in order or sorted(source_records):
         store = commit_records(store, source_records[src], src)
     return store
+
+
+def cyclic_garbage(step: Callable[[], Any]) -> tuple[Any, int]:
+    """What ``step()`` returns, run with the cyclic garbage collector off,
+    and the number of unreachable objects that a collection right after
+    it finds: the garbage in reference cycles that the step left. A
+    collection before the step clears what came earlier; the
+    collector's state is restored after."""
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        result = step()
+        garbage = gc.collect()
+    finally:
+        if enabled:
+            gc.enable()
+    return result, garbage
 
 
 def fact_base(*parts: str | Mapping[str, Iterable[tuple]]) -> dict[str, set[tuple]]:

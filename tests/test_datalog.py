@@ -1,4 +1,3 @@
-import gc
 import random
 
 import pytest
@@ -22,7 +21,7 @@ from netloom.datalog import (
 )
 
 from generators import random_builtin_program, random_program_text
-from helpers import fact_base
+from helpers import cyclic_garbage, fact_base
 from oracles import reachability_closure, sym_trans_closure
 
 TC_RULES = """
@@ -560,17 +559,10 @@ class TestGeneratedPlans:
 
     def test_generated_functions_hold_no_reference_cycle(self):
         rule = parse_program("far(X, Z) :- e(X, Y), e(Y, Z), not e(X, Z), X != 7.").rules[0]
-        enabled = gc.isenabled()
-        gc.collect()
-        gc.disable()
-        try:
-            functions = _generate_rule_functions.__wrapped__(rule, frozenset({"e"}), (int,))
-            assert len(functions) == 3
-            del functions
-            garbage = gc.collect()
-        finally:
-            if enabled:
-                gc.enable()
+        count, garbage = cyclic_garbage(
+            lambda: len(_generate_rule_functions.__wrapped__(rule, frozenset({"e"}), (int,)))
+        )
+        assert count == 3
         assert garbage == 0
 
     def test_random_programs_with_builtins_match_naive(self):

@@ -20,7 +20,7 @@ from netloom.reconstruct import reconstruct
 from netloom.workspace import SnapshotWatcher, Workspace, write_atomic
 
 from generators import make_scenario
-from helpers import store_from_sources
+from helpers import cyclic_garbage, store_from_sources
 
 
 def fail_replace(self, target):
@@ -341,15 +341,7 @@ def test_committing_poll_leaves_no_cyclic_garbage(tmp_path):
     assert watcher.poll_once() == [(clean[0], "committed")]
     for name in clean[1:]:
         (drop / name).write_bytes(files[name])
-    enabled = gc.isenabled()
-    gc.collect()
-    gc.disable()
-    try:
-        outcomes = watcher.poll_once()
-        garbage = gc.collect()
-    finally:
-        if enabled:
-            gc.enable()
+    outcomes, garbage = cyclic_garbage(watcher.poll_once)
     assert outcomes == [(name, "committed") for name in clean[1:]]
     assert garbage == 0
 
@@ -432,6 +424,7 @@ def test_concurrent_ingests_lose_no_commit(tmp_path):
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert failures == []
+    assert gc.isenabled()  # overlapping paused calls leave the collector on
     store = ws.load_store()
     assert store.version == len(sources) * rounds
     assert {s.name for s in store.systems.values()} == {f"{src} {rounds - 1}" for src in sources}
