@@ -17,7 +17,7 @@ from pathlib import Path
 import click
 
 from .conformance import ConformanceReport, SchemaError, check_batch
-from .datalog import ProgramError, parse_program
+from .datalog import ProgramError
 from .ingest import IngestError, load_snapshot, load_source_config
 from .model import CANONICAL_JSON
 from .network import GRAPH_FORMATS, export_graph, export_json
@@ -107,22 +107,12 @@ def check(workspace, source_config, snapshot):
 
 @main.command()
 @click.argument("workspace", type=click.Path())
-@click.option("--rules", type=click.Path(), default=None,
-              help="Extra inference rules merged with the built-ins.")
-def infer(workspace, rules):
-    """Reconstruct the network from the current store and publish it."""
-    ws = Workspace.load(workspace)
-    extra = None
-    if rules is not None:
-        try:
-            text = Path(rules).read_bytes().decode("utf-8")
-        except (OSError, ValueError) as exc:  # ValueError: not UTF-8
-            _fail(EXIT_ENVIRONMENT, f"cannot read rules file: {exc}")
-        try:
-            extra = parse_program(text)
-        except ProgramError as exc:
-            _fail(EXIT_VALIDATION, f"rules error: {exc}")
-    network = ws.infer(extra_rules=extra)
+def infer(workspace):
+    """Reconstruct the network from the current store and publish it.
+
+    The built-in rules run with those of WORKSPACE/rules.dl, if present.
+    """
+    network = Workspace.load(workspace).infer()
     _emit_json({"version": network.version, **network.counts()})
 
 

@@ -130,18 +130,9 @@ class Program:
         """Merge two programs, deduplicating rules and checking arities."""
         arities = dict(self.arities)
         for pred, arity in other.arities.items():
-            if pred in arities and arities[pred] != arity:
-                raise ProgramError(
-                    f"arity conflict for {pred}: {arities[pred]} vs {arity}"
-                )
-            arities[pred] = arity
-        seen: set[Rule] = set()
-        merged: list[Rule] = []
-        for rule in self.rules + other.rules:
-            if rule not in seen:
-                seen.add(rule)
-                merged.append(rule)
-        return Program(tuple(merged), arities)
+            if arities.setdefault(pred, arity) != arity:
+                raise ProgramError(f"arity conflict for {pred}: {arities[pred]} vs {arity}")
+        return Program(tuple(dict.fromkeys(self.rules + other.rules)), arities)
 
     def slice(self, predicates: Iterable[str]) -> Program:
         """The rules that ``predicates`` depend on: those whose heads lie
@@ -393,17 +384,11 @@ def parse_program(text: str) -> Program:
     arities: dict[str, int] = {}
 
     def record_arity(atom: Atom, line: int) -> None:
-        prev = arities.get(atom.predicate)
-        if prev is not None and prev != len(atom.args):
-            raise ParseError(
-                f"arity conflict for {atom.predicate}: {prev} vs {len(atom.args)}",
-                line,
-                1,
-            )
-        arities[atom.predicate] = len(atom.args)
+        prev = arities.setdefault(atom.predicate, len(atom.args))
+        if prev != len(atom.args):
+            message = f"arity conflict for {atom.predicate}: {prev} vs {len(atom.args)}"
+            raise ParseError(message, line, 1)
 
-    seen: set[Rule] = set()
-    rules: list[Rule] = []
     for rule, line in parsed:
         _check_safety(rule, line)
         record_arity(rule.head, line)
@@ -412,10 +397,7 @@ def parse_program(text: str) -> Program:
                 record_arity(lit, line)
             elif isinstance(lit, Negation):
                 record_arity(lit.atom, line)
-        if rule not in seen:
-            seen.add(rule)
-            rules.append(rule)
-    return Program(tuple(rules), arities)
+    return Program(tuple(dict.fromkeys(rule for rule, _ in parsed)), arities)
 
 
 def _check_safety(rule: Rule, line: int) -> None:
@@ -423,31 +405,18 @@ def _check_safety(rule: Rule, line: int) -> None:
     for lit in rule.body:
         if isinstance(lit, Atom):
             positive_vars |= lit.variables()
-    for var in sorted(rule.head.variables() - positive_vars):
-        raise ParseError(
-            f"unsafe variable {var}: head variables must appear in a positive body atom",
-            line,
-            1,
-        )
+    checked = [("head variables", rule.head.variables())]
     for lit in rule.body:
         if isinstance(lit, Negation):
-            loose = sorted(lit.atom.variables() - positive_vars)
-            if loose:
-                raise ParseError(
-                    f"unsafe variable {loose[0]}: variables under negation must appear "
-                    "in a positive body atom",
-                    line,
-                    1,
-                )
+            checked.append(("variables under negation", lit.atom.variables()))
         elif isinstance(lit, Comparison):
-            loose = sorted(lit.variables() - positive_vars)
-            if loose:
-                raise ParseError(
-                    f"unsafe variable {loose[0]}: comparison variables must appear "
-                    "in a positive body atom",
-                    line,
-                    1,
-                )
+            checked.append(("comparison variables", lit.variables()))
+    for what, variables in checked:
+        loose = sorted(variables - positive_vars)
+        if loose:
+            raise ParseError(
+                f"unsafe variable {loose[0]}: {what} must appear in a positive body atom", line, 1
+            )
 
 
 # ---------------------------------------------------------------------------

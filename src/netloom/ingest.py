@@ -152,13 +152,15 @@ def _dig(record: Mapping[str, Any], path: str) -> tuple[bool, Any]:
 
 
 def _delete_path(fields: dict, path: str) -> None:
+    """Remove ``path`` from ``fields``, copying each object it descends
+    into first, so the parsed line that ``fields`` copies stays whole."""
     parts = path.split(".")
     node = fields
     for part in parts[:-1]:
         nxt = node.get(part)
         if not isinstance(nxt, dict):
             return
-        node = nxt
+        node[part] = node = dict(nxt)
     node.pop(parts[-1], None)
 
 
@@ -203,7 +205,7 @@ def load_snapshot(
         if not isinstance(doc, dict):
             raise IngestError(f"{path}: line {lineno}: record must be a JSON object")
 
-        fields = json.loads(line)  # a copy of doc that shares no object with it
+        fields = dict(doc)  # every mapping path reads doc, the line as parsed
         for source_path, target in config.mapping.items():
             found, value = _dig(doc, source_path)
             if found:

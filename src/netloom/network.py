@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Any, Iterable, Sequence
 from xml.sax.saxutils import escape, quoteattr
 
-from .model import CANONICAL_JSON, acyclic, canonical_bytes, canonical_decoder
+from .model import CANONICAL_JSON, ModelError, acyclic, canonical_bytes, canonical_decoder
 
 BUILTIN_SPACES = ("business-process", "integration")
 
@@ -129,8 +129,16 @@ def export_json(network: Network) -> bytes:
 
 @acyclic
 def parse_network(data: bytes) -> Network:
-    """Inverse of ``export_json``: ``parse_network(export_json(n)) == n``."""
-    return canonical_decoder(Network)(json.loads(data.decode("utf-8")))
+    """Inverse of ``export_json``: ``parse_network(export_json(n)) == n``.
+    Raises ModelError for a JSON document that is not a network."""
+    doc = json.loads(data.decode("utf-8"))
+    if type(doc) is not dict:
+        raise ModelError(f"a network must be a JSON object, not {type(doc).__name__}")
+    try:
+        return canonical_decoder(Network)(doc)
+    except (KeyError, TypeError) as exc:  # a missing key, or a part of another JSON type
+        detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+        raise ModelError(f"not a network: {detail}") from exc
 
 
 def build_fragment(

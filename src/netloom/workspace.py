@@ -3,6 +3,8 @@
 Layout under the workspace root:
 
     schema.json              conformance schema (editable)
+    rules.dl                 optional user rules, merged with the built-in
+                             ones by every infer and committing poll
     sources/<source_id>.json registered source configs
     .lock                    taken (flock) by each reader and writer of
                              the store
@@ -66,6 +68,7 @@ from .conformance import (
     default_schema_doc,
     load_schema,
 )
+from .datalog import ProgramError, parse_program
 from .ingest import (
     IngestError,
     SourceConfig,
@@ -215,6 +218,10 @@ class Workspace:
         return self.root / "schema.json"
 
     @property
+    def rules_path(self) -> Path:
+        return self.root / "rules.dl"
+
+    @property
     def sources_dir(self) -> Path:
         return self.root / "sources"
 
@@ -266,9 +273,25 @@ class Workspace:
 
     def checker(self) -> CompiledChecker:
         """The checker of ``schema.json``; raises SchemaError naming the
-        file if it cannot be read or does not hold a valid schema."""
+        file if it cannot be read or does not hold a valid schema, or if
+        a built-in kind loosens a field of ``default_schema_doc`` that
+        the entity build reads: each must stay declared, a string or an
+        enum, and required where the default requires it."""
         try:
-            return load_schema(self.schema_path)
+            checker = load_schema(self.schema_path)
+            for kind, doc in default_schema_doc()["kinds"].items():
+                if kind not in checker.kinds:  # its records are UNKNOWN_KIND
+                    continue
+                specs = {spec.name: spec for spec in checker.kinds[kind][0]}
+                for name, default in doc["fields"].items():
+                    spec, where = specs.get(name), f"{kind}.{name}"
+                    if spec is None:
+                        raise SchemaError(f"{where}: a built-in field must stay declared")
+                    if default.get("required") and not spec.required:
+                        raise SchemaError(f"{where}: a built-in field must stay required")
+                    if spec.type not in ("string", "enum"):
+                        raise SchemaError(f"{where}: a built-in field must be a string or an enum")
+            return checker
         except SchemaError as exc:
             raise SchemaError(f"invalid schema {self.schema_path}: {exc}") from exc
 
@@ -450,15 +473,22 @@ class Workspace:
             raise
 
     @acyclic
-    def infer(self, extra_rules=None) -> Network:
+    def infer(self) -> Network:
         """Reconstruct the network from the current store and publish it,
         both under the store lock: no commit lands between the load and
         the publish, so the network published is of the current store."""
         with self._store_lock():
-            return self._infer(self._load_store()[0], extra_rules)
+            return self._infer(self._load_store()[0])
 
-    def _infer(self, store: RawStore, extra_rules=None) -> Network:
-        network = emit(reconstruct(store, extra_rules=extra_rules))
+    def _infer(self, store: RawStore) -> Network:
+        """Reconstruct ``store`` with the built-in rules and those of
+        ``rules.dl``, if it exists, and publish it. Call it under the
+        store lock. A ``rules.dl`` that cannot be read or is not UTF-8
+        raises WorkspaceError; one that does not parse, ProgramError."""
+        rules = None
+        if self.rules_path.exists():
+            rules = parse_program(_read("rules file", self.rules_path, bytes.decode))
+        network = emit(reconstruct(store, extra_rules=rules))
         self.publish_network(network)
         return network
 
@@ -475,7 +505,8 @@ class SnapshotWatcher:
     Per-file failures are logged and do not stop the loop. A file whose
     source is not registered is not ledgered, so it is retried on every
     poll until its source config is registered and parses. A committed
-    store that does not lift (``ReconstructionError``) is logged and not
+    store that does not lift with the workspace's rules, or a
+    ``rules.dl`` that cannot be read or parsed, is logged and not
     published; the next poll that commits something publishes again.
     """
 
@@ -612,7 +643,7 @@ class SnapshotWatcher:
             if archives:
                 try:
                     network = ws._infer(store)
-                except ReconstructionError as exc:  # committed, but does not lift
+                except (WorkspaceError, ProgramError, ReconstructionError) as exc:
                     logger.warning("not published: %s", exc)
                 else:
                     logger.info("published network %s", network.version)

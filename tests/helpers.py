@@ -12,6 +12,13 @@ from netloom.model import Origin, RawStore
 
 CHECKER = parse_schema(default_schema_doc())
 
+#: A user rule (the text of a ``rules.dl``) that merges every system of
+#: a space into one participant.
+MERGE_SPACE_RULES = (
+    'equiv_sys(A, B) :- system(A, _, _), system(B, _, _), '
+    'prop(A, "space", SP), prop(B, "space", SP).\n'
+)
+
 
 def snapshot_of(records: list[dict], src: str) -> Snapshot:
     out = []

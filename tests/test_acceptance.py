@@ -10,6 +10,8 @@ import random
 import sys
 import time
 
+import pytest
+
 from netloom.conformance import FINDING_CODES, check_batch, parse_schema
 from netloom.datalog import evaluate, evaluate_naive, parse_program
 from netloom.model import RawStore, to_facts
@@ -363,13 +365,23 @@ def _scan_search(network, query):
     return [pid for _, pid in sorted(hits)]
 
 
-def test_criterion_8_watch_batch_equivalence(tmp_path):
+#: A user rule that merges the systems of one kind in one space.
+MERGE_KIND_RULES = (
+    'equiv_sys(A, B) :- system(A, _, K), system(B, _, K), '
+    'prop(A, "space", SP), prop(B, "space", SP).\n'
+)
+
+
+@pytest.mark.parametrize("rules", [None, MERGE_KIND_RULES], ids=["builtin", "rules-dl"])
+def test_criterion_8_watch_batch_equivalence(tmp_path, rules):
     rng = random.Random(88)
     try:
         scenario = make_scenario(rng, n_systems=8, n_flows=10, n_sources=3)
         sources = sorted(scenario.source_records)
 
-        def write_config(ws):
+        def configure(ws):
+            if rules is not None:
+                ws.rules_path.write_text(rules)
             for src in sources:
                 cfg = tmp_path / f"{src}-config.json"
                 cfg.write_text(json.dumps({"source_id": src, "source_type": "t"}))
@@ -381,7 +393,7 @@ def test_criterion_8_watch_batch_equivalence(tmp_path):
 
         # Batch run: plain commits in sorted order, one inference.
         batch_ws = Workspace.init(tmp_path / "batch")
-        write_config(batch_ws)
+        configure(batch_ws)
         for src in sources:
             snap = tmp_path / f"{src}-batch.jsonl"
             snap.write_bytes(snapshot_bytes(src))
@@ -395,7 +407,7 @@ def test_criterion_8_watch_batch_equivalence(tmp_path):
             order = list(sources)
             rng.shuffle(order)
             ws = Workspace.init(tmp_path / f"watch{round_no}")
-            write_config(ws)
+            configure(ws)
             drop = tmp_path / f"drop{round_no}"
             drop.mkdir()
             watcher = SnapshotWatcher(ws, drop)
@@ -412,7 +424,8 @@ def test_criterion_8_watch_batch_equivalence(tmp_path):
     except AssertionError as exc:
         report(8, "watch/batch equivalence", False, str(exc)[:100])
         raise
-    report(8, "watch/batch equivalence", True, "3 shuffled drops converge to batch bytes")
+    with_rules = "" if rules is None else ", with rules.dl"
+    report(8, "watch/batch equivalence", True, f"3 shuffled drops converge to batch bytes{with_rules}")
 
 
 def test_criterion_9_desk_scale_throughput():

@@ -12,6 +12,8 @@ from netloom.model import InterfaceRef, store_to_json
 from netloom.reconstruct import flow_id_for
 from netloom.workspace import SnapshotWatcher, Workspace
 
+from helpers import MERGE_SPACE_RULES
+
 
 @pytest.fixture
 def runner():
@@ -249,6 +251,66 @@ def test_malformed_schema_exit_one(runner, tmp_path, workspace, command, schema)
     assert result.output.startswith("invalid schema ")
     assert result.output.count("\n") == 1
     assert Workspace.load(workspace).load_store().version == 0
+
+
+# Each entry loosens a field of the default schema that the entity build
+# reads, with records that the loosened schema would let through to it.
+LOOSENED_SCHEMAS = {
+    "undeclared": (
+        lambda kinds: kinds["system"]["fields"].pop("name"),
+        [{"kind": "system", "id": "s", "type": "application"}],
+    ),
+    "not-required": (
+        lambda kinds: kinds["system"]["fields"]["name"].update(required=False),
+        [{"kind": "system", "id": "s", "type": "application"}],
+    ),
+    "integer": (
+        lambda kinds: kinds["host"]["fields"]["hostname"].update(type="integer"),
+        [{"kind": "host", "id": "h", "hostname": 5}],
+    ),
+    "optional-mapping": (
+        lambda kinds: kinds["in_conf"]["fields"]["adapter"].update(type="mapping"),
+        [{"kind": "system", "id": "s", "name": "ERP", "type": "application"},
+         {"kind": "in_conf", "id": "i", "owner_system_id": "s", "interface_name": "x",
+          "endpoint_address": "http://x", "adapter": {"a": 1}}],
+    ),
+}
+
+
+@pytest.mark.parametrize("loosen, records", LOOSENED_SCHEMAS.values(), ids=LOOSENED_SCHEMAS.keys())
+def test_schema_that_loosens_a_builtin_field_exit_one(runner, tmp_path, workspace, loosen, records):
+    schema_path = workspace / "schema.json"
+    doc = json.loads(schema_path.read_text())
+    loosen(doc["kinds"])
+    schema_path.write_text(json.dumps(doc))
+    result = ingest_sample(runner, tmp_path, workspace, records)
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.output.startswith(f"invalid schema {schema_path}: ")
+    assert "a built-in field must" in result.output
+    assert result.output.count("\n") == 1
+    assert Workspace.load(workspace).load_store().version == 0
+
+
+def test_schema_that_tightens_builtin_kinds_is_accepted(runner, tmp_path, workspace):
+    schema_path = workspace / "schema.json"
+    doc = json.loads(schema_path.read_text())
+    kinds = doc["kinds"]
+    kinds["system"]["fields"]["type"]["type"] = "enum(application,process)"
+    kinds["system"]["fields"]["owner"] = {"type": "string", "required": True}
+    kinds["contract"] = {"fields": {"id": {"type": "string", "required": True, "key": True}}}
+    kinds["host"]["unique"] = [["hostname"]]
+    del kinds["runs_on"]["refs"]["host_id"]
+    schema_path.write_text(json.dumps(doc))
+    records = [
+        {"kind": "system", "id": "s", "name": "ERP", "type": "application", "owner": "ops"},
+        {"kind": "contract", "id": "c"},
+        {"kind": "host", "id": "h", "hostname": "erp.example.net"},
+        {"kind": "runs_on", "id": "r", "system_id": "s", "host_id": "srcb/h"},
+    ]
+    result = ingest_sample(runner, tmp_path, workspace, records)
+    assert result.exit_code == 0, result.output
+    assert Workspace.load(workspace).load_store().version == 1
 
 
 def _edited(good, change):
@@ -553,21 +615,28 @@ class TestInferCommand:
         assert doc["flows"] == 1
 
     def test_malformed_rules_exit_two_with_line(self, runner, tmp_path, workspace):
-        rules = tmp_path / "rules.dl"
-        rules.write_text("p(X) :-\n")
-        result = runner.invoke(main, ["infer", str(workspace), "--rules", str(rules)])
+        (workspace / "rules.dl").write_text("p(X) :-\n")
+        result = runner.invoke(main, ["infer", str(workspace)])
         assert result.exit_code == 2
-        assert "line" in result.stderr
+        assert result.stderr == "line 1, column 8: unexpected end of input in rule body\n"
 
     def test_rules_not_utf8_exit_one(self, runner, tmp_path, workspace):
-        rules = tmp_path / "rules.dl"
+        rules = workspace / "rules.dl"
         rules.write_bytes(b"\xff\xfe")
-        result = runner.invoke(main, ["infer", str(workspace), "--rules", str(rules)])
+        result = runner.invoke(main, ["infer", str(workspace)])
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)
         assert result.stdout == ""
-        assert result.stderr.startswith("cannot read rules file: ")
+        assert result.stderr.startswith(f"unreadable rules file {rules}: ")
         assert result.stderr.count("\n") == 1
+
+    def test_rules_option_is_a_usage_error(self, runner, tmp_path, workspace):
+        rules = tmp_path / "rules.dl"
+        rules.write_text(MERGE_SPACE_RULES)
+        result = runner.invoke(main, ["infer", str(workspace), "--rules", str(rules)])
+        assert result.exit_code == 2
+        assert "No such option" in result.stderr and "--rules" in result.stderr
+        assert Workspace.load(workspace).latest_network_bytes() is None
 
     def test_networks_not_a_directory_exit_one(self, runner, tmp_path, workspace):
         assert ingest_sample(runner, tmp_path, workspace).exit_code == 0
@@ -585,12 +654,11 @@ class TestInferCommand:
         self, runner, tmp_path, workspace
     ):
         ingest_sample(runner, tmp_path, workspace)
-        rules = tmp_path / "rules.dl"
-        rules.write_text(
+        (workspace / "rules.dl").write_text(
             "p(X) :- system(X, _, _), not q(X).\n"
             "q(X) :- system(X, _, _), not p(X).\n"
         )
-        result = runner.invoke(main, ["infer", str(workspace), "--rules", str(rules)])
+        result = runner.invoke(main, ["infer", str(workspace)])
         assert result.exit_code == 2
         assert result.stdout == ""
         assert len(result.stderr.splitlines()) == 1
@@ -599,14 +667,22 @@ class TestInferCommand:
 
     def test_extra_rules_applied(self, runner, tmp_path, workspace):
         ingest_sample(runner, tmp_path, workspace)
-        rules = tmp_path / "rules.dl"
-        rules.write_text(
-            'equiv_sys(A, B) :- system(A, _, _), system(B, _, _), '
-            'prop(A, "space", SP), prop(B, "space", SP).\n'
-        )
-        result = runner.invoke(main, ["infer", str(workspace), "--rules", str(rules)])
+        (workspace / "rules.dl").write_text(MERGE_SPACE_RULES)
+        result = runner.invoke(main, ["infer", str(workspace)])
         assert result.exit_code == 0
         assert json.loads(result.output)["participants"] == 1
+        # Edited, the file takes effect at the next infer.
+        (workspace / "rules.dl").write_text("% no rules\n")
+        result = runner.invoke(main, ["infer", str(workspace)])
+        assert json.loads(result.output)["participants"] == 2
+
+    def test_rule_that_redefines_a_raw_predicate_exit_two_with_one_line(
+        self, runner, tmp_path, workspace
+    ):
+        (workspace / "rules.dl").write_text('system(X, "n", "k") :- host(X, _).\n')
+        result = runner.invoke(main, ["infer", str(workspace)])
+        assert result.exit_code == 2
+        assert result.stderr == "extra rules may not redefine raw predicates: system\n"
 
     @pytest.mark.parametrize(
         "records, message",

@@ -15,7 +15,7 @@ import netloom.network as network_mod
 import netloom.workspace as workspace_mod
 from netloom.conformance import check_batch
 from netloom.ingest import load_snapshot
-from netloom.model import RawStore
+from netloom.model import ModelError, RawStore
 from netloom.network import export_graph, export_json, parse_network
 from netloom.query import build_index, search, traverse
 from netloom.reconstruct import host_classes, reconstruct
@@ -87,7 +87,7 @@ def test_the_pipeline_leaves_no_cyclic_garbage(tmp_path):
     assert step("committing poll", watcher.poll_once) == [(f"{src}__2.jsonl", "committed")]
     (drop / f"{src}__3.jsonl").write_bytes(b"{nope\n")
     assert step("poll of a malformed file", watcher.poll_once) == [(f"{src}__3.jsonl", "load-error")]
-    step("parse_network of a list", lambda: rejects(lambda: parse_network(b"[]"), TypeError))
+    step("parse_network of a list", lambda: rejects(lambda: parse_network(b"[]"), ModelError))
 
     assert garbage == dict.fromkeys(garbage, 0)
 
@@ -121,7 +121,7 @@ def paused_calls(tmp_path):
         ("host_classes", lambda: host_classes(ws.load_store())),
         ("parse_network", lambda: parse_network(ws.latest_network_bytes())),
         ("committing poll_once", watcher.poll_once),
-        ("parse_network raising", lambda: rejects(lambda: parse_network(b"[]"), TypeError)),
+        ("parse_network raising", lambda: rejects(lambda: parse_network(b"[]"), ModelError)),
         ("infer raising", lambda: rejects(broken.infer, WorkspaceError)),
     ]
 

@@ -171,6 +171,21 @@ class TestLoadSnapshot:
         assert record.fields["name"] == "CRM"
         assert record.fields.get("meta") == {}
 
+    def test_a_mapping_target_read_later_through_a_dotted_path(self, tmp_path):
+        # "meta" moves onto "info"; "info.x" then reads the line's own
+        # "info", and "meta.x" the line's "meta", both as parsed.
+        path = tmp_path / "moved.jsonl"
+        write_jsonl(path, [{
+            "kind": "system", "id": "c1", "name": "CRM", "type": "application",
+            "meta": {"x": "from meta", "y": "kept"}, "info": {"x": "from info"},
+        }])
+        config = SourceConfig("srca", mapping={"meta": "info", "info.x": "label", "meta.x": "owner"})
+        fields = load_snapshot(path, config).records[0].fields
+        assert fields == {
+            "id": "c1", "name": "CRM", "type": "application",
+            "info": {"y": "kept"}, "label": "from info", "owner": "from meta",
+        }
+
     def test_captured_at_from_record(self, tmp_path):
         path = tmp_path / "cap.jsonl"
         write_jsonl(

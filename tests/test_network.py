@@ -13,6 +13,7 @@ from netloom.network import (
     export_json,
     parse_network,
 )
+from netloom.model import ModelError
 from netloom.reconstruct import ReconstructionError, reconstruct
 
 from generators import make_scenario
@@ -101,6 +102,17 @@ class TestExportJson:
         assert [s["name"] for s in doc["spaces"]] == list(BUILTIN_SPACES)
         assert doc["participant_links"] == []
         assert doc["flow_links"] == []
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [(b"[]", "a network must be a JSON object, not list"),
+         (b'{"version": "0123456789abcdef", "spaces": 5}', "not a network: 'int' object is not iterable"),
+         (b'{"version": "0123456789abcdef"}', "not a network: missing key 'spaces'")],
+        ids=["list", "spaces-int", "no-spaces"],
+    )
+    def test_parse_of_a_document_that_is_not_a_network(self, data, message):
+        with pytest.raises(ModelError, match=message):
+            parse_network(data)
 
     def test_export_parse_export_is_byte_identity(self):
         network = emit(reconstruct(simple_store()))

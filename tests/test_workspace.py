@@ -13,14 +13,15 @@ from pathlib import Path
 import pytest
 
 import netloom.workspace as workspace_mod
+from netloom.datalog import ProgramError
 from netloom.ingest import IngestError
 from netloom.model import RawStore, store_to_json
-from netloom.network import emit
-from netloom.reconstruct import reconstruct
-from netloom.workspace import SnapshotWatcher, Workspace, write_atomic
+from netloom.network import emit, export_json
+from netloom.reconstruct import ReconstructionError, reconstruct
+from netloom.workspace import SnapshotWatcher, Workspace, WorkspaceError, write_atomic
 
 from generators import make_scenario
-from helpers import cyclic_garbage, store_from_sources
+from helpers import MERGE_SPACE_RULES, cyclic_garbage, store_from_sources
 
 
 def fail_replace(self, target):
@@ -752,3 +753,69 @@ def test_a_schema_edit_retries_a_waiting_file(tmp_path):
     del doc["kinds"]["runs_on"]["refs"]["host_id"]
     ws.schema_path.write_text(json.dumps(doc))
     assert watcher.poll_once() == [("srca__1.jsonl", "committed")]
+
+
+# ---------------------------------------------------------------------------
+# The workspace's rules.dl
+
+
+def test_infer_and_a_committing_poll_publish_the_network_of_rules_dl(tmp_path):
+    ws, watcher = watched_workspace(tmp_path, ["srca", "srcb"])
+    drop_and_poll(watcher, "srca__1.jsonl", system_records("ERP"))
+    drop_and_poll(watcher, "srcb__1.jsonl", system_records("CRM"))
+    ws.rules_path.write_text(MERGE_SPACE_RULES)
+    assert ws.infer().counts()["participants"] == 1
+    # A poll that commits publishes from the same rules as infer does.
+    assert drop_and_poll(watcher, "srcb__2.jsonl", system_records("CRM 2")) == [
+        ("srcb__2.jsonl", "committed"),
+    ]
+    latest = ws.latest_network_bytes()
+    assert ws.latest_network().counts()["participants"] == 1
+    assert export_json(ws.infer()) == latest
+    # Without the file, only the built-in rules run, for either path.
+    ws.rules_path.unlink()
+    assert drop_and_poll(watcher, "srcb__3.jsonl", system_records("CRM 3")) == [
+        ("srcb__3.jsonl", "committed"),
+    ]
+    assert ws.latest_network().counts()["participants"] == 2
+    assert export_json(ws.infer()) == ws.latest_network_bytes()
+
+
+# Each entry makes rules.dl unusable: (what it writes, or None for a
+# directory, the error that infer raises, a part of its message).
+UNUSABLE_RULES = {
+    "not-utf8": (b"\xff\xfe", WorkspaceError, "unreadable rules file "),
+    "directory": (None, WorkspaceError, "unreadable rules file "),
+    "malformed": (b"p(X) :-\n", ProgramError, "line 1, column 8: "),
+    "negative-cycle": (
+        b"p(X) :- system(X, _, _), not q(X).\nq(X) :- system(X, _, _), not p(X).\n",
+        ProgramError, "negative cycle",
+    ),
+    "raw-predicate": (
+        b'system(X, "n", "k") :- host(X, _).\n', ReconstructionError, "redefine raw predicates",
+    ),
+}
+
+
+@pytest.mark.parametrize("data, error, message", UNUSABLE_RULES.values(), ids=UNUSABLE_RULES.keys())
+def test_an_unusable_rules_dl_keeps_the_commit_and_publishes_nothing(
+    tmp_path, caplog, data, error, message
+):
+    ws, watcher = watched_workspace(tmp_path, ["srca"])
+    drop_and_poll(watcher, "srca__1.jsonl", system_records("ERP"))
+    latest = ws.latest_network_bytes()
+    if data is None:
+        ws.rules_path.mkdir()
+    else:
+        ws.rules_path.write_bytes(data)
+    with pytest.raises(error, match=message):
+        ws.infer()
+    with caplog.at_level("WARNING", logger=workspace_mod.logger.name):
+        assert drop_and_poll(watcher, "srca__2.jsonl", system_records("ERP 2")) == [
+            ("srca__2.jsonl", "committed"),
+        ]
+    (warning,) = [r.getMessage() for r in caplog.records]
+    assert warning.startswith("not published: ")
+    assert message in warning
+    assert ws.load_store().version == 2
+    assert ws.latest_network_bytes() == latest
