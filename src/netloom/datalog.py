@@ -535,8 +535,9 @@ class _Relation:
     Index specs are ``(exact_positions, norm_positions)``. A spec with
     one exact position keys its index by that value, one with several by
     their tuple (both through ``itemgetter``); a spec with norm positions
-    keys it by ``_key``'s tuple, which appends the normalized values at
-    norm positions, so norm_eq joins can use hash lookups.
+    keys it by the tuple of the exact values followed by the normalized
+    values at norm positions, so norm_eq joins can use hash lookups. That
+    key function is compiled once per spec, when its index is built.
     """
 
     __slots__ = ("rows", "_indexes")
@@ -553,18 +554,17 @@ class _Relation:
             index.setdefault(key(row), []).append(row)
         return True
 
-    @staticmethod
-    def _key(row: tuple, spec: tuple) -> tuple:
-        exact, norm = spec
-        return tuple(row[p] for p in exact) + tuple(_norm_value(row[p]) for p in norm)
-
     def index(self, spec: tuple) -> dict[object, list[tuple]]:
         """The index for ``spec`` (which must name a position), built on
         first use and kept current by ``add``."""
         entry = self._indexes.get(spec)
         if entry is None:
             exact, norm = spec
-            key = (lambda row: _Relation._key(row, spec)) if norm else itemgetter(*exact)
+            if norm:
+                items = [f"row[{p}]" for p in exact] + [f"_norm(row[{p}])" for p in norm]
+                key = eval(f"lambda row: ({', '.join(items)},)", {"_norm": _norm_value})
+            else:
+                key = itemgetter(*exact)
             index: dict[object, list[tuple]] = {}
             for row in self.rows:
                 index.setdefault(key(row), []).append(row)

@@ -425,10 +425,6 @@ class RawStore:
             "correlation": origin_ids(self.correlations),
         }
 
-    def content_digest(self) -> str:
-        blob = CANONICAL_JSON.encode(_collections(self))
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()
-
 
 # ---------------------------------------------------------------------------
 # Projection onto a fact base

@@ -8,8 +8,11 @@ and the version id can simply be a digest of the content. It is written
 by ``model.CANONICAL_JSON`` straight from the dataclasses below and read
 back by ``model.canonical_decoder`` from their fields: each JSON
 object's keys are the fields of its dataclass, so renaming a field
-changes the format and every network version. GraphML and DOT exports
-cover the graph-shaped subset for standard tooling.
+changes the format and every network version. A network is encoded
+once: ``build_fragment`` digests the encoded content for the version
+and keeps those bytes on the network, and ``export_json`` appends the
+version key, which sorts last, to them. GraphML and DOT exports cover
+the graph-shaped subset for standard tooling.
 """
 
 from __future__ import annotations
@@ -17,10 +20,11 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Iterable, Sequence
 from xml.sax.saxutils import escape, quoteattr
 
-from .model import CANONICAL_JSON, ModelError, acyclic, canonical_bytes, canonical_decoder
+from .model import CANONICAL_JSON, ModelError, acyclic, canonical_decoder
 
 BUILTIN_SPACES = ("business-process", "integration")
 
@@ -107,6 +111,14 @@ class Network:
             "links": len(self.participant_links) + len(self.flow_links),
         }
 
+    @cached_property
+    def _content_json(self) -> bytes:
+        """The canonical JSON of the network without its version key,
+        which ``build_fragment`` fills with the bytes it digested; any
+        other network (parsed, or made by ``dataclasses.replace``)
+        encodes them on first read."""
+        return _encode_content(self.spaces, self.participant_links, self.flow_links)
+
 
 def emit(recon) -> Network:
     """Assemble the client-facing network from a ``Reconstruction``: its
@@ -123,8 +135,17 @@ def emit(recon) -> Network:
 
 
 def export_json(network: Network) -> bytes:
-    """Canonical JSON bytes: equal networks export byte-identically."""
-    return canonical_bytes(network)
+    """Canonical JSON bytes: equal networks export byte-identically.
+    The ``version`` key sorts after every other, so the export is the
+    content's JSON with ``,"version":...}`` and a newline in place of
+    its closing brace, joined in one copy."""
+    tail = f',"version":{CANONICAL_JSON.encode(network.version)}}}\n'.encode("utf-8")
+    return b"".join((memoryview(network._content_json)[:-1], tail))
+
+
+def _encode_content(spaces, participant_links, flow_links) -> bytes:
+    content = {"spaces": spaces, "participant_links": participant_links, "flow_links": flow_links}
+    return CANONICAL_JSON.encode(content).encode("utf-8")
 
 
 @acyclic
@@ -164,14 +185,14 @@ def build_fragment(
         )
         for name in sorted(set(by_space) | set(flow_by_space))
     )
-    content = {
-        "spaces": spaces,
-        "participant_links": tuple(sorted(participant_links, key=lambda l: l.id)),
-        "flow_links": tuple(sorted(flow_links, key=lambda l: l.id)),
-    }
-    # The version is the digest of the export without its version key.
-    version = hashlib.sha256(CANONICAL_JSON.encode(content).encode("utf-8")).hexdigest()
-    return Network(version[:16], **content)
+    participant_links = tuple(sorted(participant_links, key=lambda l: l.id))
+    flow_links = tuple(sorted(flow_links, key=lambda l: l.id))
+    # The version is the digest of the export without its version key;
+    # the network keeps those bytes, so that its export encodes nothing.
+    blob = _encode_content(spaces, participant_links, flow_links)
+    network = Network(hashlib.sha256(blob).hexdigest()[:16], spaces, participant_links, flow_links)
+    network.__dict__["_content_json"] = blob
+    return network
 
 
 # ---------------------------------------------------------------------------

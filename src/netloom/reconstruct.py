@@ -96,10 +96,12 @@ def builtin_program() -> Program:
     return parse_program(BUILTIN_RULES)
 
 
-def _program(extra_rules: Program | None) -> Program:
+def merged_program(extra_rules: Program | None) -> Program:
     """The built-in program merged with ``extra_rules``. The merged
     program is stratified whole, so rules that fail do so even where no
-    slice of it would evaluate them."""
+    slice of it would evaluate them. Raises ReconstructionError for
+    extra rules that redefine a raw predicate, and ProgramError for an
+    arity conflict or a cycle through negation."""
     program = builtin_program()
     if extra_rules is not None:
         bad = sorted(extra_rules.head_predicates() & EDB_PREDICATES)
@@ -161,7 +163,7 @@ def host_classes(
     members sorted. Evaluates only the slice of the program that
     ``equiv_host`` depends on; ``reconstruct`` derives no ``equiv_host``
     row itself."""
-    idb = evaluate(_program(extra_rules).slice({"equiv_host"}), to_facts(store))
+    idb = evaluate(merged_program(extra_rules).slice({"equiv_host"}), to_facts(store))
     return _classes(store.hosts, idb.get("equiv_host", ()))
 
 
@@ -271,7 +273,7 @@ def reconstruct(store: RawStore, extra_rules: Program | None = None) -> Reconstr
     order they were loaded.
     """
     lifted = {"equiv_sys", "conf_match", "participant_link"}
-    idb = evaluate(_program(extra_rules).slice(lifted), to_facts(store))
+    idb = evaluate(merged_program(extra_rules).slice(lifted), to_facts(store))
     systems = _classes(store.systems, idb.get("equiv_sys", ()))
     rep = {m: key for key, ms in systems.items() for m in ms}
     merged = [merge_properties([store.systems[m] for m in systems[key]]) for key in sorted(systems)]

@@ -86,7 +86,7 @@ from .model import (
     store_to_json,
 )
 from .network import Network, emit, export_json, parse_network
-from .reconstruct import ReconstructionError, reconstruct
+from .reconstruct import ReconstructionError, merged_program, reconstruct
 
 logger = logging.getLogger(__name__)
 
@@ -484,10 +484,21 @@ class Workspace:
         """Reconstruct ``store`` with the built-in rules and those of
         ``rules.dl``, if it exists, and publish it. Call it under the
         store lock. A ``rules.dl`` that cannot be read or is not UTF-8
-        raises WorkspaceError; one that does not parse, ProgramError."""
+        raises WorkspaceError. One that does not parse, or does not merge
+        with the built-in rules, raises ProgramError or (for a rule that
+        redefines a raw predicate) ReconstructionError, whose message
+        starts with the file's path."""
         rules = None
         if self.rules_path.exists():
-            rules = parse_program(_read("rules file", self.rules_path, bytes.decode))
+            text = _read("rules file", self.rules_path, bytes.decode)
+            # Merged here, apart from the lift, so that only errors of the
+            # rules name the file; each keeps its type, and so its exit code.
+            try:
+                rules = parse_program(text)
+                merged_program(rules)
+            except (ProgramError, ReconstructionError) as exc:
+                exc.args = (f"{self.rules_path}: {exc}",)
+                raise
         network = emit(reconstruct(store, extra_rules=rules))
         self.publish_network(network)
         return network

@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import dataclasses
 import gc
+import hashlib
 from typing import Any, Callable, Iterable, Mapping
 
 from netloom.conformance import default_schema_doc, parse_schema
 from netloom.datalog import parse_program
 from netloom.ingest import RawRecord, Snapshot, commit
-from netloom.model import Origin, RawStore
+from netloom.model import Origin, RawStore, store_to_json
 
 CHECKER = parse_schema(default_schema_doc())
 
@@ -47,6 +49,12 @@ def store_from_sources(
     for src in order or sorted(source_records):
         store = commit_records(store, source_records[src], src)
     return store
+
+
+def content_digest(store: RawStore) -> str:
+    """A digest of the store's entities, not of its version: stores with
+    equal content have equal digests, whatever commits made them."""
+    return hashlib.sha256(store_to_json(dataclasses.replace(store, version=0))).hexdigest()
 
 
 def cyclic_garbage(step: Callable[[], Any]) -> tuple[Any, int]:

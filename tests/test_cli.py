@@ -12,7 +12,7 @@ from netloom.model import InterfaceRef, store_to_json
 from netloom.reconstruct import flow_id_for
 from netloom.workspace import SnapshotWatcher, Workspace
 
-from helpers import MERGE_SPACE_RULES
+from helpers import MERGE_SPACE_RULES, content_digest
 
 
 @pytest.fixture
@@ -120,10 +120,10 @@ class TestIngestCommand:
     ):
         ingest_sample(runner, tmp_path, workspace)
         ws = Workspace.load(workspace)
-        digest1 = ws.load_store().content_digest()
+        digest1 = content_digest(ws.load_store())
         result = ingest_sample(runner, tmp_path, workspace)
         assert result.exit_code == 0
-        assert ws.load_store().content_digest() == digest1
+        assert content_digest(ws.load_store()) == digest1
 
     def test_missing_snapshot_exit_one(self, runner, tmp_path, workspace):
         cfg = tmp_path / "cfg.json"
@@ -615,10 +615,33 @@ class TestInferCommand:
         assert doc["flows"] == 1
 
     def test_malformed_rules_exit_two_with_line(self, runner, tmp_path, workspace):
-        (workspace / "rules.dl").write_text("p(X) :-\n")
+        rules = workspace / "rules.dl"
+        rules.write_text("p(X) :-\n")
         result = runner.invoke(main, ["infer", str(workspace)])
         assert result.exit_code == 2
-        assert result.stderr == "line 1, column 8: unexpected end of input in rule body\n"
+        assert result.stderr == f"{rules}: line 1, column 8: unexpected end of input in rule body\n"
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("p(X) :- system(X, _, _).\np(X, Y) :- system(X, Y, _).\n",
+             "line 2, column 1: arity conflict for p: 1 vs 2"),
+            ("equiv_sys(A) :- system(A, _, _).\n", "arity conflict for equiv_sys: 2 vs 1"),
+            ("equiv_sys(A, B) :- system(A, _, _), system(B, _, _), not p(A).\n"
+             "p(A) :- equiv_sys(A, _).\n",
+             "program is not stratifiable: negative cycle p -> equiv_sys -> p"),
+        ],
+        ids=["arity-within-the-file", "arity-against-a-built-in", "negative-cycle"],
+    )
+    def test_rule_error_names_the_rules_file_exit_two(
+        self, runner, tmp_path, workspace, text, message
+    ):
+        rules = workspace / "rules.dl"
+        rules.write_text(text)
+        result = runner.invoke(main, ["infer", str(workspace)])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr == f"{rules}: {message}\n"
 
     def test_rules_not_utf8_exit_one(self, runner, tmp_path, workspace):
         rules = workspace / "rules.dl"
@@ -661,8 +684,9 @@ class TestInferCommand:
         result = runner.invoke(main, ["infer", str(workspace)])
         assert result.exit_code == 2
         assert result.stdout == ""
-        assert len(result.stderr.splitlines()) == 1
-        assert "negative cycle" in result.stderr
+        assert result.stderr == (
+            f"{workspace / 'rules.dl'}: program is not stratifiable: negative cycle q -> p -> q\n"
+        )
         assert Workspace.load(workspace).latest_network_bytes() is None
 
     def test_extra_rules_applied(self, runner, tmp_path, workspace):
@@ -682,7 +706,9 @@ class TestInferCommand:
         (workspace / "rules.dl").write_text('system(X, "n", "k") :- host(X, _).\n')
         result = runner.invoke(main, ["infer", str(workspace)])
         assert result.exit_code == 2
-        assert result.stderr == "extra rules may not redefine raw predicates: system\n"
+        assert result.stderr == (
+            f"{workspace / 'rules.dl'}: extra rules may not redefine raw predicates: system\n"
+        )
 
     @pytest.mark.parametrize(
         "records, message",

@@ -509,11 +509,54 @@ class TestGeneratedPlans:
         assert derived == {"loop": {("a",), (1,)}, "pair": {("a", "b")}}
 
     def test_norm_eq_lookup_with_int_and_str_operands(self):
-        edb = {"l": {(1,), (" A",), ("1",), (2,)}, "r": {(1,), ("a",), (" 1 ",), ("2",)}}
+        edb = {
+            "l": {(1,), (" A",), ("1",), (2,), ("\tA\n",)},
+            "r": {(1,), ("a",), (" 1 ",), ("2",), ("A\t",)},
+        }
         derived = self.both("m(X, Y) :- l(X), r(Y), norm_eq(X, Y).", edb)
-        assert derived == {"m": {(1, 1), (" A", "a"), ("1", " 1 ")}}
+        assert derived == {"m": {
+            (1, 1), (" A", "a"), (" A", "A\t"), ("\tA\n", "a"), ("\tA\n", "A\t"), ("1", " 1 "),
+        }}
         derived = self.both('n(X) :- norm_eq(X, " A "), r(X). i(X) :- norm_eq(1, X), r(X).', edb)
-        assert derived == {"n": {("a",)}, "i": {(1,)}}
+        assert derived == {"n": {("a",), ("A\t",)}, "i": {(1,)}}
+
+    # Rows for the compiled keys of norm_eq indexes: ints beside strings
+    # that print alike, and strings that differ in case and whitespace.
+    MIXED = (1, "1", " 1 ", 2, "b", " B", "B\t", "x Y", "X y ", "xy")
+
+    def test_norm_index_with_exact_and_norm_positions(self):
+        # conf_match's shape: the scan of ``i`` keys on IN exactly and on
+        # IA normalized.
+        rng = random.Random(3)
+        edb = {
+            "o": {(f"o{k}", rng.choice("pq"), rng.choice(self.MIXED)) for k in range(30)},
+            "i": {(f"i{k}", rng.choice("pq"), rng.choice(self.MIXED)) for k in range(30)},
+        }
+        derived = self.both("m(O, I) :- o(O, IN, OA), i(I, IN, IA), norm_eq(OA, IA).", edb)
+        assert derived["m"]
+
+    def test_norm_index_with_two_norm_positions(self):
+        rng = random.Random(4)
+        edb = {
+            "l": {(f"l{k}", rng.choice(self.MIXED), rng.choice(self.MIXED)) for k in range(40)},
+            "r": {(f"r{k}", rng.choice(self.MIXED), rng.choice(self.MIXED)) for k in range(40)},
+        }
+        rules = "m(A, B) :- l(A, X, Y), r(B, U, V), norm_eq(X, U), norm_eq(Y, V)."
+        assert self.both(rules, edb)["m"]
+
+    def test_norm_index_of_a_recursive_predicate_grows_with_each_round(self):
+        # The scan of the second ``link`` keys on W normalized. Its index
+        # on the whole relation is built in the first round, and the rows
+        # of each later round reach it through ``_Relation.add``.
+        edb = {"base": {
+            ("n0", " N1"), ("n1", "N2 "), ("N2", 3), (3, "n4"), ("\tN4", "end"),
+            ("3", "int-only"), ("END", "n0"),
+        }}
+        derived = self.both(
+            "link(X, Y) :- base(X, Y). link(X, Z) :- link(X, Y), link(W, Z), norm_eq(Y, W).", edb
+        )
+        assert ("n0", "end") in derived["link"] and ("n0", "n0") in derived["link"]
+        assert ("n0", "int-only") not in derived["link"]
 
     def test_negation_against_constants(self):
         edb = {

@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import io
 import itertools
 import json
@@ -6,6 +8,7 @@ import random
 import networkx as nx
 import pytest
 
+from netloom import network as network_mod
 from netloom.network import (
     BUILTIN_SPACES,
     emit,
@@ -13,8 +16,10 @@ from netloom.network import (
     export_json,
     parse_network,
 )
-from netloom.model import ModelError
+from netloom.model import ModelError, canonical_bytes
+from netloom.query import build_index, traverse
 from netloom.reconstruct import ReconstructionError, reconstruct
+from netloom.workspace import SnapshotWatcher, Workspace
 
 from generators import make_scenario
 from helpers import store_from_sources
@@ -139,6 +144,87 @@ class TestExportJson:
             store = store_from_sources(scenario.source_records, list(order))
             exports.add(export_json(emit(reconstruct(store))))
         assert len(exports) == 1
+
+
+def oracle_version(data: bytes) -> str:
+    """The version an export must carry, computed with nothing but the
+    json module: the SHA-256 of the export without its version key."""
+    doc = json.loads(data)
+    del doc["version"]
+    content = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(content.encode("utf-8")).hexdigest()[:16]
+
+
+def unusual_store():
+    """Flows, cross-space links and labels that JSON must escape."""
+    records = [
+        {"kind": "system", "id": "erp", "name": 'Zähler "ERP" \\ 東京', "type": "application"},
+        {"kind": "system", "id": "proc", "name": "Order to Cash",
+         "type": "process", "space": "business-process"},
+        {"kind": "correlation", "id": "c1", "left_space": "business-process",
+         "left_id": "extra/proc", "right_space": "integration", "right_id": "extra/erp",
+         "link_kind": "realized-by"},
+    ]
+    rng = random.Random(61)
+    scenario = make_scenario(rng, n_systems=10, n_flows=14, n_sources=2)
+    return store_from_sources({"extra": records, **scenario.source_records})
+
+
+class TestEncodeOnce:
+    """``export_json`` appends the version to the bytes that the version
+    digests, and must give the bytes of a full canonical encode."""
+
+    def assert_canonical(self, network, versioned=True):
+        data = export_json(network)
+        assert data == canonical_bytes(network)
+        if versioned:
+            assert network.version == oracle_version(data)
+
+    def test_emitted_network(self):
+        network = emit(reconstruct(unusual_store()))
+        assert network.participant_links and any(s.flows for s in network.spaces)
+        self.assert_canonical(network)
+
+    def test_traversal_fragment(self):
+        network = emit(reconstruct(unusual_store()))
+        index = build_index(network)
+        for start in sorted(network.participants()):
+            self.assert_canonical(traverse(index, start, 2, follow_links=True, spaces=None))
+
+    def test_parsed_network(self):
+        network = parse_network(export_json(emit(reconstruct(unusual_store()))))
+        self.assert_canonical(network)
+
+    def test_replaced_network(self):
+        network = emit(reconstruct(unusual_store()))
+        self.assert_canonical(dataclasses.replace(network))
+        changed = dataclasses.replace(network, version="x", participant_links=())
+        self.assert_canonical(changed, versioned=False)
+        assert export_json(changed) != export_json(network)
+
+    def test_export_of_an_emitted_network_encodes_nothing_again(self, monkeypatch):
+        network = emit(reconstruct(unusual_store()))
+
+        def encode(*args):
+            raise AssertionError("encoded twice")
+
+        monkeypatch.setattr(network_mod, "_encode_content", encode)
+        assert export_json(network) == canonical_bytes(network)
+
+    def test_file_that_a_committing_poll_publishes(self, tmp_path):
+        ws = Workspace.init(tmp_path / "ws")
+        config = tmp_path / "srca.json"
+        config.write_text(json.dumps({"source_id": "srca", "source_type": "t"}))
+        ws.register_source(config)
+        (tmp_path / "drop").mkdir()
+        records = [{"kind": "system", "id": "s", "name": "Zähler", "type": "application"}]
+        (tmp_path / "drop" / "srca__1.jsonl").write_text(
+            "".join(json.dumps(r) + "\n" for r in records)
+        )
+        assert SnapshotWatcher(ws, tmp_path / "drop").poll_once() == [("srca__1.jsonl", "committed")]
+        data = ws.latest_network_bytes()
+        assert data == canonical_bytes(parse_network(data))
+        assert (ws.networks_dir / "LATEST").read_text() == oracle_version(data)
 
 
 class TestExportGraph:

@@ -21,7 +21,7 @@ from netloom.reconstruct import ReconstructionError, reconstruct
 from netloom.workspace import SnapshotWatcher, Workspace, WorkspaceError, write_atomic
 
 from generators import make_scenario
-from helpers import MERGE_SPACE_RULES, cyclic_garbage, store_from_sources
+from helpers import MERGE_SPACE_RULES, content_digest, cyclic_garbage, store_from_sources
 
 
 def fail_replace(self, target):
@@ -277,7 +277,7 @@ def test_crash_before_the_manifest_keeps_the_previous_store(tmp_path, monkeypatc
     orphans = {p.name for p in ws.segments_dir.iterdir()} - listed_segments(ws)
     assert orphans
     assert ws.load_store().version == store.version
-    assert ws.load_store().content_digest() == store.content_digest()
+    assert content_digest(ws.load_store()) == content_digest(store)
     assert ws.ledger_path.read_bytes() == ledger
     assert file_bytes(ws.networks_dir) == networks
 
@@ -787,6 +787,10 @@ UNUSABLE_RULES = {
     "not-utf8": (b"\xff\xfe", WorkspaceError, "unreadable rules file "),
     "directory": (None, WorkspaceError, "unreadable rules file "),
     "malformed": (b"p(X) :-\n", ProgramError, "line 1, column 8: "),
+    "arity": (
+        b"p(X) :- system(X, _, _).\np(X, Y) :- system(X, Y, _).\n",
+        ProgramError, "line 2, column 1: arity conflict",
+    ),
     "negative-cycle": (
         b"p(X) :- system(X, _, _), not q(X).\nq(X) :- system(X, _, _), not p(X).\n",
         ProgramError, "negative cycle",
@@ -808,14 +812,17 @@ def test_an_unusable_rules_dl_keeps_the_commit_and_publishes_nothing(
         ws.rules_path.mkdir()
     else:
         ws.rules_path.write_bytes(data)
-    with pytest.raises(error, match=message):
+    with pytest.raises(error, match=message) as raised:
         ws.infer()
     with caplog.at_level("WARNING", logger=workspace_mod.logger.name):
         assert drop_and_poll(watcher, "srca__2.jsonl", system_records("ERP 2")) == [
             ("srca__2.jsonl", "committed"),
         ]
     (warning,) = [r.getMessage() for r in caplog.records]
-    assert warning.startswith("not published: ")
-    assert message in warning
+    assert warning == f"not published: {raised.value}"
+    # Each error names the file, after the reader's words for one it cannot read.
+    assert str(raised.value).startswith(
+        f"unreadable rules file {ws.rules_path}: " if error is WorkspaceError else f"{ws.rules_path}: "
+    )
     assert ws.load_store().version == 2
     assert ws.latest_network_bytes() == latest
