@@ -16,9 +16,9 @@ from pathlib import Path
 
 import click
 
-from .conformance import ConformanceReport, SchemaError, check_batch
+from .conformance import ConformanceReport, SchemaError
 from .datalog import ProgramError
-from .ingest import IngestError, load_snapshot, load_source_config
+from .ingest import IngestError, commit, load_snapshot, load_source_config
 from .model import CANONICAL_JSON
 from .network import GRAPH_FORMATS, export_graph, export_json
 from .query import build_index, search as run_search, traverse as run_traverse
@@ -94,13 +94,13 @@ def ingest(workspace, source_config, snapshot):
 @click.option("--source-config", required=True, type=click.Path())
 @click.argument("snapshot", type=click.Path())
 def check(workspace, source_config, snapshot):
-    """Validate a snapshot without committing it."""
+    """Preview ingest: run its commit of a snapshot, save nothing, and
+    print the report, which is empty if the snapshot would commit."""
     ws = Workspace.load(workspace)
-    config = load_source_config(source_config)
-    snap = load_snapshot(snapshot, config)
-    checker = ws.checker()
-    store = ws.load_store().without_source(config.source_id)
-    report = check_batch(checker, snap.records, store)
+    snap = load_snapshot(snapshot, load_source_config(source_config))
+    checker = ws.checker()  # before the store, so a bad schema is reported first
+    result = commit(snap, ws.load_store(), checker)
+    report = result if isinstance(result, ConformanceReport) else ConformanceReport()
     _emit_bytes(report.to_json())
     sys.exit(EXIT_OK if report.ok else EXIT_VALIDATION)
 

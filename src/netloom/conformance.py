@@ -267,7 +267,7 @@ def _validate_value(spec: FieldSpec, value: Any) -> tuple[str, str] | None:
     if spec.type == "string":
         if not isinstance(value, str):
             return TYPE_MISMATCH, f"expected string, got {type(value).__name__}"
-        if (spec.required or spec.key) and not value:
+        if (spec.required or spec.key) and not value.strip():
             return TYPE_MISMATCH, "required string must be non-empty"
     elif spec.type == "integer":
         if isinstance(value, bool) or not isinstance(value, int):
@@ -322,10 +322,6 @@ def check_batch(
                 f"{rec.origin.source_id}/{rec.origin.object_id}"
             )
     existing_ids = existing.ids_by_kind()
-    ref_pools: dict[str, set[str]] = {
-        kind: batch_ids.get(kind, set()) | existing_ids.get(kind, set())
-        for kind in set(batch_ids) | set(existing_ids)
-    }
 
     seen_keys: dict[tuple, tuple] = {}
     # Engine ids are <source>/<object id>, so an object id may appear
@@ -411,7 +407,8 @@ def check_batch(
             if not isinstance(value, str) or not value:
                 continue
             resolved = resolve_ref(value, source_id)
-            if resolved not in ref_pools.get(target_kind, set()):
+            if not (resolved in batch_ids.get(target_kind, ())
+                    or resolved in existing_ids.get(target_kind, ())):
                 findings.append(
                     Finding(
                         DANGLING_REF,

@@ -49,6 +49,11 @@ class SourceConfig:
 # suffix must stay under the usual 255-byte file name limit.
 MAX_SOURCE_ID_BYTES = 200
 
+# The deepest a snapshot line may nest, its own object being level 1. A
+# payload gains 5 levels in its segment and 7 in the published network,
+# so every encode and decode of it stays far inside the recursion limit.
+MAX_NESTING = 64
+
 
 def load_source_config(path: str | Path) -> SourceConfig:
     """Read a source config: a JSON object with a non-empty string
@@ -164,6 +169,14 @@ def _delete_path(fields: dict, path: str) -> None:
     node.pop(parts[-1], None)
 
 
+def _nests_deeper(value: Any, levels: int) -> bool:
+    """Whether ``value``, counted as one level, nests more than ``levels`` deep."""
+    if levels == 0:
+        return True
+    items = value.values() if isinstance(value, dict) else value
+    return any(_nests_deeper(v, levels - 1) for v in items if isinstance(v, (dict, list)))
+
+
 def read_snapshot(path: str | Path) -> bytes:
     """The bytes of a snapshot file; raises IngestError if it cannot be read."""
     try:
@@ -182,8 +195,9 @@ def load_snapshot(
     otherwise the file is read here. Each line must be a JSON object.
     The mapping is applied first; the record must then carry an object
     id (the mapping target "object_id", falling back to the field
-    "id"). Bytes that are not UTF-8, malformed lines and missing ids
-    raise IngestError naming the line.
+    "id"). Bytes that are not UTF-8, malformed lines, lines nested
+    deeper than ``MAX_NESTING`` and missing ids raise IngestError naming
+    the line.
     """
     if data is None:
         data = read_snapshot(path)
@@ -200,8 +214,15 @@ def load_snapshot(
             continue
         try:
             doc = json.loads(line)
+            # Each level opens a bracket, so a line with few is not walked.
+            deep = (line.count("{") + line.count("[") > MAX_NESTING
+                    and _nests_deeper(doc, MAX_NESTING))
         except json.JSONDecodeError as exc:
             raise IngestError(f"{path}: line {lineno}: malformed JSON ({exc.msg})") from exc
+        except RecursionError:  # nested past what the parser can take
+            deep = True
+        if deep:
+            raise IngestError(f"{path}: line {lineno}: nested deeper than {MAX_NESTING} levels")
         if not isinstance(doc, dict):
             raise IngestError(f"{path}: line {lineno}: record must be a JSON object")
 
@@ -245,6 +266,12 @@ def load_snapshot(
 _IDENTITY_FIELDS = {
     "system": ("id", "name", "type", "space"),
     "host": ("id", "hostname"),
+}
+
+# Per configuration kind, its class and the field of its address.
+_CONFIGURATIONS = {
+    "out_conf": (OutgoingConfiguration, "receiver_address"),
+    "in_conf": (IncomingConfiguration, "endpoint_address"),
 }
 
 
@@ -308,9 +335,10 @@ def build_entities(snapshot: Snapshot) -> list:
                     rec.origin,
                 )
             )
-        elif rec.kind == "out_conf":
+        elif rec.kind in _CONFIGURATIONS:
+            cls, address = _CONFIGURATIONS[rec.kind]
             entities.append(
-                OutgoingConfiguration(
+                cls(
                     engine_id,
                     resolve_ref(f["owner_system_id"], sid),
                     InterfaceRef(
@@ -318,22 +346,7 @@ def build_entities(snapshot: Snapshot) -> list:
                         f.get("interface_namespace", "") or "",
                         f.get("operation", "") or "",
                     ),
-                    normalize_address(f["receiver_address"]),
-                    f.get("adapter", "") or "",
-                    rec.origin,
-                )
-            )
-        elif rec.kind == "in_conf":
-            entities.append(
-                IncomingConfiguration(
-                    engine_id,
-                    resolve_ref(f["owner_system_id"], sid),
-                    InterfaceRef(
-                        f["interface_name"],
-                        f.get("interface_namespace", "") or "",
-                        f.get("operation", "") or "",
-                    ),
-                    normalize_address(f["endpoint_address"]),
+                    normalize_address(f[address]),
                     f.get("adapter", "") or "",
                     rec.origin,
                 )

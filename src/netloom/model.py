@@ -186,18 +186,9 @@ class InterfaceRef:
         return out
 
 
-def canonical_payload(value: Any) -> Any:
-    """Normalize a nested payload: mappings get sorted keys, duplicates
-    are impossible by construction, scalars pass through."""
-    if isinstance(value, Mapping):
-        return {str(k): canonical_payload(value[k]) for k in sorted(value, key=str)}
-    if isinstance(value, (list, tuple)):
-        return [canonical_payload(v) for v in value]
-    return value
-
-
 def payload_digest(payload: Any) -> str:
-    blob = CANONICAL_JSON.encode(canonical_payload(payload))
+    """The digest of a JSON value, whatever the order of its keys."""
+    blob = CANONICAL_JSON.encode(payload)
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
@@ -217,8 +208,7 @@ class ComplexProperty:
 
     @staticmethod
     def create(kind: str, payload: Any, origin: Origin) -> "ComplexProperty":
-        canonical = canonical_payload(payload)
-        return ComplexProperty(kind, canonical, origin, payload_digest(canonical))
+        return ComplexProperty(kind, payload, origin, payload_digest(payload))
 
 
 @dataclass(frozen=True)

@@ -138,20 +138,18 @@ def _classes(members: Iterable[str], rows: Iterable[tuple]) -> dict[str, tuple[s
 
     The built-in rules close ``equiv_sys`` and ``equiv_host`` under
     symmetry and transitivity, also through ids outside ``members``, so
-    a member's class is itself plus its partners among ``members``.
-    Returns the classes, keyed by their smallest member and holding
-    their members sorted.
+    a member's class is itself plus its partners among ``members``, and
+    its members share one smallest partner. Returns the classes, keyed
+    by their smallest member, each holding its members sorted.
     """
-    partners = {m: {m} for m in members}
+    smallest = {m: m for m in members}
     for a, b in rows:
-        if a in partners and b in partners:
-            partners[a].add(b)
-    classes: dict[str, tuple[str, ...]] = {}
-    for group in partners.values():
-        key = min(group)
-        if key not in classes:
-            classes[key] = tuple(sorted(group))
-    return classes
+        if a in smallest and b in smallest and b < smallest[a]:
+            smallest[a] = b
+    classes: dict[str, list[str]] = {}
+    for m in sorted(smallest):
+        classes.setdefault(smallest[m], []).append(m)
+    return {key: tuple(group) for key, group in classes.items()}
 
 
 @acyclic

@@ -22,6 +22,17 @@ MERGE_SPACE_RULES = (
 )
 
 
+def nested_line(levels: int, innermost: str = "leaf") -> str:
+    """A system snapshot line that nests ``levels`` deep, counting its
+    own object, through a ``cfg`` payload of objects and lists in turn.
+    Written as text, so no encoder recurses however deep it is."""
+    inner = range(levels - 1)
+    opening = "".join('{"k": ' if level % 2 else "[" for level in inner)
+    closing = "".join("}" if level % 2 else "]" for level in reversed(inner))
+    return ('{"kind": "system", "id": "D01", "name": "Deep", "type": "application", '
+            f'"cfg": {opening}"{innermost}"{closing}}}')
+
+
 def snapshot_of(records: list[dict], src: str) -> Snapshot:
     out = []
     for i, r in enumerate(records):

@@ -167,7 +167,7 @@ def conformance_findings(
         if type_text == "string":
             if not isinstance(value, str):
                 return "TYPE_MISMATCH", f"expected string, got {got}"
-            if strict and value == "":
+            if strict and all(c.isspace() for c in value):
                 return "TYPE_MISMATCH", "required string must be non-empty"
         elif type_text == "integer":
             if type(value) is bool or not isinstance(value, int):

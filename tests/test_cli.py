@@ -8,11 +8,12 @@ from click.testing import CliRunner
 
 from netloom import cli
 from netloom.cli import main
+from netloom.ingest import MAX_NESTING
 from netloom.model import InterfaceRef, store_to_json
 from netloom.reconstruct import flow_id_for
 from netloom.workspace import SnapshotWatcher, Workspace
 
-from helpers import MERGE_SPACE_RULES, content_digest
+from helpers import MERGE_SPACE_RULES, content_digest, nested_line
 
 
 @pytest.fixture
@@ -1032,3 +1033,131 @@ class TestWatch:
         assert result.stderr.startswith(f"invalid schema {ws.schema_path}: cannot read: ")
         assert result.stderr.count("\n") == 1
         assert ws.load_store().version == 0
+
+
+# The snapshot lines of the README's quickstart, with its source config.
+README_CONFIG = {"source_id": "sld", "source_type": "landscape-directory",
+                 "mapping": {"sysName": "name", "sysId": "object_id"}}
+README_SAMPLE = [
+    {"kind": "system", "sysId": "S01", "sysName": "ERP", "type": "application"},
+    {"kind": "host", "id": "H01", "hostname": "erp-host.example.net"},
+    {"kind": "runs_on", "id": "R01", "system_id": "S01", "host_id": "H01"},
+]
+BLANK_HOSTNAME = [{"kind": "host", "id": "h1", "hostname": "   "}]
+
+# Per case, the finding code its report must hold (None: it commits)
+# and its records: the README sample, one file per finding code that a
+# snapshot file can produce, and a blank hostname.
+GATE_CORPUS = {
+    "readme-sample": (None, README_SAMPLE),
+    "missing-field": ("MISSING_FIELD", [{"kind": "system", "id": "S01", "name": "ERP"}]),
+    "type-mismatch": ("TYPE_MISMATCH", [{"kind": "host", "id": "H01", "hostname": 5}]),
+    "enum-violation": ("ENUM_VIOLATION", [
+        {"kind": "system", "id": "S01", "name": "ERP", "type": "tenant"},
+    ]),
+    "dangling-ref": ("DANGLING_REF", README_SAMPLE[:1] + README_SAMPLE[2:]),
+    "duplicate-key": ("DUPLICATE_KEY", README_SAMPLE[1:2] * 2),
+    "unknown-kind": ("UNKNOWN_KIND", [{"kind": "widget", "id": "W01"}]),
+    "malformed-record": ("MALFORMED_RECORD", [{"id": "X01", "name": "no kind"}]),
+    "blank-hostname": ("TYPE_MISMATCH", BLANK_HOSTNAME),
+}
+
+
+@pytest.mark.parametrize("case", list(GATE_CORPUS))
+def test_check_previews_ingest(runner, tmp_path, workspace, case):
+    code, records = GATE_CORPUS[case]
+    if code == "ENUM_VIOLATION":
+        schema = json.loads((workspace / "schema.json").read_text())
+        schema["kinds"]["system"]["fields"]["type"]["type"] = "enum(application, middleware)"
+        (workspace / "schema.json").write_text(json.dumps(schema))
+    cfg = tmp_path / "sld.json"
+    cfg.write_text(json.dumps(README_CONFIG))
+    snap = tmp_path / "sld.jsonl"
+    write_snapshot(snap, records)
+    args = [str(workspace), "--source-config", str(cfg), str(snap)]
+    check = runner.invoke(main, ["check", *args])
+    ingest = runner.invoke(main, ["ingest", *args])
+    assert (check.exit_code, ingest.exit_code) == ((0, 0) if code is None else (2, 2))
+    assert check.stderr == ingest.stderr == ""
+    if code is None:
+        # Only the output of a commit differs: check saves nothing.
+        assert check.stdout == '{"accepted":true,"findings":[]}\n'
+        assert json.loads(ingest.stdout)["store_version"] == 1
+    else:
+        assert check.stdout_bytes == ingest.stdout_bytes
+        assert code in {f["code"] for f in json.loads(check.stdout)["findings"]}
+        assert Workspace.load(workspace).load_store().version == 0
+
+
+def test_watch_rejects_a_blank_hostname_and_commits_another_source(
+    runner, tmp_path, workspace, caplog
+):
+    ws = Workspace.load(workspace)
+    for src in ("a", "s"):
+        write_source_config(tmp_path / f"{src}.json", src)
+        ws.register_source(tmp_path / f"{src}.json")
+    drop = tmp_path / "drop"
+    drop.mkdir()
+    write_snapshot(drop / "a__1.jsonl", sample_records())
+    write_snapshot(drop / "s__1.jsonl", BLANK_HOSTNAME)
+    args = ["watch", str(workspace), str(drop), "--interval", "0", "--cycles", "1"]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 0, result.output
+    assert "rejected s__1.jsonl: 1 findings" in caplog.text
+    assert ws.load_store().version == 1
+    assert [e.origin.source_id for e in ws.load_store().entities()] == ["a"] * 4
+    assert sorted(json.loads(ws.ledger_path.read_text())) == ["a__1.jsonl", "s__1.jsonl"]
+    assert ws.latest_network_bytes() is not None
+
+
+class TestNestingBound:
+    @pytest.mark.parametrize("command", ["check", "ingest"])
+    @pytest.mark.parametrize("levels", [MAX_NESTING + 1, 900, 100_000])
+    def test_too_deep_a_line_exit_one_with_one_line(
+        self, runner, tmp_path, workspace, command, levels
+    ):
+        cfg = tmp_path / "srca.json"
+        write_source_config(cfg, "srca")
+        snap = tmp_path / "deep.jsonl"
+        snap.write_text(json.dumps(sample_records()[0]) + "\n" + nested_line(levels) + "\n")
+        result = runner.invoke(main, [command, str(workspace), "--source-config", str(cfg), str(snap)])
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert result.stderr == f"{snap}: line 2: nested deeper than {MAX_NESTING} levels\n"
+
+    def test_watch_ledgers_a_too_deep_file_as_a_load_error(self, tmp_path, workspace):
+        ws = Workspace.load(workspace)
+        for src in ("a", "s"):
+            write_source_config(tmp_path / f"{src}.json", src)
+            ws.register_source(tmp_path / f"{src}.json")
+        drop = tmp_path / "drop"
+        drop.mkdir()
+        write_snapshot(drop / "a__1.jsonl", sample_records())
+        (drop / "s__1.jsonl").write_text(nested_line(100_000) + "\n")
+        (drop / "s__2.jsonl").write_text(nested_line(900) + "\n")
+        watcher = SnapshotWatcher(ws, drop)
+        assert watcher.poll_once() == [
+            ("a__1.jsonl", "committed"), ("s__1.jsonl", "load-error"), ("s__2.jsonl", "load-error"),
+        ]
+        assert watcher.poll_once() == []
+        assert ws.load_store().version == 1
+
+    def test_a_payload_nested_to_the_bound_is_served(self, runner, tmp_path, workspace):
+        cfg = tmp_path / "srca.json"
+        write_source_config(cfg, "srca")
+        snap = tmp_path / "deep.jsonl"
+        snap.write_text(nested_line(MAX_NESTING, "needle") + "\n")
+        payload = json.loads(snap.read_text())["cfg"]
+        args = [str(workspace), "--source-config", str(cfg), str(snap)]
+        assert runner.invoke(main, ["ingest", *args]).exit_code == 0
+        assert runner.invoke(main, ["infer", str(workspace)]).exit_code == 0
+        exported = runner.invoke(main, ["export", str(workspace)])
+        assert exported.exit_code == 0
+        spaces = json.loads(exported.stdout)["spaces"]
+        [participant] = [p for space in spaces for p in space["participants"]]
+        assert participant["complex_props"][0]["payload"] == payload
+        search = runner.invoke(main, ["query", "search", str(workspace), "deep"])
+        assert json.loads(search.stdout) == ["srca/D01"]
+        fragment = runner.invoke(main, ["query", "traverse", str(workspace), "srca/D01"])
+        assert fragment.exit_code == 0
+        assert "needle" in fragment.stdout

@@ -240,6 +240,25 @@ class TestCheckBatch:
         report = check_batch(make_checker(), batch, RawStore.empty())
         assert [f.code for f in report.findings] == [DUPLICATE_KEY]
 
+    @pytest.mark.parametrize("blank", ["", " ", "\t\n", "\u00a0", "\u3000"])
+    def test_a_blank_required_string_is_a_type_mismatch(self, blank):
+        doc = {"kinds": {"host": {"fields": {
+            "id": {"type": "string", "required": True, "key": True},
+            "hostname": {"type": "string", "required": True},
+            "alias": {"type": "string"},
+        }}}}
+        batch = [
+            rec("host", {"id": "h1", "hostname": blank, "alias": blank}),
+            rec("host", {"id": blank, "hostname": " x "}, obj="h2"),
+        ]
+        report = check_batch(parse_schema(doc), batch, RawStore.empty())
+        got = [(f.code, f.kind, f.field, f.message) for f in report.findings]
+        message = "required string must be non-empty"
+        assert got == [(TYPE_MISMATCH, "host", "hostname", message),
+                       (TYPE_MISMATCH, "host", "id", message)]
+        records = [(r.kind, r.fields, r.origin.source_id, r.origin.object_id) for r in batch]
+        assert got == conformance_findings(doc, records, {})
+
     def test_unknown_extra_fields_tolerated(self):
         report = check_batch(
             make_checker(),

@@ -5,6 +5,7 @@ import pytest
 
 from netloom.conformance import DANGLING_REF, default_schema_doc, parse_schema
 from netloom.ingest import (
+    MAX_NESTING,
     IngestError,
     RawRecord,
     Snapshot,
@@ -14,9 +15,15 @@ from netloom.ingest import (
     load_source_config,
     normalize_address,
 )
-from netloom.model import Origin, RawStore
+from netloom.model import (
+    IncomingConfiguration,
+    InterfaceRef,
+    Origin,
+    OutgoingConfiguration,
+    RawStore,
+)
 
-from helpers import content_digest
+from helpers import content_digest, nested_line
 
 
 CHECKER = parse_schema(default_schema_doc())
@@ -161,6 +168,24 @@ class TestLoadSnapshot:
         assert [r.origin.object_id for r in snap.records] == ["given"]
         with pytest.raises(IngestError, match=r"gone.jsonl: line 1: malformed JSON"):
             load_snapshot(tmp_path / "gone.jsonl", SourceConfig("srca"), b"{x\n")
+
+    @pytest.mark.parametrize("levels", [MAX_NESTING + 1, 900, 100_000])
+    def test_a_line_nested_past_the_bound_is_refused(self, levels):
+        data = b'{"kind": "host", "id": "g", "hostname": "x"}\n' + nested_line(levels).encode()
+        with pytest.raises(IngestError, match=rf"^p: line 2: nested deeper than {MAX_NESTING} levels$"):
+            load_snapshot("p", SourceConfig("srca"), data)
+
+    @pytest.mark.parametrize("value", [
+        pytest.param("{[" * 40, id="brackets-in-a-string"),
+        pytest.param([{"k": [1]}] * 50, id="wide"),
+        pytest.param([[{"k": {"k": 1}}]] * 3, id="shallow"),
+    ])
+    def test_many_brackets_within_the_bound_load(self, value):
+        record = json.loads(nested_line(MAX_NESTING))
+        record["wide"] = value
+        snap = load_snapshot("p", SourceConfig("srca"), json.dumps(record).encode())
+        assert snap.records[0].fields["wide"] == value
+        assert snap.records[0].fields["cfg"] == record["cfg"]
 
     def test_dotted_mapping_path(self, tmp_path):
         path = tmp_path / "nested.jsonl"
@@ -310,6 +335,24 @@ class TestCommit:
         ]
         v1 = commit(snapshot_of(records), RawStore.empty(), CHECKER)
         assert v1.out_confs["srca/oc1"].receiver_address == "http://b/order"
+
+    def test_both_configuration_kinds_built(self):
+        conf = {"owner_system_id": "s1", "interface_name": "orders",
+                "interface_namespace": "urn:x", "operation": "post", "adapter": "SOAP"}
+        records = sample_records() + [
+            {"kind": "out_conf", "id": "oc", "receiver_address": " HTTP://B:80/o/", **conf},
+            {"kind": "in_conf", "id": "ic", "endpoint_address": "HTTPS://B:443/o", **conf},
+            {"kind": "in_conf", "id": "bare", "owner_system_id": "s1",
+             "interface_name": "x", "endpoint_address": "Q1"},
+        ]
+        store = commit(snapshot_of(records), RawStore.empty(), CHECKER)
+        interface = InterfaceRef("orders", "urn:x", "post")
+        assert store.out_confs["srca/oc"] == OutgoingConfiguration(
+            "srca/oc", "srca/s1", interface, "http://b/o", "SOAP", Origin("srca", "oc", "test", 0))
+        assert store.in_confs["srca/ic"] == IncomingConfiguration(
+            "srca/ic", "srca/s1", interface, "https://b/o", "SOAP", Origin("srca", "ic", "test", 0))
+        assert store.in_confs["srca/bare"] == IncomingConfiguration(
+            "srca/bare", "srca/s1", InterfaceRef("x"), "q1", "", Origin("srca", "bare", "test", 0))
 
     def test_extra_fields_become_props(self):
         records = [
