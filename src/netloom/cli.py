@@ -173,9 +173,9 @@ def query_traverse(workspace, start, depth, follow_links, spaces):
 def watch(workspace, directory, interval, cycles):
     """Continuously ingest snapshot files dropped into a directory.
 
-    Files are named <source_id>__<anything>.jsonl and processed exactly
-    once per content digest; every committed batch triggers a fresh
-    inference run.
+    Files are named <source_id>__<anything>.jsonl and commit at most
+    once per content digest, in name order per source; every poll that
+    commits triggers a fresh inference run.
     """
     logging.basicConfig(stream=sys.stderr, level=logging.INFO,
                         format="%(levelname)s %(message)s")

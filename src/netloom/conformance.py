@@ -231,7 +231,6 @@ class Finding:
     origin: Origin | None
     field: str
     message: str
-    target: str = ""  # the engine-wide id a DANGLING_REF does not find
 
     def to_doc(self) -> dict:
         return {
@@ -404,7 +403,7 @@ def check_batch(
         source_id = origin.source_id if origin else ""
         for ref_field, target_kind in refs:
             value = rec.fields.get(ref_field)
-            if not isinstance(value, str) or not value:
+            if not isinstance(value, str) or not value.strip():  # blank, like empty, names nothing
                 continue
             resolved = resolve_ref(value, source_id)
             if not (resolved in batch_ids.get(target_kind, ())
@@ -416,7 +415,6 @@ def check_batch(
                         origin,
                         ref_field,
                         f"{ref_field}={value!r} does not resolve to a {target_kind}",
-                        resolved,
                     )
                 )
 

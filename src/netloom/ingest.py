@@ -196,8 +196,8 @@ def load_snapshot(
     The mapping is applied first; the record must then carry an object
     id (the mapping target "object_id", falling back to the field
     "id"). Bytes that are not UTF-8, malformed lines, lines nested
-    deeper than ``MAX_NESTING`` and missing ids raise IngestError naming
-    the line.
+    deeper than ``MAX_NESTING``, strings holding a lone surrogate and
+    missing ids raise IngestError naming the line.
     """
     if data is None:
         data = read_snapshot(path)
@@ -223,6 +223,13 @@ def load_snapshot(
             deep = True
         if deep:
             raise IngestError(f"{path}: line {lineno}: nested deeper than {MAX_NESTING} levels")
+        # Only a \u escape can make a lone surrogate, which no UTF-8
+        # writer downstream could encode.
+        if "\\u" in line:
+            try:
+                json.dumps(doc, ensure_ascii=False).encode("utf-8")
+            except UnicodeEncodeError:
+                raise IngestError(f"{path}: line {lineno}: lone surrogate in a string") from None
         if not isinstance(doc, dict):
             raise IngestError(f"{path}: line {lineno}: record must be a JSON object")
 

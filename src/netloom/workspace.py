@@ -18,7 +18,7 @@ Layout under the workspace root:
                              the bytes of each committed snapshot
     networks/<version>.json  published network exports
     networks/LATEST          name of the most recent version
-    watch_ledger.json        processed snapshot files (name + digest)
+    watch_ledger.json        committed snapshot files (name + digest)
 
 A commit archives the snapshots it committed, writes the segments of
 their sources, then replaces the manifest, then deletes the segments the
@@ -165,18 +165,6 @@ def _segment_decoder(source_id: str):
         return segment
 
     return decode
-
-
-def _waits_on_other_sources(report: ConformanceReport, source_id: str) -> bool:
-    """Whether every finding of ``report`` on a snapshot of ``source_id``
-    is a DANGLING_REF to an id ``<source id>/<object id>`` of another
-    source, which a later commit of that source can add."""
-
-    def of_other_source(target: str) -> bool:
-        owner, slash, _ = target.partition("/")
-        return bool(slash) and owner not in ("", source_id)
-
-    return all(f.code == DANGLING_REF and of_other_source(f.target) for f in report.findings)
 
 
 def write_atomic(path: Path, data: bytes) -> None:
@@ -509,25 +497,27 @@ class Workspace:
 
 
 class SnapshotWatcher:
-    """Polls a directory for snapshot files and ingests each exactly once.
+    """Polls a directory for snapshot files and commits each at most once.
 
-    Files are identified by (name, content digest), so re-dropping an
-    identical file is a no-op while changed content is picked up again.
+    The ledger maps the name of each file whose bytes committed to the
+    digest of those bytes, so re-dropping them is a no-op while changed
+    content is picked up again. A file that did not commit is not
+    ledgered; its outcome is kept in memory (see ``poll_once``).
     Per-file failures are logged and do not stop the loop. A file whose
-    source is not registered is not ledgered, so it is retried on every
-    poll until its source config is registered and parses. A committed
-    store that does not lift with the workspace's rules, or a
-    ``rules.dl`` that cannot be read or parsed, is logged and not
-    published; the next poll that commits something publishes again.
+    source is not registered is retried on every poll until its source
+    config is registered and parses. A committed store that does not
+    lift with the workspace's rules, or a ``rules.dl`` that cannot be
+    read or parsed, is logged and not published; the next poll that
+    commits something publishes again.
     """
 
     def __init__(self, workspace: Workspace, directory: str | Path):
         self.workspace = workspace
         self.directory = Path(directory)
         self._ledger: dict[str, str] = self._load_ledger()
-        # name -> (digest, source config, store.json bytes, checker) of
-        # each file that the last poll left waiting on other sources
-        self._waiting: dict[str, tuple[str, SourceConfig, bytes, CompiledChecker]] = {}
+        # name -> (key, store.json bytes or None, outcome) of each file
+        # that the last poll found and did not commit; see poll_once
+        self._kept: dict[str, tuple[tuple, bytes | None, str]] = {}
 
     def _load_ledger(self) -> dict[str, str]:
         """The ledger on disk, or an empty one; raises WorkspaceError if
@@ -540,35 +530,39 @@ class SnapshotWatcher:
 
     @acyclic
     def poll_once(self) -> list[tuple[str, str]]:
-        """One scan pass; returns (filename, outcome) per processed file,
-        in name order.
+        """One scan pass; returns (filename, outcome) per file that is not
+        ledgered with its current bytes, in name order.
 
         Each new or changed file is read once, and those bytes are
         digested, committed and archived. Files commit in name order
         against one load of the store; if ``store.json`` still holds
         the manifest that the last committing poll in this process
         wrote, the store that poll saved is used and nothing is read.
-        A file rejected only for references into other sources is not
-        ledgered: after a pass that committed something, those files
-        are tried again in name order, until a pass commits nothing,
-        and later polls try them again. While such a file, its source
-        config, ``store.json`` and the schema are all unchanged, later
-        polls keep its outcome without parsing or checking it again,
-        and warn about it only once. A later-named file of the same
-        source that commits first supersedes such a file for good.
-        Then the archives are written, the segment of each committed
-        source, and the manifest after them. The ledger follows, and if
-        anything committed, the store just saved is reconstructed and
-        published without being read again. The ledger advances only
-        after the save succeeds. The workspace's store lock is held from
-        reading ``store.json`` to the publish.
+        A file never commits while a greater name with its file-name
+        prefix is ledgered or committed earlier in the poll: it is
+        rejected as superseded. A file that does not commit keeps its
+        outcome, keyed on its digest, its source config and the
+        checker, and on the ``store.json`` bytes too when every finding
+        is a DANGLING_REF, which only another commit can resolve. While
+        its key holds, the file is not parsed or warned about again.
+        After a pass that committed something, the files rejected only
+        for DANGLING_REF are tried again in name order, until a pass
+        commits nothing. Then the archives are written, the segment of
+        each committed source, and the manifest after them. The ledger
+        follows, and if anything committed, the store just saved is
+        reconstructed and published without being read again. The
+        ledger advances only after the save succeeds. The workspace's
+        store lock is held from reading ``store.json`` to the publish.
         """
         global _committed
         ws = self.workspace
         outcomes: list[tuple[str, str]] = []
         ledgered: dict[str, str] = {}
         archives: list[tuple[str, int, bytes]] = []
-        store = segments = checker = None
+        # name -> (key, whether every finding is a DANGLING_REF, outcome,
+        # warning or None) of each file that has not committed this poll
+        refused: dict[str, tuple[tuple, bool, str, str | None]] = {}
+        store = segments = manifest = checker = None
         with ws._store_lock():  # from the load to the publish
             pending = []  # (path, digest, config, bytes) of each new or changed file
             for path in sorted(self.directory.glob("*.jsonl")):
@@ -588,66 +582,64 @@ class SnapshotWatcher:
                     outcomes.append((path.name, "no-source-config"))
                     continue
                 pending.append((path, digest, config, data))
-            manifest = _read("store", ws.store_path, bytes) if pending else b""
-            last: dict[str, str] = {}  # source id -> its last committed file
-            waiting: dict[str, ConformanceReport | None] = {}  # None: kept outcome
+            if pending:
+                manifest = _read("store", ws.store_path, bytes)
+                checker = ws.checker()
+            latest: dict[str, str] = {}  # file-name prefix -> its greatest committed name
+            for name in self._ledger:
+                prefix = name.split("__", 1)[0]
+                latest[prefix] = max(latest.get(prefix, name), name)
             while pending:
-                waiting = {}
-                for path, digest, config, data in pending:
-                    name, source_id = path.name, config.source_id
-                    if last.get(source_id, name) > name:
-                        logger.warning("rejected %s: superseded by %s", name, last[source_id])
-                        ledgered[name] = digest
-                        outcomes.append((name, "rejected"))
+                passed, retry = len(archives), []
+                for item in pending:
+                    path, digest, config, data = item
+                    name, prefix = path.name, path.name.split("__", 1)[0]
+                    key = (digest, config, checker)
+                    held = self._kept.get(name)
+                    # A kept DANGLING_REF outcome holds only until a commit.
+                    if held is not None and held[0] == key and (
+                        held[1] is None or (held[1] == manifest and not archives)
+                    ):
+                        refused[name] = (key, held[1] is not None, held[2], None)
+                        if held[1] is not None:
+                            retry.append(item)
                         continue
-                    if checker is None and name in self._waiting:
-                        checker = ws.checker()
-                    if not archives and self._waiting.get(name) == (digest, config, manifest, checker):
-                        waiting[name] = None
+                    if latest.get(prefix, name) > name:
+                        warning = f"rejected {name}: superseded by {latest[prefix]}"
+                        refused[name] = (key, False, "rejected", warning)
                         continue
                     try:
                         snapshot = load_snapshot(path, config, data)
                     except IngestError as exc:
-                        logger.warning("skipping %s: %s", name, exc)
-                        ledgered[name] = digest
-                        outcomes.append((name, "load-error"))
+                        refused[name] = (key, False, "load-error", f"skipping {name}: {exc}")
                         continue
                     if store is None:
                         store, segments = ws._held_or_loaded_store(manifest)
-                    if checker is None:
-                        checker = ws.checker()
                     result = commit(snapshot, store, checker)
                     if isinstance(result, ConformanceReport):
-                        if _waits_on_other_sources(result, source_id):
-                            waiting[name] = result
-                            continue
-                        logger.warning("rejected %s: %d findings", name, len(result.findings))
-                        ledgered[name] = digest
-                        outcomes.append((name, "rejected"))
+                        dangling = all(f.code == DANGLING_REF for f in result.findings)
+                        warning = f"rejected {name}: {len(result.findings)} findings"
+                        refused[name] = (key, dangling, "rejected", warning)
+                        if dangling:
+                            retry.append(item)
                         continue
-                    ledgered[name] = digest
+                    refused.pop(name, None)
+                    ledgered[name], latest[prefix] = digest, name
                     store = result
-                    last[source_id] = name
-                    archives.append((source_id, store.version, data))
+                    archives.append((config.source_id, store.version, data))
                     outcomes.append((name, "committed"))
-                if len(waiting) == len(pending):  # this pass committed nothing
+                if len(archives) == passed:  # this pass committed nothing
                     break
-                pending = [item for item in pending if item[0].name in waiting]
-            for name, report in waiting.items():
-                if report is not None:
-                    logger.warning(
-                        "rejected %s for now: %d references into sources not committed yet",
-                        name, len(report.findings),
-                    )
-                outcomes.append((name, "rejected"))
+                pending = retry
             if archives:
                 manifest, segments = ws._save_committed(store, segments, archives)
                 _committed = (ws.root, manifest, store, segments)
-            self._waiting = {
-                path.name: (digest, config, manifest, checker)
-                for path, digest, config, _ in pending
-                if path.name in waiting
-            }
+            self._kept = {}
+            for name, (key, dangling, outcome, warning) in refused.items():
+                if warning is not None:
+                    logger.warning("%s", warning)
+                self._kept[name] = (key, manifest if dangling else None, outcome)
+                outcomes.append((name, outcome))
             if ledgered:
                 self._ledger.update(ledgered)
                 self._save_ledger()

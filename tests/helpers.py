@@ -33,7 +33,7 @@ def nested_line(levels: int, innermost: str = "leaf") -> str:
             f'"cfg": {opening}"{innermost}"{closing}}}')
 
 
-def snapshot_of(records: list[dict], src: str) -> Snapshot:
+def snapshot_of(records: list[dict], src: str = "srca") -> Snapshot:
     out = []
     for i, r in enumerate(records):
         r = dict(r)

@@ -245,7 +245,7 @@ def conformance_findings(
 
         for field, target in refs:
             value = fields.get(field)
-            if not isinstance(value, str) or value == "":
+            if not isinstance(value, str) or all(c.isspace() for c in value):
                 continue
             qualified = "/" in value or value.startswith("flow:")
             engine_id = value if qualified else f"{source_id}/{value}"

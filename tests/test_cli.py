@@ -6,6 +6,7 @@ import shutil
 import pytest
 from click.testing import CliRunner
 
+import netloom.workspace as workspace_mod
 from netloom import cli
 from netloom.cli import main
 from netloom.ingest import MAX_NESTING
@@ -893,7 +894,7 @@ class TestWatch:
         assert watcher.poll_once() == [("srca__1.jsonl", "committed")]
         assert ws.load_store().version == 1
 
-    def test_unreadable_file_is_a_load_error_and_retried(self, tmp_path, runner, workspace):
+    def test_unreadable_file_is_a_load_error_and_retried(self, tmp_path, runner, workspace, caplog):
         ws = Workspace.load(workspace)
         cfg = tmp_path / "srca.json"
         write_source_config(cfg, "srca")
@@ -901,14 +902,23 @@ class TestWatch:
         drop = tmp_path / "drop"
         drop.mkdir()
         (drop / "srca__dir.jsonl").mkdir()
+        (drop / "srca__zdir.jsonl").mkdir()
         write_snapshot(drop / "srca__good.jsonl", sample_records())
         watcher = SnapshotWatcher(ws, drop)
-        assert watcher.poll_once() == [("srca__dir.jsonl", "load-error"), ("srca__good.jsonl", "committed")]
-        assert watcher.poll_once() == [("srca__dir.jsonl", "load-error")]
-        (drop / "srca__dir.jsonl").rmdir()
-        write_snapshot(drop / "srca__dir.jsonl", sample_records("v2"))
-        assert watcher.poll_once() == [("srca__dir.jsonl", "committed")]
+        assert watcher.poll_once() == [
+            ("srca__dir.jsonl", "load-error"), ("srca__good.jsonl", "committed"),
+            ("srca__zdir.jsonl", "load-error"),
+        ]
+        assert watcher.poll_once() == [("srca__dir.jsonl", "load-error"), ("srca__zdir.jsonl", "load-error")]
+        for name in ("srca__dir.jsonl", "srca__zdir.jsonl"):
+            (drop / name).rmdir()
+            write_snapshot(drop / name, sample_records("v2"))
+        # Both are read again; the one named before the committed file
+        # never commits over it, as a batch run in name order would not.
+        assert watcher.poll_once() == [("srca__dir.jsonl", "rejected"), ("srca__zdir.jsonl", "committed")]
+        assert "rejected srca__dir.jsonl: superseded by srca__good.jsonl" in caplog.text
         assert ws.load_store().version == 2
+        assert json.loads(ws.ledger_path.read_text()).keys() == {"srca__good.jsonl", "srca__zdir.jsonl"}
 
     def test_snapshot_not_utf8_is_a_load_error(self, tmp_path, runner, workspace):
         ws = Workspace.load(workspace)
@@ -1106,8 +1116,26 @@ def test_watch_rejects_a_blank_hostname_and_commits_another_source(
     assert "rejected s__1.jsonl: 1 findings" in caplog.text
     assert ws.load_store().version == 1
     assert [e.origin.source_id for e in ws.load_store().entities()] == ["a"] * 4
-    assert sorted(json.loads(ws.ledger_path.read_text())) == ["a__1.jsonl", "s__1.jsonl"]
+    assert sorted(json.loads(ws.ledger_path.read_text())) == ["a__1.jsonl"]
     assert ws.latest_network_bytes() is not None
+
+
+def test_a_lone_surrogate_exits_one_and_is_a_load_error_under_watch(runner, tmp_path, workspace):
+    cfg = tmp_path / "srca.json"
+    write_source_config(cfg, "srca")
+    snap = tmp_path / "srca__1.jsonl"
+    snap.write_text('{"kind": "system", "id": "a", "name": "X\\ud800", "type": "t"}\n')
+    for command in ("check", "ingest"):
+        result = runner.invoke(main, [command, str(workspace), "--source-config", str(cfg), str(snap)])
+        assert (result.exit_code, result.stdout) == (1, "")
+        assert result.stderr == f"{snap}: line 1: lone surrogate in a string\n"
+    ws = Workspace.load(workspace)
+    ws.register_source(cfg)
+    drop = tmp_path / "drop"
+    drop.mkdir()
+    shutil.copy(snap, drop)
+    assert SnapshotWatcher(ws, drop).poll_once() == [("srca__1.jsonl", "load-error")]
+    assert ws.load_store().version == 0
 
 
 class TestNestingBound:
@@ -1125,7 +1153,7 @@ class TestNestingBound:
         assert result.stdout == ""
         assert result.stderr == f"{snap}: line 2: nested deeper than {MAX_NESTING} levels\n"
 
-    def test_watch_ledgers_a_too_deep_file_as_a_load_error(self, tmp_path, workspace):
+    def test_watch_keeps_a_too_deep_file_as_a_load_error(self, tmp_path, workspace, monkeypatch):
         ws = Workspace.load(workspace)
         for src in ("a", "s"):
             write_source_config(tmp_path / f"{src}.json", src)
@@ -1139,7 +1167,10 @@ class TestNestingBound:
         assert watcher.poll_once() == [
             ("a__1.jsonl", "committed"), ("s__1.jsonl", "load-error"), ("s__2.jsonl", "load-error"),
         ]
-        assert watcher.poll_once() == []
+        # Not ledgered: the next poll keeps both outcomes without parsing either.
+        monkeypatch.setattr(workspace_mod, "load_snapshot", None)
+        assert watcher.poll_once() == [("s__1.jsonl", "load-error"), ("s__2.jsonl", "load-error")]
+        assert json.loads(ws.ledger_path.read_text()).keys() == {"a__1.jsonl"}
         assert ws.load_store().version == 1
 
     def test_a_payload_nested_to_the_bound_is_served(self, runner, tmp_path, workspace):

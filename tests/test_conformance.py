@@ -259,6 +259,22 @@ class TestCheckBatch:
         records = [(r.kind, r.fields, r.origin.source_id, r.origin.object_id) for r in batch]
         assert got == conformance_findings(doc, records, {})
 
+    def test_a_blank_reference_gets_the_one_finding_of_an_empty_one(self):
+        doc = default_schema_doc()
+        reports = []
+        for value in ("  ", ""):
+            batch = [
+                rec("system", {"id": "s1", "name": "A", "type": "application"}),
+                rec("runs_on", {"id": "r1", "system_id": "s1", "host_id": value}),
+            ]
+            report = check_batch(parse_schema(doc), batch, RawStore.empty())
+            got = [(f.code, f.kind, f.field, f.message) for f in report.findings]
+            assert got == [(TYPE_MISMATCH, "runs_on", "host_id", "required string must be non-empty")]
+            records = [(r.kind, r.fields, r.origin.source_id, r.origin.object_id) for r in batch]
+            assert got == conformance_findings(doc, records, {})
+            reports.append(report.to_json())
+        assert reports[0] == reports[1]
+
     def test_unknown_extra_fields_tolerated(self):
         report = check_batch(
             make_checker(),

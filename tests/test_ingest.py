@@ -7,8 +7,6 @@ from netloom.conformance import DANGLING_REF, default_schema_doc, parse_schema
 from netloom.ingest import (
     MAX_NESTING,
     IngestError,
-    RawRecord,
-    Snapshot,
     SourceConfig,
     commit,
     load_snapshot,
@@ -23,7 +21,7 @@ from netloom.model import (
     RawStore,
 )
 
-from helpers import content_digest, nested_line
+from helpers import content_digest, nested_line, snapshot_of
 
 
 CHECKER = parse_schema(default_schema_doc())
@@ -31,17 +29,6 @@ CHECKER = parse_schema(default_schema_doc())
 
 def write_jsonl(path, records):
     path.write_text("\n".join(json.dumps(r) for r in records) + "\n")
-
-
-def snapshot_of(records, src="srca"):
-    out = []
-    for i, r in enumerate(records):
-        r = dict(r)
-        kind = r.pop("kind", None)
-        obj = str(r.get("id", f"anon{i}"))
-        r["id"] = obj
-        out.append(RawRecord(kind, r, Origin(src, obj, "test", 0)))
-    return Snapshot(src, tuple(out))
 
 
 class TestNormalizeAddress:
@@ -174,6 +161,21 @@ class TestLoadSnapshot:
         data = b'{"kind": "host", "id": "g", "hostname": "x"}\n' + nested_line(levels).encode()
         with pytest.raises(IngestError, match=rf"^p: line 2: nested deeper than {MAX_NESTING} levels$"):
             load_snapshot("p", SourceConfig("srca"), data)
+
+    @pytest.mark.parametrize("line", [
+        pytest.param(r'{"kind": "host", "id": "h", "hostname": "x", "k\ud800": 1}', id="in-a-key"),
+        pytest.param(r'{"kind": "host", "id": "h", "hostname": "x", "cfg": [{"a": "\udc00x"}]}',
+                     id="in-a-nested-value"),
+    ])
+    def test_a_lone_surrogate_is_refused(self, line):
+        data = b'{"kind": "host", "id": "g", "hostname": "x"}\n' + line.encode()
+        with pytest.raises(IngestError, match=r"^p: line 2: lone surrogate in a string$"):
+            load_snapshot("p", SourceConfig("srca"), data)
+
+    def test_a_surrogate_pair_and_an_escaped_backslash_load(self):
+        line = r'{"kind": "host", "id": "h", "hostname": "x\ud83d\ude00", "raw": "\\u0041"}'
+        fields = load_snapshot("p", SourceConfig("srca"), line.encode()).records[0].fields
+        assert (fields["hostname"], fields["raw"]) == ("x\U0001F600", "\\u0041")
 
     @pytest.mark.parametrize("value", [
         pytest.param("{[" * 40, id="brackets-in-a-string"),

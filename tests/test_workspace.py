@@ -212,8 +212,10 @@ def test_failed_save_leaves_workspace_and_ledger_for_next_poll(tmp_path, monkeyp
     assert [name for name, _ in outcomes] == rest
     assert {o for _, o in outcomes} == {"committed", "rejected", "load-error"}
     assert ws.load_store().version == 1 + sum(1 for _, o in outcomes if o == "committed")
-    assert json.loads(ws.ledger_path.read_text()).keys() == {first, *rest}
-    assert watcher.poll_once() == []
+    committed = {name for name, o in outcomes if o == "committed"}
+    assert json.loads(ws.ledger_path.read_text()).keys() == {first, *committed}
+    # The files that did not commit keep their outcomes.
+    assert watcher.poll_once() == [(name, o) for name, o in outcomes if name not in committed]
 
 
 def test_poll_digests_commits_and_archives_the_bytes_it_read(tmp_path, monkeypatch):
@@ -285,7 +287,7 @@ def test_crash_before_the_manifest_keeps_the_previous_store(tmp_path, monkeypatc
     assert [name for name, _ in outcomes] == rest
     assert ws.load_store().version == 1 + sum(1 for _, o in outcomes if o == "committed")
     assert {p.name for p in ws.segments_dir.iterdir()} == listed_segments(ws)
-    assert watcher.poll_once() == []
+    assert watcher.poll_once() == [(name, o) for name, o in outcomes if o != "committed"]
 
 
 def test_failed_manifest_write_leaves_no_archive(tmp_path, monkeypatch):
@@ -689,12 +691,13 @@ def test_reference_into_a_missing_source_is_retried_but_not_ledgered(tmp_path):
     assert not ws.ledger_path.exists()
     assert watcher.poll_once() == [("srca__1.jsonl", "rejected")]
     assert ws.load_store().version == 0
-    # A reference into the file's own source is final, as before.
+    # A reference into the file's own source is rejected alike, and no
+    # refused file is ledgered.
     own = [{**A_RECORDS[1], "host_id": "H"}]
     assert drop_and_poll(watcher, "srca__2.jsonl", own) == [
         ("srca__1.jsonl", "rejected"), ("srca__2.jsonl", "rejected"),
     ]
-    assert json.loads(ws.ledger_path.read_text()).keys() == {"srca__2.jsonl"}
+    assert not ws.ledger_path.exists()
 
 
 def test_later_file_of_the_same_source_supersedes_a_waiting_one(tmp_path):
@@ -704,9 +707,12 @@ def test_later_file_of_the_same_source_supersedes_a_waiting_one(tmp_path):
     assert drop_and_poll(watcher, "srca__2.jsonl", newer) == [
         ("srca__1.jsonl", "rejected"), ("srca__2.jsonl", "committed"),
     ]
-    assert json.loads(ws.ledger_path.read_text()).keys() == {"srca__1.jsonl", "srca__2.jsonl"}
+    assert json.loads(ws.ledger_path.read_text()).keys() == {"srca__2.jsonl"}
     # srcb resolves srca__1's reference, but srca__2 is the later file.
-    assert drop_and_poll(watcher, "srcb__1.jsonl", B_RECORDS) == [("srcb__1.jsonl", "committed")]
+    assert drop_and_poll(watcher, "srcb__1.jsonl", B_RECORDS) == [
+        ("srca__1.jsonl", "rejected"), ("srcb__1.jsonl", "committed"),
+    ]
+    assert json.loads(ws.ledger_path.read_text()).keys() == {"srca__2.jsonl", "srcb__1.jsonl"}
     batch = batch_build(tmp_path, [("srca", newer), ("srcb", B_RECORDS)])
     assert_same_workspace_bytes(ws, batch)
 
@@ -726,7 +732,7 @@ def test_a_waiting_file_is_parsed_once_per_change_not_per_poll(tmp_path, monkeyp
         for _ in range(3):
             assert watcher.poll_once() == [("srca__1.jsonl", "rejected")]
     assert parsed == ["srca__1.jsonl"]
-    assert sum("for now" in r.getMessage() for r in caplog.records) == 1
+    assert [r.getMessage() for r in caplog.records] == ["rejected srca__1.jsonl: 1 findings"]
     # Another writer's commit changes store.json, so the file is checked again.
     other = tmp_path / "other.jsonl"
     other.write_bytes(snapshot_bytes(system_records("CRM")))
@@ -753,6 +759,153 @@ def test_a_schema_edit_retries_a_waiting_file(tmp_path):
     del doc["kinds"]["runs_on"]["refs"]["host_id"]
     ws.schema_path.write_text(json.dumps(doc))
     assert watcher.poll_once() == [("srca__1.jsonl", "committed")]
+
+
+# ---------------------------------------------------------------------------
+# The ledger lists commits; every other file keeps its outcome
+
+
+def count_parses(monkeypatch) -> list[str]:
+    parsed = []
+    real = workspace_mod.load_snapshot
+
+    def counting(path, *args):
+        parsed.append(Path(path).name)
+        return real(path, *args)
+
+    monkeypatch.setattr(workspace_mod, "load_snapshot", counting)
+    return parsed
+
+
+def test_the_ledger_maps_only_committed_names_to_their_last_committed_bytes(tmp_path):
+    ws, watcher = watched_workspace(tmp_path, ["srca", "srcb"])
+    committed: dict[str, str] = {}
+    steps = [
+        {"srca__1.jsonl": system_records("ERP"), "srcb__1.jsonl": [A_RECORDS[1]]},
+        {"srca__1.jsonl": system_records("ERP 2")},
+        {"srca__0.jsonl": system_records("ERP 0"), "srcb__2.jsonl": B_RECORDS},
+        {"srca__1.jsonl": [{"kind": "system", "id": "s", "name": "ERP", "type": 5}]},
+        {"srcb__1.jsonl": system_records("CRM")},
+    ]
+    for files in steps:
+        for name, records in files.items():
+            (watcher.directory / name).write_bytes(snapshot_bytes(records))
+        for name, outcome in watcher.poll_once():
+            if outcome == "committed":
+                committed[name] = hashlib.sha256((watcher.directory / name).read_bytes()).hexdigest()
+        assert json.loads(ws.ledger_path.read_text()) == committed
+    assert committed.keys() == {"srca__1.jsonl", "srcb__2.jsonl"}
+    # srca__1's last bytes did not commit, so it keeps the digest of the ones that did.
+    assert committed["srca__1.jsonl"] == hashlib.sha256(snapshot_bytes(system_records("ERP 2"))).hexdigest()
+
+
+SRCA_2 = [{"kind": "system", "id": "A", "name": "ERP two", "type": "application"}]
+SRCA_3 = [{"kind": "system", "id": "A", "name": "ERP three", "type": "application"}]
+
+
+@pytest.mark.parametrize("polls, ledgered", [
+    ([["srca__2.jsonl"], ["srca__3.jsonl"]], {"srca__2.jsonl", "srca__3.jsonl"}),
+    ([["srca__3.jsonl"], ["srca__2.jsonl"]], {"srca__3.jsonl"}),
+    ([["srca__2.jsonl", "srca__3.jsonl"]], {"srca__2.jsonl", "srca__3.jsonl"}),
+    ([["srca__3.jsonl", "srca__2.jsonl"]], {"srca__2.jsonl", "srca__3.jsonl"}),
+], ids=["in-order-polls", "reverse-polls", "one-poll", "one-poll-reverse-writes"])
+def test_two_files_of_one_source_publish_the_batch_network_in_every_drop_order(tmp_path, polls, ledgered):
+    ws, watcher = watched_workspace(tmp_path, ["srca"])
+    records = {"srca__2.jsonl": SRCA_2, "srca__3.jsonl": SRCA_3}
+    for names in polls:
+        for name in names:
+            (watcher.directory / name).write_bytes(snapshot_bytes(records[name]))
+        watcher.poll_once()
+    assert json.loads(ws.ledger_path.read_text()).keys() == ledgered
+    batch = batch_build(tmp_path, [("srca", SRCA_2), ("srca", SRCA_3)])
+    assert ws.latest_network_bytes() == batch.latest_network_bytes()
+    assert b"ERP three" in ws.latest_network_bytes()
+
+
+def test_a_later_named_file_supersedes_for_good(tmp_path, caplog):
+    ws, watcher = watched_workspace(tmp_path, ["srca"])
+    assert drop_and_poll(watcher, "srca__3.jsonl", SRCA_3) == [("srca__3.jsonl", "committed")]
+    with caplog.at_level("WARNING", logger=workspace_mod.logger.name):
+        assert drop_and_poll(watcher, "srca__2.jsonl", SRCA_2) == [("srca__2.jsonl", "rejected")]
+        assert watcher.poll_once() == [("srca__2.jsonl", "rejected")]
+    assert [r.getMessage() for r in caplog.records] == [
+        "rejected srca__2.jsonl: superseded by srca__3.jsonl",
+    ]
+    assert ws.load_store().version == 1
+    assert json.loads(ws.ledger_path.read_text()).keys() == {"srca__3.jsonl"}
+
+
+def test_a_schema_fix_commits_a_rejected_file_on_the_next_poll(tmp_path):
+    ws, watcher = watched_workspace(tmp_path, ["srca"])
+    doc = json.loads(ws.schema_path.read_text())
+    doc["kinds"]["system"]["fields"]["type"]["type"] = "enum(middleware)"
+    ws.schema_path.write_text(json.dumps(doc))
+    assert drop_and_poll(watcher, "srca__1.jsonl", SRCA_2) == [("srca__1.jsonl", "rejected")]
+    assert watcher.poll_once() == [("srca__1.jsonl", "rejected")]
+    doc["kinds"]["system"]["fields"]["type"]["type"] = "enum(application, middleware)"
+    ws.schema_path.write_text(json.dumps(doc))
+    assert watcher.poll_once() == [("srca__1.jsonl", "committed")]
+    assert ws.load_store().version == 1
+
+
+def test_a_source_config_fix_commits_a_load_error_file_on_the_next_poll(tmp_path):
+    ws, watcher = watched_workspace(tmp_path, ["srca"])
+    records = [{"kind": "system", "sysId": "A", "name": "ERP", "type": "application"}]
+    assert drop_and_poll(watcher, "srca__1.jsonl", records) == [("srca__1.jsonl", "load-error")]
+    assert watcher.poll_once() == [("srca__1.jsonl", "load-error")]
+    config = tmp_path / "srca-config.json"
+    config.write_text(json.dumps({"source_id": "srca", "source_type": "t", "mapping": {"sysId": "object_id"}}))
+    ws.register_source(config)
+    assert watcher.poll_once() == [("srca__1.jsonl", "committed")]
+    assert set(ws.load_store().systems) == {"srca/A"}
+
+
+def test_a_refused_file_is_parsed_and_warned_about_once_per_key(tmp_path, monkeypatch, caplog):
+    ws, watcher = watched_workspace(tmp_path, ["srca"])
+    parsed = count_parses(monkeypatch)
+    (watcher.directory / "srca__1.jsonl").write_bytes(b"{nope\n")
+    with caplog.at_level("WARNING", logger=workspace_mod.logger.name):
+        for _ in range(3):
+            assert watcher.poll_once() == [("srca__1.jsonl", "load-error")]
+        assert parsed == ["srca__1.jsonl"]
+        assert len(caplog.records) == 1
+        # A fresh watcher has no kept outcomes: it checks the file once more.
+        fresh = SnapshotWatcher(ws, watcher.directory)
+        for _ in range(3):
+            assert fresh.poll_once() == [("srca__1.jsonl", "load-error")]
+        assert parsed == ["srca__1.jsonl"] * 2
+        assert len(caplog.records) == 2
+        # So does a change of the schema, which is part of the key.
+        doc = json.loads(ws.schema_path.read_text())
+        doc["kinds"]["widget"] = {"fields": {}}
+        ws.schema_path.write_text(json.dumps(doc))
+        assert fresh.poll_once() == [("srca__1.jsonl", "load-error")]
+        assert fresh.poll_once() == [("srca__1.jsonl", "load-error")]
+    assert parsed == ["srca__1.jsonl"] * 3
+    assert len(caplog.records) == 3
+    assert not ws.ledger_path.exists()
+
+
+def test_a_file_that_commits_in_a_retry_pass_commits_once(tmp_path, monkeypatch):
+    ws, watcher = watched_workspace(tmp_path, ["srca", "srcb", "srcc"])
+    parsed = count_parses(monkeypatch)
+    # srca refers to srcb, which refers to srcc: each commits one pass later.
+    srcb = [*B_RECORDS, {"kind": "runs_on", "id": "r", "system_id": "srcc/s", "host_id": "H"}]
+    for name, records in [("srca__1.jsonl", A_RECORDS), ("srcb__1.jsonl", srcb),
+                          ("srcc__1.jsonl", system_records("CRM"))]:
+        (watcher.directory / name).write_bytes(snapshot_bytes(records))
+    assert watcher.poll_once() == [
+        ("srca__1.jsonl", "committed"), ("srcb__1.jsonl", "committed"), ("srcc__1.jsonl", "committed"),
+    ]
+    assert parsed == ["srca__1.jsonl", "srcb__1.jsonl", "srcc__1.jsonl",
+                      "srca__1.jsonl", "srcb__1.jsonl", "srca__1.jsonl"]
+    assert ws.load_store().version == 3
+    assert sorted(p.name for p in ws.snapshots_dir.iterdir()) == [
+        "srca__v000003.jsonl", "srcb__v000002.jsonl", "srcc__v000001.jsonl",
+    ]
+    assert watcher.poll_once() == []
+    batch = batch_build(tmp_path, [("srcc", system_records("CRM")), ("srcb", srcb), ("srca", A_RECORDS)])
+    assert_same_workspace_bytes(ws, batch)
 
 
 # ---------------------------------------------------------------------------
