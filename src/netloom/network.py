@@ -22,7 +22,6 @@ import json
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any, Iterable, Sequence
-from xml.sax.saxutils import escape, quoteattr
 
 from .model import CANONICAL_JSON, ModelError, acyclic, canonical_decoder
 
@@ -247,6 +246,25 @@ def _render_dot(participants, flows, links) -> bytes:
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
+def _escape(text: str) -> str:
+    """``text`` as XML character data: ``xml.sax.saxutils.escape``,
+    without importing it (its package pulls in ``http.client``)."""
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
+
+
+def _quoteattr(text: str) -> str:
+    """``text`` as a quoted XML attribute value, byte for byte as
+    ``xml.sax.saxutils.quoteattr`` writes it: newline, carriage return
+    and tab as character references, in double quotes unless it holds
+    ``"`` and no ``'``, and with ``&quot;`` if it holds both."""
+    text = _escape(text).replace("\n", "&#10;").replace("\r", "&#13;").replace("\t", "&#9;")
+    if '"' not in text:
+        return f'"{text}"'
+    if "'" not in text:
+        return f"'{text}'"
+    return '"' + text.replace('"', "&quot;") + '"'
+
+
 def _render_graphml(participants, flows, links) -> bytes:
     out = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -258,25 +276,25 @@ def _render_graphml(participants, flows, links) -> bytes:
         '  <graph id="network" edgedefault="directed">',
     ]
     for p in sorted(participants, key=lambda p: p.id):
-        out.append(f"    <node id={quoteattr(p.id)}>")
-        out.append(f'      <data key="d_label">{escape(p.label)}</data>')
-        out.append(f'      <data key="d_space">{escape(p.space)}</data>')
+        out.append(f"    <node id={_quoteattr(p.id)}>")
+        out.append(f'      <data key="d_label">{_escape(p.label)}</data>')
+        out.append(f'      <data key="d_space">{_escape(p.space)}</data>')
         out.append("    </node>")
     for f in sorted(flows, key=lambda f: f.id):
         out.append(
-            f"    <edge id={quoteattr(f.id)} source={quoteattr(f.source)} "
-            f"target={quoteattr(f.target)}>"
+            f"    <edge id={_quoteattr(f.id)} source={_quoteattr(f.source)} "
+            f"target={_quoteattr(f.target)}>"
         )
-        out.append(f'      <data key="d_edge_label">{escape(f.interface)}</data>')
+        out.append(f'      <data key="d_edge_label">{_escape(f.interface)}</data>')
         out.append('      <data key="d_edge_kind">flow</data>')
         out.append("    </edge>")
     for l in sorted(links, key=lambda l: l.id):
         out.append(
-            f"    <edge id={quoteattr(l.id)} source={quoteattr(l.left)} "
-            f"target={quoteattr(l.right)}>"
+            f"    <edge id={_quoteattr(l.id)} source={_quoteattr(l.left)} "
+            f"target={_quoteattr(l.right)}>"
         )
-        out.append(f'      <data key="d_edge_label">{escape(l.kind)}</data>')
-        out.append(f'      <data key="d_edge_kind">link:{escape(l.kind)}</data>')
+        out.append(f'      <data key="d_edge_label">{_escape(l.kind)}</data>')
+        out.append(f'      <data key="d_edge_kind">link:{_escape(l.kind)}</data>')
         out.append("    </edge>")
     out.append("  </graph>")
     out.append("</graphml>")

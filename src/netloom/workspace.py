@@ -33,13 +33,15 @@ it, no writer overwrites another's commit, and no publish names an
 older store than the publish before it. ``.lock`` is opened read-only,
 so a reader needs no write access to the workspace once it exists.
 
-A committing watcher poll keeps the store it saved, beside the manifest
-bytes it wrote, in one slot per process. The next poll of the same
-workspace commits against that store, without reading a segment, if
-``store.json`` still holds those bytes under the lock. Every store
-write empties the slot before it writes, so a process holds at most
-one such store. ``ingest``, ``infer`` and ``load_store`` always read
-from disk.
+Every reader of the store (``load_store``, ``ingest``, ``infer`` and a
+poll) reads it through ``Workspace._load_store``, and every writer
+(``save_store``, ``ingest`` and a committing poll) writes it through
+``Workspace._write_store``. A committing watcher poll keeps the store it
+saved, beside the manifest bytes it wrote, in one slot per process; no
+other call fills the slot. A reader of the same workspace that finds
+those bytes in ``store.json`` under the lock takes that store without
+reading a segment. Every store write empties the slot before it
+writes, so a process holds at most one such store.
 
 Snapshot files picked up by the watcher are named
 ``<source_id>__<anything>.jsonl``; the prefix selects the registered
@@ -193,7 +195,8 @@ def _json_bytes(doc) -> bytes:
 #: store, its segments), or None. The manifest names each segment by
 #: the digest of its bytes and carries the store version, so while
 #: ``store.json`` holds those bytes this is the current store. Every
-#: store write clears it first, so a process holds at most one.
+#: store write clears it first, so a process holds at most one. Only
+#: ``Workspace._load_store`` reads it, once per call.
 _committed: tuple[Path, bytes, RawStore, dict[str, str]] | None = None
 
 
@@ -302,17 +305,21 @@ class Workspace:
         """The current store; raises WorkspaceError if ``store.json`` or
         a segment it lists does not hold its part."""
         with self._store_lock():
-            return self._load_store()[0]
+            return self._load_store(_read("store", self.store_path, bytes))[0]
 
-    def _load_store(self) -> tuple[RawStore, dict[str, str]]:
-        """The current store and the manifest's segments it was read
-        from. Call it under the store lock."""
-        return self._decode_store(_read("store", self.store_path, bytes))
-
-    def _decode_store(self, data: bytes) -> tuple[RawStore, dict[str, str]]:
-        """The store and segments of the manifest bytes ``data``."""
+    def _load_store(self, manifest: bytes) -> tuple[RawStore, dict[str, str]]:
+        """The store and segments of ``manifest``, the bytes just read
+        from ``store.json``. Call it under the store lock. If they are
+        the bytes that the last committing poll in this process wrote
+        here, the store that poll saved is the current one, and no
+        segment is read."""
+        global _committed
+        held = _committed  # read once: another workspace's write may empty it
+        if held is not None and held[:2] == (self.root, manifest):
+            return held[2], held[3]
+        _committed = None  # stale: free it before decoding the current store
         with _unreadable("store", self.store_path):
-            version, segments = _segments_of(json.loads(data.decode("utf-8")))
+            version, segments = _segments_of(json.loads(manifest.decode("utf-8")))
         parts = [
             _read("store", self.segments_dir / name, _segment_decoder(source_id))
             for source_id, name in segments.items()
@@ -325,15 +332,23 @@ class Workspace:
         """Write a segment for every source in ``store``, then the manifest."""
         sources = sorted({e.origin.source_id for e in store.entities()})
         with self._store_lock():
-            self._write_store(store, {}, dict.fromkeys(sources, store.version))
+            self._write_store(store, {}, dict.fromkeys(sources, store.version), [])
 
     def _write_store(
-        self, store: RawStore, kept: dict[str, str], stamps: dict[str, int]
+        self,
+        store: RawStore,
+        kept: dict[str, str],
+        stamps: dict[str, int],
+        archives: list[tuple[str, int, bytes]],
     ) -> tuple[bytes, dict[str, str]]:
-        """Write the segment of each source in ``stamps``, stamped with
-        its version there, then a manifest listing those beside the
-        ``kept`` entries; then delete every other file in ``store/``.
-        Returns the manifest's bytes and segments.
+        """Save ``store``: archive each committed snapshot, given as
+        (source id, store version it made, bytes); write the segment of
+        each source in ``stamps``, stamped with its version there; then
+        a manifest listing those beside the ``kept`` entries; then
+        delete every other file in ``store/``. If this raises before the
+        manifest is replaced, the archives written are removed again, so
+        none names a version that ``store.json`` never reached. Returns
+        the manifest's bytes and segments.
 
         Every store write drops the store the last committing poll
         held, before it writes anything, so a failed write drops it too.
@@ -341,14 +356,25 @@ class Workspace:
         global _committed
         _committed = None
         segments = dict(kept)
-        self.segments_dir.mkdir(exist_ok=True)
-        for source_id, version in stamps.items():
-            data = store_to_json(replace(store.only_source(source_id), version=version))
-            name = f"{source_id}.{hashlib.sha256(data).hexdigest()[:16]}.json"
-            write_atomic(self.segments_dir / name, data)
-            segments[source_id] = name
-        manifest = canonical_bytes({"segments": segments, "version": store.version})
-        write_atomic(self.store_path, manifest)
+        written = []
+        try:
+            for source_id, version, data in archives:
+                self.snapshots_dir.mkdir(exist_ok=True)
+                path = self.snapshots_dir / f"{source_id}__v{version:06d}.jsonl"
+                write_atomic(path, data)
+                written.append(path)
+            self.segments_dir.mkdir(exist_ok=True)
+            for source_id, version in stamps.items():
+                data = store_to_json(replace(store.only_source(source_id), version=version))
+                name = f"{source_id}.{hashlib.sha256(data).hexdigest()[:16]}.json"
+                write_atomic(self.segments_dir / name, data)
+                segments[source_id] = name
+            manifest = canonical_bytes({"segments": segments, "version": store.version})
+            write_atomic(self.store_path, manifest)
+        except BaseException:
+            for path in written:
+                path.unlink(missing_ok=True)
+            raise
         listed = set(segments.values())
         try:
             for path in self.segments_dir.iterdir():
@@ -357,18 +383,6 @@ class Workspace:
         except OSError as exc:  # the store is saved; what is left is only waste
             logger.warning("cannot remove old segments of %s: %s", self.store_path, exc)
         return manifest, segments
-
-    def _held_or_loaded_store(self, manifest: bytes) -> tuple[RawStore, dict[str, str]]:
-        """What ``_load_store`` returns, for ``manifest``, the bytes just
-        read from ``store.json``; without decoding a segment if they are
-        the bytes that the last committing poll in this process wrote
-        here: then the store that poll saved is the current one. Call it
-        under the store lock."""
-        global _committed
-        if _committed is not None and _committed[:2] == (self.root, manifest):
-            return _committed[2], _committed[3]
-        _committed = None  # stale: free it before decoding the current store
-        return self._decode_store(manifest)
 
     # -- source configs
 
@@ -427,38 +441,12 @@ class Workspace:
         data = read_snapshot(snapshot_path)
         snapshot = load_snapshot(snapshot_path, config, data)
         with self._store_lock():
-            store, segments = self._load_store()
+            store, segments = self._load_store(_read("store", self.store_path, bytes))
             result = commit(snapshot, store, self.checker())
             if isinstance(result, RawStore):
-                self._save_committed(result, segments, [(config.source_id, result.version, data)])
+                archive = (config.source_id, result.version, data)
+                self._write_store(result, segments, {config.source_id: result.version}, [archive])
         return result
-
-    def _save_committed(
-        self,
-        store: RawStore,
-        segments: dict[str, str],
-        archives: list[tuple[str, int, bytes]],
-    ) -> tuple[bytes, dict[str, str]]:
-        """Archive each committed snapshot, given as (source id, store
-        version it made, bytes), then save ``store``, loaded from the
-        manifest ``segments``. Only the committed sources' segments are
-        written, each stamped with its last commit's version. If this
-        raises, the archives written are removed again, so none names a
-        version that ``store.json`` never reached. Returns the manifest's
-        bytes and segments as written."""
-        written = []
-        try:
-            self.snapshots_dir.mkdir(exist_ok=True)
-            for source_id, version, data in archives:
-                path = self.snapshots_dir / f"{source_id}__v{version:06d}.jsonl"
-                write_atomic(path, data)
-                written.append(path)
-            stamps = {source_id: version for source_id, version, _ in archives}
-            return self._write_store(store, segments, stamps)
-        except BaseException:
-            for path in written:
-                path.unlink(missing_ok=True)
-            raise
 
     @acyclic
     def infer(self) -> Network:
@@ -466,7 +454,7 @@ class Workspace:
         both under the store lock: no commit lands between the load and
         the publish, so the network published is of the current store."""
         with self._store_lock():
-            return self._infer(self._load_store()[0])
+            return self._infer(self._load_store(_read("store", self.store_path, bytes))[0])
 
     def _infer(self, store: RawStore) -> Network:
         """Reconstruct ``store`` with the built-in rules and those of
@@ -535,34 +523,35 @@ class SnapshotWatcher:
 
         Each new or changed file is read once, and those bytes are
         digested, committed and archived. Files commit in name order
-        against one load of the store; if ``store.json`` still holds
-        the manifest that the last committing poll in this process
-        wrote, the store that poll saved is used and nothing is read.
-        A file never commits while a greater name with its file-name
-        prefix is ledgered or committed earlier in the poll: it is
-        rejected as superseded. A file that does not commit keeps its
-        outcome, keyed on its digest, its source config and the
-        checker, and on the ``store.json`` bytes too when every finding
-        is a DANGLING_REF, which only another commit can resolve. While
-        its key holds, the file is not parsed or warned about again.
-        After a pass that committed something, the files rejected only
-        for DANGLING_REF are tried again in name order, until a pass
-        commits nothing. Then the archives are written, the segment of
-        each committed source, and the manifest after them. The ledger
+        against one load of the store (``Workspace._load_store``, which
+        reads no segment after a committing poll here). A file never
+        commits while a greater name with its file-name prefix is
+        ledgered or committed earlier in the poll: it is rejected as
+        superseded. A file that does not commit keeps one decision:
+        its key (its digest, its source config and the checker), a
+        store token, and its outcome. The token is None unless every
+        finding is a DANGLING_REF, which only another commit can
+        resolve; then it is the store the verdict was made against:
+        the ``store.json`` bytes between polls, the store object after
+        a commit within one. While the key holds and the token is None
+        or current, the file is not parsed or warned about again. Passes
+        over the files not committed yet repeat until one commits
+        nothing. Then the archives are written, the segment of each
+        committed source, and the manifest after them. The ledger
         follows, and if anything committed, the store just saved is
         reconstructed and published without being read again. The
-        ledger advances only after the save succeeds. The workspace's
-        store lock is held from reading ``store.json`` to the publish.
+        ledger and the kept decisions advance only after the save
+        succeeds. The workspace's store lock is held from reading
+        ``store.json`` to the publish.
         """
         global _committed
         ws = self.workspace
         outcomes: list[tuple[str, str]] = []
         ledgered: dict[str, str] = {}
         archives: list[tuple[str, int, bytes]] = []
-        # name -> (key, whether every finding is a DANGLING_REF, outcome,
-        # warning or None) of each file that has not committed this poll
-        refused: dict[str, tuple[tuple, bool, str, str | None]] = {}
-        store = segments = manifest = checker = None
+        decided = {}  # name -> (key, token or None, outcome), as self._kept
+        fresh: dict[str, str] = {}  # name -> warning of a verdict made in this poll
+        store = segments = None
         with ws._store_lock():  # from the load to the publish
             pending = []  # (path, digest, config, bytes) of each new or changed file
             for path in sorted(self.directory.glob("*.jsonl")):
@@ -583,63 +572,64 @@ class SnapshotWatcher:
                     continue
                 pending.append((path, digest, config, data))
             if pending:
-                manifest = _read("store", ws.store_path, bytes)
+                manifest = token = _read("store", ws.store_path, bytes)
                 checker = ws.checker()
+                # A kept token equal to these bytes becomes them: tokens match by identity.
+                decided = {n: (k, token if t == token else t, o)
+                           for n, (k, t, o) in self._kept.items()}
             latest: dict[str, str] = {}  # file-name prefix -> its greatest committed name
             for name in self._ledger:
                 prefix = name.split("__", 1)[0]
                 latest[prefix] = max(latest.get(prefix, name), name)
-            while pending:
-                passed, retry = len(archives), []
-                for item in pending:
-                    path, digest, config, data = item
+            progress = True
+            while progress:
+                progress = False
+                for path, digest, config, data in pending:
                     name, prefix = path.name, path.name.split("__", 1)[0]
                     key = (digest, config, checker)
-                    held = self._kept.get(name)
-                    # A kept DANGLING_REF outcome holds only until a commit.
-                    if held is not None and held[0] == key and (
-                        held[1] is None or (held[1] == manifest and not archives)
+                    held = decided.get(name)
+                    if name in ledgered or (
+                        held and held[0] == key and (held[1] is None or held[1] is token)
                     ):
-                        refused[name] = (key, held[1] is not None, held[2], None)
-                        if held[1] is not None:
-                            retry.append(item)
                         continue
                     if latest.get(prefix, name) > name:
-                        warning = f"rejected {name}: superseded by {latest[prefix]}"
-                        refused[name] = (key, False, "rejected", warning)
+                        decided[name] = (key, None, "rejected")
+                        fresh[name] = f"rejected {name}: superseded by {latest[prefix]}"
                         continue
                     try:
                         snapshot = load_snapshot(path, config, data)
                     except IngestError as exc:
-                        refused[name] = (key, False, "load-error", f"skipping {name}: {exc}")
+                        decided[name] = (key, None, "load-error")
+                        fresh[name] = f"skipping {name}: {exc}"
                         continue
                     if store is None:
-                        store, segments = ws._held_or_loaded_store(manifest)
+                        store, segments = ws._load_store(manifest)
                     result = commit(snapshot, store, checker)
                     if isinstance(result, ConformanceReport):
                         dangling = all(f.code == DANGLING_REF for f in result.findings)
-                        warning = f"rejected {name}: {len(result.findings)} findings"
-                        refused[name] = (key, dangling, "rejected", warning)
-                        if dangling:
-                            retry.append(item)
+                        decided[name] = (key, token if dangling else None, "rejected")
+                        fresh[name] = f"rejected {name}: {len(result.findings)} findings"
                         continue
-                    refused.pop(name, None)
                     ledgered[name], latest[prefix] = digest, name
-                    store = result
+                    store = token = result
                     archives.append((config.source_id, store.version, data))
-                    outcomes.append((name, "committed"))
-                if len(archives) == passed:  # this pass committed nothing
-                    break
-                pending = retry
+                    progress = True
             if archives:
-                manifest, segments = ws._save_committed(store, segments, archives)
+                stamps = {source_id: version for source_id, version, _ in archives}
+                manifest, segments = ws._write_store(store, segments, stamps, archives)
                 _committed = (ws.root, manifest, store, segments)
+            # The last pass committed nothing and checked each older token
+            # again, so every token left stands for the store saved.
             self._kept = {}
-            for name, (key, dangling, outcome, warning) in refused.items():
-                if warning is not None:
-                    logger.warning("%s", warning)
-                self._kept[name] = (key, manifest if dangling else None, outcome)
-                outcomes.append((name, outcome))
+            for path, *_ in pending:
+                if path.name in ledgered:
+                    outcomes.append((path.name, "committed"))
+                    continue
+                key, held, outcome = decided[path.name]
+                if path.name in fresh:
+                    logger.warning("%s", fresh[path.name])
+                self._kept[path.name] = (key, None if held is None else manifest, outcome)
+                outcomes.append((path.name, outcome))
             if ledgered:
                 self._ledger.update(ledgered)
                 self._save_ledger()

@@ -4,6 +4,7 @@ import io
 import itertools
 import json
 import random
+from xml.sax import saxutils
 
 import networkx as nx
 import pytest
@@ -11,6 +12,10 @@ import pytest
 from netloom import network as network_mod
 from netloom.network import (
     BUILTIN_SPACES,
+    MessageFlow,
+    Participant,
+    ParticipantLink,
+    build_fragment,
     emit,
     export_graph,
     export_json,
@@ -284,6 +289,34 @@ class TestExportGraph:
         assert '\\"Name\\"' in dot
         nodes, _ = parse_dot(dot)
         assert nodes == {"srca/s"}
+
+    def test_markup_characters_keep_their_bytes_in_both_formats(self, monkeypatch):
+        # Each of <, >, &; " alone, ' alone and both; newline, carriage
+        # return and tab, in ids, labels, a space, an interface, a link kind.
+        a, b, c = 'p<1>&"', "p'2'", "p\"3\"'"
+        network = build_fragment(
+            [
+                Participant(a, 'A <b> & "c"', "integration"),
+                Participant(b, "it's\tfine", "sp<&>'\""),
+                Participant(c, "line\nbreak\rcr", "integration"),
+            ],
+            [MessageFlow('f"1"\t\n\r', a, c, "if <x> & \"y\" 'z'\n\t\r")],
+            [ParticipantLink("l'1'", a, b, 'same "as" <&>\n')],
+        )
+        dot, graphml = export_graph(network, "dot"), export_graph(network, "graphml")
+        assert hashlib.sha256(dot).hexdigest() == (
+            "ece6599225d87e323e5b0a2119041921111866d799aac4a0570490603928b886"
+        )
+        assert hashlib.sha256(graphml).hexdigest() == (
+            "c5bc8c2e2637291592015a247dcca90289c3b2941ebbe78083da0ff7ea90f724"
+        )
+        # The standard library's escapes write the same GraphML bytes.
+        monkeypatch.setattr(network_mod, "_escape", saxutils.escape)
+        monkeypatch.setattr(network_mod, "_quoteattr", saxutils.quoteattr)
+        assert export_graph(network, "graphml") == graphml
+        g = nx.read_graphml(io.BytesIO(graphml))
+        assert set(g.nodes) == {a, b, c}
+        assert {d["id"] for _, _, d in g.edges(data=True)} == {'f"1"\t\n\r', "l'1'"}
 
     def test_dot_parses_with_independent_reader(self):
         rng = random.Random(61)

@@ -199,7 +199,7 @@ def test_failed_save_leaves_workspace_and_ledger_for_next_poll(tmp_path, monkeyp
         (drop / name).write_bytes(files[name])
     before = file_bytes(ws.root)
 
-    def fail_save(self, store, kept, stamps):
+    def fail_save(self, store, kept, stamps, archives):
         raise OSError("disk full")
 
     with monkeypatch.context() as patch:
@@ -580,6 +580,55 @@ def test_a_store_write_in_another_workspace_frees_the_held_store(tmp_path):
     finally:
         if enabled:
             gc.enable()
+
+
+class EmptiedOnSlice(tuple):
+    """A held-store slot whose slice access empties the module's slot, as
+    a store write in another workspace, on another thread, would if it
+    landed right after a reader compared the slot's root and bytes."""
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            workspace_mod._committed = None
+        return super().__getitem__(index)
+
+
+def test_a_store_write_between_the_check_and_the_take_of_the_held_store(tmp_path):
+    ws, watcher = watched_workspace(tmp_path, ["srca", "srcb"])
+    assert drop_and_poll(watcher, "srca__1.jsonl", system_records("a1")) == [("srca__1.jsonl", "committed")]
+    workspace_mod._committed = EmptiedOnSlice(workspace_mod._committed)
+    assert drop_and_poll(watcher, "srcb__1.jsonl", system_records("b1")) == [("srcb__1.jsonl", "committed")]
+    batch = batch_build(tmp_path, [("srca", system_records("a1")), ("srcb", system_records("b1"))])
+    assert_same_workspace_bytes(ws, batch)
+
+
+def test_readers_after_a_committing_poll_decode_no_segment(tmp_path, monkeypatch):
+    ws, watcher = watched_workspace(tmp_path, ["srca", "srcb"])
+    assert drop_and_poll(watcher, "srca__1.jsonl", system_records("a1")) == [("srca__1.jsonl", "committed")]
+    calls = count_decodes(monkeypatch)
+    assert set(ws.load_store().systems) == {"srca/s"}
+    assert export_json(ws.infer()) == ws.latest_network_bytes()
+    snap = tmp_path / "srcb.jsonl"
+    snap.write_bytes(snapshot_bytes(system_records("b1")))
+    assert isinstance(ws.ingest(ws.get_source("srcb"), snap), RawStore)
+    assert calls["store_from_json"] == 0
+    # The ingest's write emptied the slot, so this poll reads both segments.
+    assert drop_and_poll(watcher, "srca__2.jsonl", system_records("a2")) == [("srca__2.jsonl", "committed")]
+    assert calls["store_from_json"] == 2
+    snap.write_bytes(snapshot_bytes(system_records("b2")))
+    other = Workspace.load(ws.root)
+    assert isinstance(other.ingest(other.get_source("srcb"), snap), RawStore)
+    assert calls["store_from_json"] == 2
+    # After another writer's commit, each reader decodes the store again.
+    assert ws.load_store().version == 4
+    assert calls["store_from_json"] == 4
+    ws.infer()
+    assert calls["store_from_json"] == 6
+    batch = batch_build(tmp_path, [
+        ("srca", system_records("a1")), ("srcb", system_records("b1")),
+        ("srca", system_records("a2")), ("srcb", system_records("b2")),
+    ])
+    assert_same_workspace_bytes(ws, batch)
 
 
 # ---------------------------------------------------------------------------
