@@ -228,7 +228,7 @@ def default_schema_doc() -> dict:
 class Finding:
     code: str
     kind: str
-    origin: Origin | None
+    origin: Origin
     field: str
     message: str
 
@@ -236,8 +236,8 @@ class Finding:
         return {
             "code": self.code,
             "kind": self.kind,
-            "source_id": self.origin.source_id if self.origin else "",
-            "object_id": self.origin.object_id if self.origin else "",
+            "source_id": self.origin.source_id,
+            "object_id": self.origin.object_id,
             "field": self.field,
             "message": self.message,
         }
@@ -316,7 +316,7 @@ def check_batch(
 
     batch_ids: dict[str, set[str]] = {}
     for rec in records:
-        if isinstance(rec.kind, str) and rec.origin is not None:
+        if isinstance(rec.kind, str):
             batch_ids.setdefault(rec.kind, set()).add(
                 f"{rec.origin.source_id}/{rec.origin.object_id}"
             )
@@ -363,21 +363,20 @@ def check_batch(
             if err is not None:
                 findings.append(Finding(err[0], rec.kind, origin, spec.name, err[1]))
 
-        if origin is not None:
-            prior_kind = seen_object_ids.get(origin.object_id)
-            if prior_kind is not None:
-                findings.append(
-                    Finding(
-                        DUPLICATE_KEY,
-                        rec.kind,
-                        origin,
-                        "id",
-                        f"object id {origin.object_id!r} already used by a "
-                        f"{prior_kind} record in this batch",
-                    )
+        prior_kind = seen_object_ids.get(origin.object_id)
+        if prior_kind is not None:
+            findings.append(
+                Finding(
+                    DUPLICATE_KEY,
+                    rec.kind,
+                    origin,
+                    "id",
+                    f"object id {origin.object_id!r} already used by a "
+                    f"{prior_kind} record in this batch",
                 )
-                continue
-            seen_object_ids[origin.object_id] = rec.kind
+            )
+            continue
+        seen_object_ids[origin.object_id] = rec.kind
 
         # Duplicate identity within the batch.
         for label, combo in constraints:
@@ -400,12 +399,11 @@ def check_batch(
                 seen_keys[dedup_key] = values
 
         # Referential integrity against existing union batch.
-        source_id = origin.source_id if origin else ""
         for ref_field, target_kind in refs:
             value = rec.fields.get(ref_field)
             if not isinstance(value, str) or not value.strip():  # blank, like empty, names nothing
                 continue
-            resolved = resolve_ref(value, source_id)
+            resolved = resolve_ref(value, origin.source_id)
             if not (resolved in batch_ids.get(target_kind, ())
                     or resolved in existing_ids.get(target_kind, ())):
                 findings.append(

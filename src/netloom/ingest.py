@@ -45,8 +45,9 @@ class SourceConfig:
 
 
 # The longest source id, in UTF-8 bytes. The archive name
-# ``<source_id>__v000000.jsonl`` plus ``write_atomic``'s ``.<pid>.tmp``
-# suffix must stay under the usual 255-byte file name limit.
+# ``<source_id>__v000000.jsonl`` plus ``write_atomic``'s ``.<thread id>.tmp``
+# suffix (a native thread id is no longer than a pid) must stay under
+# the usual 255-byte file name limit.
 MAX_SOURCE_ID_BYTES = 200
 
 # The deepest a snapshot line may nest, its own object being level 1. A

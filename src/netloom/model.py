@@ -236,10 +236,6 @@ class SystemEntity:
         props.setdefault("space", space or DEFAULT_SPACE)
         return SystemEntity(id, name, kind, props, tuple(complex_props), origin)
 
-    @property
-    def space(self) -> str:
-        return self.simple_props.get("space", DEFAULT_SPACE)
-
 
 @dataclass(frozen=True)
 class HostEntity:

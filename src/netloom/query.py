@@ -1,17 +1,17 @@
 """Query, traversal, and full-text search over a published network.
 
-An index holds what traversal reads: participants by id and adjacency
-over flows and participant links. It is built per network version and
-immutable afterwards. Search keeps no token index: a one-shot query
-asks one question, so it scans the participants once per call.
+An index holds the network and its participants by id, and nothing a
+query may not read: a one-shot query asks one question. Search scans
+the participants once per call, and traversal builds the adjacency it
+walks, over flows and, when it follows links, participant links.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .network import Network, build_fragment
+from .network import Network, Participant, build_fragment
 
 _TOKEN_SPLIT = re.compile(r"[^0-9a-z]+")
 
@@ -24,29 +24,11 @@ def tokenize(text: str) -> list[str]:
 @dataclass(frozen=True)
 class NetworkIndex:
     network: Network
-    by_id: dict = field(default_factory=dict)
-    flow_adjacency: dict = field(default_factory=dict)  # id -> set of neighbor ids
-    link_adjacency: dict = field(default_factory=dict)
+    by_id: dict[str, Participant]
 
 
 def build_index(network: Network) -> NetworkIndex:
-    by_id = {p.id: p for space in network.spaces for p in space.participants}
-    flow_adjacency: dict[str, set[str]] = {pid: set() for pid in by_id}
-    link_adjacency: dict[str, set[str]] = {pid: set() for pid in by_id}
-    for space in network.spaces:
-        for f in space.flows:
-            flow_adjacency.setdefault(f.source, set()).add(f.target)
-            flow_adjacency.setdefault(f.target, set()).add(f.source)
-    for l in network.participant_links:
-        link_adjacency.setdefault(l.left, set()).add(l.right)
-        link_adjacency.setdefault(l.right, set()).add(l.left)
-
-    return NetworkIndex(
-        network=network,
-        by_id=by_id,
-        flow_adjacency=flow_adjacency,
-        link_adjacency=link_adjacency,
-    )
+    return NetworkIndex(network, network.participants())
 
 
 def search(index: NetworkIndex, query: str) -> list[str]:
@@ -93,15 +75,20 @@ def traverse(
     def admitted(pid: str) -> bool:
         return allowed is None or index.by_id[pid].space in allowed
 
+    edges = [(f.source, f.target) for space in index.network.spaces for f in space.flows]
+    if follow_links:
+        edges += [(l.left, l.right) for l in index.network.participant_links]
+    adjacency: dict[str, set[str]] = {}
+    for a, b in edges:
+        adjacency.setdefault(a, set()).add(b)
+        adjacency.setdefault(b, set()).add(a)
+
     selected = {start}
     frontier = [start]
     for _ in range(depth):
         nxt = []
         for pid in frontier:
-            neighbors = set(index.flow_adjacency.get(pid, ()))
-            if follow_links:
-                neighbors |= index.link_adjacency.get(pid, set())
-            for n in neighbors:
+            for n in adjacency.get(pid, ()):
                 if n not in selected and admitted(n):
                     selected.add(n)
                     nxt.append(n)

@@ -5,7 +5,8 @@ Layout under the workspace root:
     schema.json              conformance schema (editable)
     rules.dl                 optional user rules, merged with the built-in
                              ones by every infer and committing poll
-    sources/<source_id>.json registered source configs
+    sources/<source_id>.json registered source configs, each declaring
+                             its own source_id
     .lock                    taken (flock) by each reader and writer of
                              the store
     store.json               manifest of the current raw store version:
@@ -45,7 +46,7 @@ writes, so a process holds at most one such store.
 
 Snapshot files picked up by the watcher are named
 ``<source_id>__<anything>.jsonl``; the prefix selects the registered
-source config.
+source config, which must declare that source_id.
 """
 
 from __future__ import annotations
@@ -56,6 +57,7 @@ import json
 import logging
 import os
 import re
+import threading
 import time
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, replace
@@ -174,10 +176,10 @@ def write_atomic(path: Path, data: bytes) -> None:
 
     A reader sees either the old bytes or the new ones, never a torn
     file, and a failed write leaves the old file and no temporary file.
-    The temporary name carries the process id, so two writers never
-    share one.
+    The temporary name carries the writing thread's native id, so no
+    two live writers share one, not even two threads of one process.
     """
-    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    tmp = path.with_name(f"{path.name}.{threading.get_native_id()}.tmp")
     try:
         tmp.write_bytes(data)
         tmp.replace(path)
@@ -393,10 +395,17 @@ class Workspace:
         return config
 
     def get_source(self, source_id: str) -> SourceConfig:
+        """The config registered as ``sources/<source_id>.json``; raises
+        WorkspaceError if there is none or it declares another source_id."""
         path = self.sources_dir / f"{source_id}.json"
         if not path.exists():
             raise WorkspaceError(f"no registered source config for {source_id!r}")
-        return load_source_config(path)
+        config = load_source_config(path)
+        if config.source_id != source_id:
+            raise WorkspaceError(
+                f"source config {path} declares source_id {config.source_id!r}"
+            )
+        return config
 
     # -- network publication
 
@@ -493,10 +502,10 @@ class SnapshotWatcher:
     ledgered; its outcome is kept in memory (see ``poll_once``).
     Per-file failures are logged and do not stop the loop. A file whose
     source is not registered is retried on every poll until its source
-    config is registered and parses. A committed store that does not
-    lift with the workspace's rules, or a ``rules.dl`` that cannot be
-    read or parsed, is logged and not published; the next poll that
-    commits something publishes again.
+    config is registered, parses and declares that source. A committed
+    store that does not lift with the workspace's rules, or a
+    ``rules.dl`` that cannot be read or parsed, is logged and not
+    published; the next poll that commits something publishes again.
     """
 
     def __init__(self, workspace: Workspace, directory: str | Path):
@@ -532,7 +541,7 @@ class SnapshotWatcher:
         store token, and its outcome. The token is None unless every
         finding is a DANGLING_REF, which only another commit can
         resolve; then it is the store the verdict was made against:
-        the ``store.json`` bytes between polls, the store object after
+        the ``store.json`` bytes between polls, the store version after
         a commit within one. While the key holds and the token is None
         or current, the file is not parsed or warned about again. Passes
         over the files not committed yet repeat until one commits
@@ -574,9 +583,7 @@ class SnapshotWatcher:
             if pending:
                 manifest = token = _read("store", ws.store_path, bytes)
                 checker = ws.checker()
-                # A kept token equal to these bytes becomes them: tokens match by identity.
-                decided = {n: (k, token if t == token else t, o)
-                           for n, (k, t, o) in self._kept.items()}
+                decided = dict(self._kept)
             latest: dict[str, str] = {}  # file-name prefix -> its greatest committed name
             for name in self._ledger:
                 prefix = name.split("__", 1)[0]
@@ -589,7 +596,7 @@ class SnapshotWatcher:
                     key = (digest, config, checker)
                     held = decided.get(name)
                     if name in ledgered or (
-                        held and held[0] == key and (held[1] is None or held[1] is token)
+                        held and held[0] == key and (held[1] is None or held[1] == token)
                     ):
                         continue
                     if latest.get(prefix, name) > name:
@@ -611,7 +618,7 @@ class SnapshotWatcher:
                         fresh[name] = f"rejected {name}: {len(result.findings)} findings"
                         continue
                     ledgered[name], latest[prefix] = digest, name
-                    store = token = result
+                    store, token = result, result.version
                     archives.append((config.source_id, store.version, data))
                     progress = True
             if archives:

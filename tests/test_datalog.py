@@ -88,6 +88,26 @@ class TestParser:
             parse_program("p(X) :- q(X),")
         assert (err.value.line, err.value.column) == (1, 14)
 
+    @pytest.mark.parametrize(
+        "text,message,line,column",
+        [
+            ("p(X) :-\n  q(X) & r(X).", "unexpected character '&'", 2, 8),
+            ("p(X) :- q(X", "unexpected end of input", 1, 12),
+            ("p(X) q(X).", "expected ':-' or '.', found 'q'", 1, 6),
+            ("p(X) :- norm_eq(X, Y, Z), q(X, Y, Z).", "norm_eq takes exactly 2 arguments", 1, 9),
+            ("p(X) :- q(X),\n  3.", "expected a comparison operator after '3'", 2, 3),
+            ("p(X) :- q(X Y).", "expected ',' or ')', found 'Y'", 1, 13),
+            ("p(X) :- q(:-).", "expected a term, found ':-'", 1, 11),
+        ],
+        ids=["character", "end-of-input", "implies-or-dot", "norm-eq-arity",
+             "comparison-operator", "comma-or-paren", "term"],
+    )
+    def test_syntax_errors_name_their_position(self, text, message, line, column):
+        with pytest.raises(ParseError) as err:
+            parse_program(text)
+        assert str(err.value) == f"line {line}, column {column}: {message}"
+        assert (err.value.line, err.value.column) == (line, column)
+
     def test_comments_and_multiline(self):
         program = parse_program(
             """% transitive closure

@@ -91,6 +91,25 @@ class TestLoadSourceConfig:
             load_source_config(path)
 
 
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            (None, "cannot read source config {path}: "),
+            ("{nope", "source config {path} is not valid JSON: "),
+            ("{}", "source config {path} must declare a source_id"),
+            ('{"source_id": ""}', "source config {path} must declare a source_id"),
+        ],
+        ids=["unreadable", "invalid-json", "missing-source-id", "empty-source-id"],
+    )
+    def test_unreadable_or_idless_config_raises_ingest_error(self, tmp_path, text, message):
+        path = tmp_path / "cfg.json"
+        if text is not None:
+            path.write_text(text)
+        with pytest.raises(IngestError) as raised:
+            load_source_config(path)
+        assert str(raised.value).startswith(message.format(path=path))
+
+
 class TestLoadSnapshot:
     def test_mapping_applied(self, tmp_path):
         path = tmp_path / "snap.jsonl"
@@ -170,6 +189,12 @@ class TestLoadSnapshot:
     def test_a_lone_surrogate_is_refused(self, line):
         data = b'{"kind": "host", "id": "g", "hostname": "x"}\n' + line.encode()
         with pytest.raises(IngestError, match=r"^p: line 2: lone surrogate in a string$"):
+            load_snapshot("p", SourceConfig("srca"), data)
+
+    @pytest.mark.parametrize("line", ["[1]", '"x"', "3"])
+    def test_a_line_that_is_not_an_object_is_refused(self, line):
+        data = b'{"kind": "host", "id": "g", "hostname": "x"}\n' + line.encode()
+        with pytest.raises(IngestError, match=r"^p: line 2: record must be a JSON object$"):
             load_snapshot("p", SourceConfig("srca"), data)
 
     def test_a_surrogate_pair_and_an_escaped_backslash_load(self):
@@ -373,3 +398,13 @@ class TestCommit:
         assert s.simple_props["space"] == "integration"
         assert len(s.complex_props) == 1
         assert s.complex_props[0].kind == "deployment"
+
+    @pytest.mark.parametrize("kind", ["system", "host"])
+    def test_extra_booleans_become_words_and_nulls_are_dropped(self, kind):
+        record = {"kind": kind, "id": "e1", "name": "ERP", "type": "application",
+                  "hostname": "h.example.net", "live": True, "spare": False, "note": None}
+        store = commit(snapshot_of([record]), RawStore.empty(), CHECKER)
+        entity = (store.systems if kind == "system" else store.hosts)["srca/e1"]
+        assert entity.simple_props["live"] == "true"
+        assert entity.simple_props["spare"] == "false"
+        assert "note" not in entity.simple_props

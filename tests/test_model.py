@@ -92,6 +92,12 @@ def random_store(rng: random.Random) -> RawStore:
     return RawStore.build(1, [*systems, *hosts, *runs, *outs, *ins, *corrs])
 
 
+@pytest.mark.parametrize("source_id, object_id", [("", "o1"), ("srca", "")])
+def test_origin_requires_source_and_object_ids(source_id, object_id):
+    with pytest.raises(ModelError, match="^origin requires source_id and object_id$"):
+        Origin(source_id, object_id)
+
+
 class TestToFacts:
     def test_system_projection(self):
         s = SystemEntity.create("srca/s1", "ERP", "application", origin())

@@ -91,6 +91,11 @@ class TestEmit:
         for l in network.participant_links:
             assert l.left in ids and l.right in ids
 
+    def test_space_by_name(self):
+        network = emit(reconstruct(simple_store()))
+        assert network.space("integration") is network.spaces[1]
+        assert network.space("nowhere") is None
+
     def test_every_participant_in_exactly_one_space(self):
         rng = random.Random(57)
         scenario = make_scenario(rng, n_systems=12, n_flows=10, n_sources=3)
@@ -308,15 +313,20 @@ class TestExportGraph:
             "ece6599225d87e323e5b0a2119041921111866d799aac4a0570490603928b886"
         )
         assert hashlib.sha256(graphml).hexdigest() == (
-            "c5bc8c2e2637291592015a247dcca90289c3b2941ebbe78083da0ff7ea90f724"
+            "509b9375d1b3663e004fe777de86ec8070b6da1c2a43d9b849d4d219a751c03d"
         )
-        # The standard library's escapes write the same GraphML bytes.
-        monkeypatch.setattr(network_mod, "_escape", saxutils.escape)
+        # The standard library's escapes write the same GraphML bytes, a
+        # carriage return in character data as a character reference.
+        monkeypatch.setattr(network_mod, "_escape", lambda text: saxutils.escape(text, {"\r": "&#13;"}))
         monkeypatch.setattr(network_mod, "_quoteattr", saxutils.quoteattr)
         assert export_graph(network, "graphml") == graphml
         g = nx.read_graphml(io.BytesIO(graphml))
         assert set(g.nodes) == {a, b, c}
-        assert {d["id"] for _, _, d in g.edges(data=True)} == {'f"1"\t\n\r', "l'1'"}
+        assert g.nodes[c]["label"] == "line\nbreak\rcr"
+        edges = {d["id"]: d for _, _, d in g.edges(data=True)}
+        assert set(edges) == {'f"1"\t\n\r', "l'1'"}
+        assert edges['f"1"\t\n\r']["label"] == "if <x> & \"y\" 'z'\n\t\r"
+        assert edges["l'1'"]["kind"] == 'link:same "as" <&>\n'
 
     def test_dot_parses_with_independent_reader(self):
         rng = random.Random(61)

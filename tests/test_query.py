@@ -3,7 +3,8 @@ import random
 import pytest
 
 from netloom.network import (
-    Network, NetworkSpace, Participant, emit, export_json, parse_network,
+    BUILTIN_SPACES, MessageFlow, Network, NetworkSpace, Participant, ParticipantLink,
+    build_fragment, emit, export_json, parse_network,
 )
 from netloom.query import build_index, search, tokenize, traverse
 from netloom.reconstruct import reconstruct
@@ -20,6 +21,22 @@ def network_from(records):
 def random_network(rng, n_systems=12, n_flows=18):
     scenario = make_scenario(rng, n_systems=n_systems, n_flows=n_flows, n_sources=2)
     return emit(reconstruct(store_from_sources(scenario.source_records)))
+
+
+def linked_network(rng, n_participants=14, n_edges=24):
+    """Participants in both built-in spaces, flows within a space and
+    participant links across them."""
+    participants = [
+        Participant(f"p{i:02d}", f"P {i}", rng.choice(BUILTIN_SPACES)) for i in range(n_participants)
+    ]
+    flows, links = [], []
+    for k in range(n_edges):
+        a, b = rng.sample(participants, 2)
+        if a.space == b.space:
+            flows.append(MessageFlow(f"f{k:02d}", a.id, b.id, f"if{k}"))
+        else:
+            links.append(ParticipantLink(f"l{k:02d}", a.id, b.id, "realizes"))
+    return build_fragment(participants, flows, links)
 
 
 def network_of(*participants):
@@ -207,6 +224,11 @@ class TestTraverse:
         with pytest.raises(KeyError, match="ghost"):
             traverse(index, "ghost", 1)
 
+    def test_negative_depth(self):
+        index = build_index(self.chain_network())
+        with pytest.raises(ValueError, match="depth must be >= 0"):
+            traverse(index, "srca/a", -1)
+
     def test_matches_bfs_oracle_on_random_networks(self):
         rng = random.Random(73)
         for _ in range(8):
@@ -221,6 +243,28 @@ class TestTraverse:
             for depth in (0, 1, 2, 5):
                 fragment = traverse(index, start, depth)
                 assert set(fragment.participants()) == bfs_nodes(start, adjacency, depth)
+
+    @pytest.mark.parametrize("spaces", [None, ["integration"], ["business-process"]])
+    def test_follow_links_matches_bfs_oracle_on_random_networks(self, spaces):
+        rng = random.Random(77)
+        for _ in range(8):
+            network = linked_network(rng)
+            assert network.participant_links and network.counts()["flows"]
+            index = build_index(network)
+            allowed = set(spaces or [s.name for s in network.spaces])
+            space_of = {pid: p.space for pid, p in network.participants().items()}
+            edges = [(f.source, f.target) for s in network.spaces for f in s.flows]
+            edges += [(l.left, l.right) for l in network.participant_links]
+            adjacency = {}
+            for a, b in edges:
+                if space_of[b] in allowed:
+                    adjacency.setdefault(a, set()).add(b)
+                if space_of[a] in allowed:
+                    adjacency.setdefault(b, set()).add(a)
+            for start in sorted(network.participants())[:6]:
+                for depth in (0, 1, 2, 5):
+                    fragment = traverse(index, start, depth, follow_links=True, spaces=spaces)
+                    assert set(fragment.participants()) == bfs_nodes(start, adjacency, depth)
 
     def test_monotone_in_depth(self):
         rng = random.Random(74)

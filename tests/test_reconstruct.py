@@ -443,6 +443,31 @@ class TestReconstruct:
         assert recon.flow_links == ()
         assert recon.participant_links == ()
 
+    @pytest.mark.parametrize("flow_side", ["left", "right"])
+    def test_correlation_of_a_flow_and_a_system_contributes_nothing(self, flow_side):
+        flow = flow_id_for("srca/a", "srca/b", InterfaceRef("wire"))
+        ends = {"left": ("integration", flow), "right": ("business-process", "srca/p")}
+        if flow_side == "right":
+            ends = {"left": ends["right"], "right": ends["left"]}
+        records = [
+            {"kind": "system", "id": "a", "name": "App A", "type": "application"},
+            {"kind": "system", "id": "b", "name": "App B", "type": "application"},
+            {"kind": "out_conf", "id": "o1", "owner_system_id": "a",
+             "interface_name": "wire", "receiver_address": "http://1"},
+            {"kind": "in_conf", "id": "i1", "owner_system_id": "b",
+             "interface_name": "wire", "endpoint_address": "http://1"},
+            {"kind": "system", "id": "p", "name": "Proc P", "type": "process",
+             "space": "business-process"},
+            {"kind": "correlation", "id": "c1",
+             "left_space": ends["left"][0], "left_id": ends["left"][1],
+             "right_space": ends["right"][0], "right_id": ends["right"][1],
+             "link_kind": "realized-by"},
+        ]
+        recon = reconstruct(store_from_sources({"srca": records}))
+        assert [f.id for f in recon.flows] == [flow]
+        assert recon.flow_links == ()
+        assert recon.participant_links == ()
+
     def test_stale_cross_source_references_survive_shrinking_reload(self):
         # srcb's config references srca's system; srca then reloads
         # without it. Inference must keep working and simply drop the

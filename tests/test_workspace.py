@@ -42,6 +42,42 @@ def test_write_atomic_failed_replace_keeps_old_bytes(tmp_path, monkeypatch):
     assert list(tmp_path.iterdir()) == [target]
 
 
+def test_threads_writing_one_path_never_tear_it(tmp_path):
+    target = tmp_path / "doc.json"
+    payloads = [bytes([n]) * 200_000 for n in b"abc"]
+    target.write_bytes(payloads[0])
+    failures, torn = [], []
+    done = threading.Event()
+
+    def write(payload):
+        for _ in range(100):
+            write_atomic(target, payload)
+
+    def read():
+        while not done.is_set():
+            data = target.read_bytes()
+            if data not in payloads:
+                torn.append(len(data))
+
+    writers = [in_a_thread(lambda p=p: write(p), failures) for p in payloads]
+    reader = in_a_thread(read, failures)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in [reader, *writers]:
+            thread.start()
+        for thread in writers:
+            thread.join(timeout=60)
+    finally:
+        done.set()
+        reader.join(timeout=60)
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in [reader, *writers])
+    assert failures == [] and torn == []
+    assert target.read_bytes() in payloads
+    assert list(tmp_path.iterdir()) == [target]
+
+
 def test_workspace_writes_leave_old_files_when_replace_fails(tmp_path, monkeypatch):
     ws = Workspace.init(tmp_path / "ws")
     records = [{"kind": "system", "id": "s1", "name": "ERP", "type": "application"}]
@@ -330,6 +366,41 @@ def test_segments_are_named_by_digest_and_stamped_with_their_commit(tmp_path):
         assert name == f"{src}.{hashlib.sha256(data).hexdigest()[:16]}.json"
         assert json.loads(data)["version"] == version
         assert data == store_to_json(RawStore.build(version, ws.load_store().only_source(src).systems.values()))
+
+
+def test_a_failed_removal_of_an_old_segment_keeps_the_commit(tmp_path, monkeypatch, caplog):
+    ws = Workspace.init(tmp_path / "ws")
+    ws.save_store(store_from_sources({"srca": system_records("ERP")}))
+    old = listed_segments(ws)
+    store = store_from_sources({"srca": system_records("ERP 2")})
+
+    def refuse(self, missing_ok=False):
+        raise PermissionError("read-only")
+
+    with monkeypatch.context() as patch, caplog.at_level("WARNING", logger=workspace_mod.logger.name):
+        patch.setattr(Path, "unlink", refuse)
+        ws.save_store(store)
+    (warning,) = [r.getMessage() for r in caplog.records]
+    assert warning == f"cannot remove old segments of {ws.store_path}: read-only"
+    assert content_digest(ws.load_store()) == content_digest(store)
+    assert set(os.listdir(ws.segments_dir)) == old | listed_segments(ws)
+
+
+def test_a_schema_without_a_builtin_kind_loads_and_refuses_its_records(tmp_path):
+    ws = Workspace.init(tmp_path / "ws")
+    doc = json.loads(ws.schema_path.read_text())
+    del doc["kinds"]["correlation"]
+    ws.schema_path.write_text(json.dumps(doc))
+    register_sources(ws, ["srca"], tmp_path)
+    snap = tmp_path / "snap.jsonl"
+    snap.write_bytes(snapshot_bytes([
+        *system_records("ERP"),
+        {"kind": "correlation", "id": "c", "left_space": "integration", "left_id": "s",
+         "right_space": "business-process", "right_id": "s", "link_kind": "same"},
+    ]))
+    report = ws.ingest(ws.get_source("srca"), snap)
+    assert [(f.code, f.kind) for f in report.findings] == [("UNKNOWN_KIND", "correlation")]
+    assert ws.checker().kinds.keys() == doc["kinds"].keys()
 
 
 def test_committing_poll_leaves_no_cyclic_garbage(tmp_path):
@@ -907,6 +978,22 @@ def test_a_source_config_fix_commits_a_load_error_file_on_the_next_poll(tmp_path
     ws.register_source(config)
     assert watcher.poll_once() == [("srca__1.jsonl", "committed")]
     assert set(ws.load_store().systems) == {"srca/A"}
+
+
+def test_a_source_config_that_declares_another_source_is_refused(tmp_path, caplog):
+    ws, watcher = watched_workspace(tmp_path, ["b"])
+    (ws.sources_dir / "a.json").write_text(json.dumps({"source_id": "b", "source_type": "t"}))
+    with pytest.raises(WorkspaceError, match=r"a\.json declares source_id 'b'$"):
+        ws.get_source("a")
+    assert drop_and_poll(watcher, "b__1.jsonl", system_records("From b1")) == [("b__1.jsonl", "committed")]
+    with caplog.at_level("WARNING", logger=workspace_mod.logger.name):
+        assert drop_and_poll(watcher, "a__2.jsonl", system_records("From a2")) == [
+            ("a__2.jsonl", "no-source-config"),
+        ]
+    (warning,) = [r.getMessage() for r in caplog.records]
+    assert warning == f"skipping a__2.jsonl: source config {ws.sources_dir / 'a.json'} declares source_id 'b'"
+    assert ws.load_store().version == 1
+    assert_same_workspace_bytes(ws, batch_build(tmp_path, [("b", system_records("From b1"))]))
 
 
 def test_a_refused_file_is_parsed_and_warned_about_once_per_key(tmp_path, monkeypatch, caplog):
