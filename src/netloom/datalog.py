@@ -542,8 +542,10 @@ class _Relation:
 
     __slots__ = ("rows", "_indexes")
 
-    def __init__(self, rows: Iterable[tuple] = ()) -> None:
-        self.rows: set[tuple] = set(rows)
+    def __init__(self, rows: set[tuple] | None = None) -> None:
+        """A relation over ``rows``, which it keeps and ``add`` extends
+        (not a copy), or over a new empty set."""
+        self.rows: set[tuple] = set() if rows is None else rows
         self._indexes: dict[tuple, tuple[Callable, dict]] = {}
 
     def add(self, row: tuple) -> bool:
@@ -850,12 +852,15 @@ def _generate_rule_functions(
 
 
 def _edb_rows(program: Program, edb: Mapping[str, Iterable[tuple]]) -> dict[str, set[tuple]]:
-    """Copy an EDB into fresh row sets, rejecting rows that hold a
-    Variable and predicates whose rows disagree in length with each
-    other or with the program's arity."""
+    """An EDB as row sets, rejecting rows that hold a Variable and
+    predicates whose rows disagree in length with each other or with the
+    program's arity. A ``set`` of rows is returned as it is, shared with
+    the caller, so nothing may add to it; any other iterable of rows is
+    copied into a fresh set."""
     out: dict[str, set[tuple]] = {}
     for pred, rows in edb.items():
-        rows = set(rows)
+        if not isinstance(rows, set):
+            rows = set(rows)
         lengths = {len(row) for row in rows}
         if pred in program.arities:
             lengths.add(program.arities[pred])
@@ -892,17 +897,23 @@ def evaluate(
     already in the EDB, with one entry per predicate that has at least
     one such row. ``edb`` is not mutated, and evaluation is a pure
     function of its (set-valued) contents.
+
+    The relation of a predicate that only the EDB defines reads the
+    EDB's own row set, with no copy. A predicate that is also a rule
+    head gets a copy, since derived rows are added to its relation and
+    the EDB rows are then subtracted from the result.
     """
     edb = _edb_rows(program, edb)
     strata = stratify(program)
     closure_rules = _closure_rules(program.rules)
+    heads = program.head_predicates()
     relations: dict[str, _Relation] = {p: _EqRelation() for p in closure_rules}
     for pred, rows in edb.items():
         if pred in closure_rules:
             for row in rows:
                 relations[pred].insert(row)
         else:
-            relations[pred] = _Relation(rows)
+            relations[pred] = _Relation(set(rows) if pred in heads else rows)
 
     for stratum in strata:
         dynamic_preds = {r.head.predicate for r in stratum}

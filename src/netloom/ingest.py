@@ -59,15 +59,18 @@ MAX_NESTING = 64
 def load_source_config(path: str | Path) -> SourceConfig:
     """Read a source config: a JSON object with a non-empty string
     ``source_id`` of at most ``MAX_SOURCE_ID_BYTES`` UTF-8 bytes, free
-    of ``/``, ``\\``, NUL and lone surrogates and other than ``.`` and
-    ``..``, an optional string ``source_type`` and an optional
-    ``mapping`` object of source field paths to model field names.
-    Other keys are ignored; any other shape raises IngestError."""
+    of ``/``, ``\\``, NUL and lone surrogates, not beginning with
+    ``flow:`` and other than ``.`` and ``..``, an optional string
+    ``source_type`` and an optional ``mapping`` object of source field
+    paths to model field names. Other keys are ignored; a file that is
+    not UTF-8 JSON, or any other shape, raises IngestError."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             doc = json.load(handle)
     except OSError as exc:
         raise IngestError(f"cannot read source config {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise IngestError(f"source config {path} is not UTF-8 ({exc.reason})") from exc
     except json.JSONDecodeError as exc:
         raise IngestError(f"source config {path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
@@ -81,6 +84,11 @@ def load_source_config(path: str | Path) -> SourceConfig:
         raise IngestError(
             f"source config {path}: source_id {source_id!r} must not contain "
             "'/' or '\\' or be '.' or '..'"
+        )
+    # reconstruct reads an engine id that begins with "flow:" as a flow id.
+    if source_id.startswith("flow:"):
+        raise IngestError(
+            f"source config {path}: source_id {source_id!r} must not begin with 'flow:'"
         )
     try:
         size = len(source_id.encode("utf-8"))

@@ -21,6 +21,15 @@ and their types: each JSON object's keys are the fields of its
 dataclass, so renaming a field changes the on-disk format on both sides
 at once.
 
+The entity classes here, and the network value classes in
+``network``, are slotted frozen dataclasses: a store holds thousands of
+them, and each is spared the memory of a ``__dict__``.
+They have no ``vars()`` and no weak references; ``replace``, ``asdict``,
+``copy`` and ``pickle`` work on them. ``to_facts`` builds fresh row
+sets, and ``datalog.evaluate`` reads them in place: it copies only the
+rows of a predicate that a rule also derives, and ``reconstruct``
+refuses rules that derive a predicate of ``EDB_PREDICATES``.
+
 Every value that netloom builds, here and in the modules above this
 one, is a frozen dataclass, a tuple, a dict or a set without back
 references, so the cyclic garbage collector never frees any of it.
@@ -92,7 +101,8 @@ def acyclic(fn):
 @functools.cache
 def _field_dict(cls: type):
     """The function from a ``cls`` instance to its field dict, compiled once
-    per dataclass: faster than ``vars()`` or a loop over the field names."""
+    per dataclass: faster than a loop over the field names, and a slotted
+    instance has no ``vars()``."""
     if not is_dataclass(cls):
         raise TypeError(f"Object of type {cls.__name__} is not JSON serializable")
     items = ", ".join(f"{f.name!r}: o.{f.name}" for f in fields(cls))
@@ -158,7 +168,7 @@ def _object_field(value: Any, where: str) -> dict:
     return value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Origin:
     source_id: str
     object_id: str
@@ -173,7 +183,7 @@ class Origin:
             raise ModelError(f"captured_at must be an integer >= 0, not {self.captured_at!r}")
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class InterfaceRef:
     name: str
     namespace: str = ""
@@ -199,7 +209,7 @@ def content_id(prefix: str, *parts: str) -> str:
     return f"{prefix}:{hashlib.sha256(blob.encode('utf-8')).hexdigest()[:16]}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ComplexProperty:
     kind: str
     payload: Any = field(hash=False)
@@ -211,7 +221,7 @@ class ComplexProperty:
         return ComplexProperty(kind, payload, origin, payload_digest(payload))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SystemEntity:
     id: str
     name: str
@@ -237,7 +247,7 @@ class SystemEntity:
         return SystemEntity(id, name, kind, props, tuple(complex_props), origin)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HostEntity:
     id: str
     hostname: str
@@ -257,14 +267,14 @@ class HostEntity:
         return HostEntity(id, hostname, dict(simple_props or {}), origin)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RunsOn:
     system_id: str
     host_id: str
     origin: Origin
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OutgoingConfiguration:
     id: str
     owner_system_id: str
@@ -274,7 +284,7 @@ class OutgoingConfiguration:
     origin: Origin = None  # type: ignore[assignment]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IncomingConfiguration:
     id: str
     owner_system_id: str
@@ -284,7 +294,7 @@ class IncomingConfiguration:
     origin: Origin = None  # type: ignore[assignment]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CorrelationHint:
     left_space: str
     left_id: str

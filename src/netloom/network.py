@@ -28,14 +28,14 @@ from .model import CANONICAL_JSON, ModelError, acyclic, canonical_decoder
 BUILTIN_SPACES = ("business-process", "integration")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ComplexPropertyView:
     kind: str
     digest: str
     payload: Any = field(hash=False, default=None)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Participant:
     """One equivalence class of systems, built by ``merge_properties``
     for ``reconstruct``. ``complex_props`` are sorted by (kind, digest)
@@ -50,7 +50,7 @@ class Participant:
     origins: tuple[tuple[str, str], ...] = ()  # (source_id, object_id)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MessageFlow:
     """A flow within one space, built by ``reconstruct`` from the matched
     configuration pairs of one pair of classes and one interface.
@@ -64,7 +64,7 @@ class MessageFlow:
     origins: tuple[tuple[str, str], ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ParticipantLink:
     id: str
     left: str
@@ -72,7 +72,7 @@ class ParticipantLink:
     kind: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MessageFlowLink:
     id: str
     left_flow: str
@@ -80,7 +80,7 @@ class MessageFlowLink:
     kind: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NetworkSpace:
     name: str
     participants: tuple[Participant, ...] = ()

@@ -154,6 +154,7 @@ class TestIngestCommand:
         pytest.param("a\u0000b", id="nul"),
         pytest.param("x" * 300, id="300-bytes"),
         pytest.param("\ud800", id="lone-surrogate"),
+        pytest.param("flow:x", id="flow-prefix"),
     ])
     def test_source_id_not_a_plain_name_exit_one(self, runner, tmp_path, workspace, source_id):
         cfg = tmp_path / "cfg.json"
@@ -1135,6 +1136,30 @@ def test_a_lone_surrogate_exits_one_and_is_a_load_error_under_watch(runner, tmp_
     drop.mkdir()
     shutil.copy(snap, drop)
     assert SnapshotWatcher(ws, drop).poll_once() == [("srca__1.jsonl", "load-error")]
+    assert ws.load_store().version == 0
+
+
+def test_a_source_config_not_utf8_exits_one_and_is_no_source_config_under_watch(
+    runner, tmp_path, workspace, caplog
+):
+    cfg = tmp_path / "srca.json"
+    cfg.write_bytes(b'{"source_id": "s\xff"}')
+    snap = tmp_path / "srca__1.jsonl"
+    write_snapshot(snap, sample_records())
+    for command in ("check", "ingest"):
+        result = runner.invoke(main, [command, str(workspace), "--source-config", str(cfg), str(snap)])
+        assert (result.exit_code, result.stdout) == (1, "")
+        assert result.stderr == f"source config {cfg} is not UTF-8 (invalid start byte)\n"
+    ws = Workspace.load(workspace)
+    ws.sources_dir.mkdir(exist_ok=True)
+    shutil.copy(cfg, ws.sources_dir)
+    drop = tmp_path / "drop"
+    drop.mkdir()
+    shutil.copy(snap, drop)
+    assert SnapshotWatcher(ws, drop).poll_once() == [("srca__1.jsonl", "no-source-config")]
+    [warning] = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+    assert warning.startswith("skipping srca__1.jsonl: source config ")
+    assert warning.endswith("srca.json is not UTF-8 (invalid start byte)")
     assert ws.load_store().version == 0
 
 

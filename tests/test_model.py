@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import json
+import pickle
 import random
 
 import pytest
@@ -19,6 +22,14 @@ from netloom.model import (
     store_from_json,
     store_to_json,
     to_facts,
+)
+from netloom.network import (
+    ComplexPropertyView,
+    MessageFlow,
+    MessageFlowLink,
+    NetworkSpace,
+    Participant,
+    ParticipantLink,
 )
 
 from helpers import content_digest
@@ -90,6 +101,39 @@ def random_store(rng: random.Random) -> RawStore:
             )
         )
     return RawStore.build(1, [*systems, *hosts, *runs, *outs, *ins, *corrs])
+
+
+def _slotted_values():
+    o = origin()
+    cp = ComplexProperty.create("cfg", {"a": [1, 2]}, o)
+    interface = InterfaceRef("orders", "urn:x", "post")
+    view = ComplexPropertyView("cfg", cp.digest, {"a": [1, 2]})
+    participant = Participant("srca/s1", "ERP", "integration", {"space": "integration"},
+                              (view,), (("srca", "s1"),))
+    flow = MessageFlow("flow:1", "srca/s1", "srca/s2", "orders", (("srca", "oc"),))
+    return [
+        o, interface, cp,
+        SystemEntity.create("srca/s1", "ERP", "application", o, {"k": "v"}, [cp]),
+        HostEntity.create("srca/h1", "erp-host", o),
+        RunsOn("srca/s1", "srca/h1", o),
+        OutgoingConfiguration("srca/oc", "srca/s1", interface, "http://x", "soap", o),
+        IncomingConfiguration("srca/ic", "srca/s1", interface, "http://x", "soap", o),
+        CorrelationHint("integration", "srca/s1", "business-process", "srcb/p", "implemented-by", o),
+        view, participant, flow,
+        ParticipantLink("link:1", "srca/s1", "srcb/p", "implemented-by"),
+        MessageFlowLink("flink:1", "flow:1", "flow:2", "implemented-by"),
+        NetworkSpace("integration", (participant,), (flow,)),
+    ]
+
+
+@pytest.mark.parametrize("value", _slotted_values(), ids=lambda v: type(v).__name__)
+def test_value_classes_are_slotted_and_still_copy(value):
+    # The store and the network hold these by the thousand: no instance
+    # carries a __dict__, and replace, deepcopy and pickle keep working.
+    assert not hasattr(value, "__dict__")
+    assert dataclasses.replace(value) == value
+    assert copy.deepcopy(value) == value
+    assert pickle.loads(pickle.dumps(value)) == value
 
 
 @pytest.mark.parametrize("source_id, object_id", [("", "o1"), ("srca", "")])
